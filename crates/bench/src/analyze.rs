@@ -1,13 +1,14 @@
 //! Post-processing for run artifacts: the logic behind `bulksc-analyze`.
 //!
-//! Three operations, all pure text-in/text-out so they unit-test without
-//! touching the filesystem (the `bulksc-analyze` binary is a thin argv
-//! wrapper):
+//! Artifact operations take text; trace operations take a streaming
+//! [`EventSource`] (either encoding, one block or line in memory at a
+//! time). Neither touches the filesystem, so both unit-test in memory
+//! (the `bulksc-analyze` binary is a thin argv wrapper):
 //!
 //! * [`report`] — summarize a `results/*.json` RunLog: per-phase commit
 //!   latency percentiles, per-core cycle-loss attribution (validated to
 //!   sum to the run's cycle count), and the signature false-positive rate;
-//! * [`timeline`] — reconstruct per-chunk spans from a JSONL event stream,
+//! * [`timeline`] — reconstruct per-chunk spans from an event stream,
 //!   emit a Chrome trace of them, and flag every `chunk_start` that never
 //!   reached a commit, squash, or abandon;
 //! * [`diff`] — compare two RunLog artifacts metric-by-metric with a
@@ -15,19 +16,23 @@
 //! * [`xray`] — conflict forensics over an attributed (`--xray`) event
 //!   stream: per-site squash/deny counts, the core-pair conflict matrix,
 //!   hot conflict lines with the alias / true-sharing split, cascade
-//!   depths, and a Graphviz causality graph.
+//!   depths, and a Graphviz causality graph;
+//! * [`query`] — filter and count events, skipping BTF blocks by index.
 //!
 //! Every entry point first checks the artifact's `schema`/`version` pair
-//! against [`bulksc_trace::SCHEMA_VERSION`] and refuses anything it does
-//! not understand, so stale artifacts fail loudly instead of mis-parsing.
-//! Entry points take an `origin` string (the file path, or `<stdin>`)
-//! purely for error messages: a schema mismatch names the offending file
-//! and both versions, so the fix is obvious from the message alone.
+//! (for traces, the [`EventSource`] does) against
+//! [`bulksc_trace::SCHEMA_VERSION`] and refuses anything it does not
+//! understand, so stale artifacts fail loudly instead of mis-parsing.
+//! Entry points take an `origin` string (the file path, or `<stdin>`) —
+//! or an [`EventSource`] that carries one — purely for error messages: a
+//! schema mismatch names the offending file and both versions, so the fix
+//! is obvious from the message alone.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, Seek};
 
 use bulksc_stats::{Histogram, Table};
-use bulksc_trace::{BlockMeta, Event, Json, SCHEMA_VERSION};
+use bulksc_trace::{BlockMeta, Event, EventSource, Json, SquashCause, SCHEMA_VERSION};
 
 /// The latency phases a run artifact carries, in lifecycle order.
 const PHASES: [&str; 5] = [
@@ -213,7 +218,7 @@ fn cycle_loss_table(
     Ok(t.to_string())
 }
 
-/// The outcome of reconstructing chunk spans from a JSONL event stream.
+/// The outcome of reconstructing chunk spans from an event stream.
 #[derive(Debug)]
 pub struct Timeline {
     /// Chrome trace (duration events, one per completed chunk span).
@@ -231,7 +236,7 @@ pub struct Timeline {
     /// `chunk_start`s that never terminated (should be empty for a
     /// complete trace of a finished run).
     pub unmatched: Vec<String>,
-    /// Event lines parsed after the header. A header-only stream is valid
+    /// Events read after the header. A header-only stream is valid
     /// (a run with tracing attached but nothing emitted) — callers that
     /// expected events should warn when this is zero, not fail.
     pub events: u64,
@@ -252,7 +257,7 @@ impl Timeline {
     }
 }
 
-/// Reconstruct per-chunk spans from a JSONL event stream.
+/// Reconstruct per-chunk spans from an event stream (either encoding).
 ///
 /// A span opens at `chunk_start` and closes at the matching
 /// `chunk_commit` or `chunk_abandon`; a `squash` at `(core, seq)` closes
@@ -260,40 +265,20 @@ impl Timeline {
 /// its whole speculative suffix). Spans become Chrome-trace duration
 /// events (`"ph":"X"`) laned per core; unmatched starts are collected for
 /// the caller to fail on.
-pub fn timeline(jsonl: &str, origin: &str) -> Result<Timeline, String> {
-    let mut lines = jsonl.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| format!("{origin}: empty trace (not even a schema header)"))?;
-    let h =
-        Json::parse(header).ok_or_else(|| format!("{origin}: trace header is not valid JSON"))?;
-    let schema = h.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "bulksc-trace" {
-        return Err(format!(
-            "{origin}: not a bulksc-trace stream (schema {schema:?}, expected \
-             \"bulksc-trace\")"
-        ));
-    }
-    let version = h.get("version").and_then(Json::as_u64).unwrap_or(0);
-    if !bulksc_trace::schema_supported(version) {
-        return Err(format!(
-            "{origin}: trace schema version {version} outside supported range {}..={SCHEMA_VERSION}",
-            bulksc_trace::MIN_SCHEMA_VERSION
-        ));
-    }
-
+pub fn timeline(events: EventSource<'_>) -> Result<Timeline, String> {
+    let origin = events.origin().to_string();
     // (core, seq) -> start cycle; BTreeMap for deterministic iteration.
-    let mut open: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    let mut open: BTreeMap<(u32, u64), u64> = BTreeMap::new();
     let mut spans: Vec<String> = Vec::new();
     let (mut commits, mut squashes, mut abandons) = (0u64, 0u64, 0u64);
     let mut orphan_ends = 0u64;
-    let mut span = |core: u64, seq: u64, start: u64, end: u64, reason: &str| {
+    let mut span = |core: u32, seq: u64, start: u64, end: u64, reason: &str| {
         let entry = Json::obj([
             ("name", format!("chunk {seq} ({reason})").into()),
             ("cat", "chunk".into()),
             ("ph", "X".into()),
             ("ts", start.into()),
-            ("dur", (end - start).into()),
+            ("dur", end.wrapping_sub(start).into()),
             ("pid", Json::U64(0)),
             ("tid", format!("core{core}").into()),
             (
@@ -304,44 +289,23 @@ pub fn timeline(jsonl: &str, origin: &str) -> Result<Timeline, String> {
         spans.push(entry.to_string());
     };
 
-    let mut events = 0u64;
-    for (lineno, line) in lines {
-        let ev = Json::parse(line)
-            .ok_or_else(|| format!("{origin}: line {}: not valid JSON: {line}", lineno + 1))?;
-        events += 1;
-        let name = ev.get("ev").and_then(Json::as_str).unwrap_or("");
-        let t = ev
-            .get("t")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{origin}: line {}: event without cycle stamp", lineno + 1))?;
-        let core_seq = || -> Option<(u64, u64)> {
-            Some((
-                ev.get("core").and_then(Json::as_u64)?,
-                ev.get("seq").and_then(Json::as_u64)?,
-            ))
-        };
-        match name {
-            "chunk_start" => {
-                let (core, seq) = core_seq().ok_or_else(|| {
-                    format!(
-                        "{origin}: line {}: chunk_start missing core/seq",
-                        lineno + 1
-                    )
-                })?;
-                if open.insert((core, seq), t).is_some() {
+    let mut count = 0u64;
+    for item in events {
+        let (t, ev) = item.map_err(|e| e.to_string())?;
+        count += 1;
+        match ev {
+            Event::ChunkStart { core, seq } => {
+                let restarted = open.insert((core, seq), t).is_some();
+                if restarted {
                     return Err(format!(
-                        "{origin}: line {}: chunk core{core}#{seq} started twice \
-                         without terminating",
-                        lineno + 1
+                        "{origin}: chunk core{core}#{seq} started twice without \
+                         terminating (again at cycle {t})"
                     ));
                 }
             }
-            "chunk_commit" | "chunk_abandon" => {
-                let (core, seq) = core_seq().ok_or_else(|| {
-                    format!("{origin}: line {}: {name} missing core/seq", lineno + 1)
-                })?;
+            Event::ChunkCommit { core, seq, .. } | Event::ChunkAbandon { core, seq } => {
                 if let Some(start) = open.remove(&(core, seq)) {
-                    let reason = if name == "chunk_commit" {
+                    let reason = if matches!(ev, Event::ChunkCommit { .. }) {
                         commits += 1;
                         "commit"
                     } else {
@@ -355,18 +319,11 @@ pub fn timeline(jsonl: &str, origin: &str) -> Result<Timeline, String> {
                     orphan_ends += 1;
                 }
             }
-            "squash" => {
-                let (core, seq) = core_seq().ok_or_else(|| {
-                    format!("{origin}: line {}: squash missing core/seq", lineno + 1)
-                })?;
+            Event::Squash { core, seq, .. } => {
                 // The squash discards the chunk and every younger one on
                 // the same core.
-                let doomed: Vec<(u64, u64)> = open
-                    .range((core, seq)..(core, u64::MAX))
-                    .map(|(&k, _)| k)
-                    .collect();
-                for key in doomed {
-                    let start = open.remove(&key).expect("listed above");
+                while let Some((&key, &start)) = open.range((core, seq)..(core, u64::MAX)).next() {
+                    open.remove(&key);
                     squashes += 1;
                     span(key.0, key.1, start, t, "squash");
                 }
@@ -397,7 +354,7 @@ pub fn timeline(jsonl: &str, origin: &str) -> Result<Timeline, String> {
         abandons,
         orphan_ends,
         unmatched,
-        events,
+        events: count,
     })
 }
 
@@ -809,10 +766,10 @@ pub struct Xray {
     pub attributed: u64,
 }
 
-/// Summarize an attributed JSONL event stream: per-site squash/deny
-/// counts, the core-pair conflict matrix, the top-`top_n` hot lines with
-/// the alias / true-sharing split, the squash-cascade depth histogram,
-/// and the per-core aggressor/victim balance.
+/// Summarize an attributed event stream (either encoding): per-site
+/// squash/deny counts, the core-pair conflict matrix, the top-`top_n` hot
+/// lines with the alias / true-sharing split, the squash-cascade depth
+/// histogram, and the per-core aggressor/victim balance.
 ///
 /// Cascade depth is derived from victim→aggressor chains: a squash whose
 /// aggressor core was itself squashed since its last commit extends that
@@ -820,107 +777,75 @@ pub struct Xray {
 /// isolated squash, depth ≥2 is a cascade.
 ///
 /// All output is deterministic (BTreeMap ordering throughout), so the
-/// report is byte-identical for byte-identical streams.
-pub fn xray(jsonl: &str, origin: &str, top_n: usize) -> Result<Xray, String> {
-    let mut lines = jsonl.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| format!("{origin}: empty trace (not even a schema header)"))?;
-    let h =
-        Json::parse(header).ok_or_else(|| format!("{origin}: trace header is not valid JSON"))?;
-    let schema = h.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "bulksc-trace" {
-        return Err(format!(
-            "{origin}: not a bulksc-trace stream (schema {schema:?}, expected \"bulksc-trace\")"
-        ));
-    }
-    let version = h.get("version").and_then(Json::as_u64).unwrap_or(0);
-    if !bulksc_trace::schema_supported(version) {
-        return Err(format!(
-            "{origin}: trace schema version {version} outside supported range {}..={SCHEMA_VERSION}",
-            bulksc_trace::MIN_SCHEMA_VERSION
-        ));
-    }
-
+/// report is byte-identical for event-identical streams.
+pub fn xray(events: EventSource<'_>, top_n: usize) -> Result<Xray, String> {
+    let origin = events.origin().to_string();
     let (mut squashes, mut denies, mut attributed) = (0u64, 0u64, 0u64);
     // Squash counts by cause label.
-    let mut by_cause: BTreeMap<String, u64> = BTreeMap::new();
+    let mut by_cause: BTreeMap<&str, u64> = BTreeMap::new();
     // site -> (squashes, denies).
-    let mut sites: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut sites: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     // (victim core, aggressor core) -> attributed conflicts.
-    let mut matrix: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    let mut matrix: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     // line -> (true-sharing, alias, deny) witness counts.
     let mut hot: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
     // core -> (times victim of a squash, times denied, times aggressor).
-    let mut balance: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+    let mut balance: BTreeMap<u32, (u64, u64, u64)> = BTreeMap::new();
     // Cascade chains: core -> depth of its last squash since its last
     // commit; depth -> squash count histogram.
-    let mut chain: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut chain: BTreeMap<u32, u64> = BTreeMap::new();
     let mut cascade: BTreeMap<u64, u64> = BTreeMap::new();
 
-    for (lineno, line) in lines {
-        let ev = Json::parse(line)
-            .ok_or_else(|| format!("{origin}: line {}: not valid JSON: {line}", lineno + 1))?;
-        let name = ev.get("ev").and_then(Json::as_str).unwrap_or("");
-        let core = ev.get("core").and_then(Json::as_u64);
-        let agg = ev.get("agg_core").and_then(Json::as_u64);
-        let site = ev.get("site").and_then(Json::as_str);
-        let witnesses: Vec<u64> = ev
-            .get("witness")
-            .and_then(Json::as_arr)
-            .map(|a| a.iter().filter_map(Json::as_u64).collect())
-            .unwrap_or_default();
-        match name {
-            "chunk_commit" => {
-                if let Some(c) = core {
-                    chain.insert(c, 0);
-                }
+    for item in events {
+        let (_, ev) = item.map_err(|e| e.to_string())?;
+        // `cause` is `None` for a commit denial.
+        let (victim, cause, xray) = match ev {
+            Event::ChunkCommit { core, .. } => {
+                chain.insert(core, 0);
+                continue;
             }
-            "squash" => {
+            Event::Squash {
+                core, cause, xray, ..
+            } => {
                 squashes += 1;
-                let victim = core
-                    .ok_or_else(|| format!("{origin}: line {}: squash without core", lineno + 1))?;
-                let cause = ev.get("cause").and_then(Json::as_str).unwrap_or("?");
-                *by_cause.entry(cause.to_string()).or_default() += 1;
-                balance.entry(victim).or_default().0 += 1;
-                if let Some(site) = site {
-                    attributed += 1;
-                    sites.entry(site.to_string()).or_default().0 += 1;
-                    for &l in &witnesses {
-                        let slot = hot.entry(l).or_default();
-                        match cause {
-                            "true-sharing" => slot.0 += 1,
-                            _ => slot.1 += 1,
-                        }
-                    }
-                    if let Some(a) = agg {
-                        *matrix.entry((victim, a)).or_default() += 1;
-                        balance.entry(a).or_default().2 += 1;
-                    }
-                    let depth = 1 + agg.and_then(|a| chain.get(&a)).copied().unwrap_or(0);
-                    chain.insert(victim, depth);
-                    *cascade.entry(depth).or_default() += 1;
-                }
+                *by_cause.entry(cause.label()).or_default() += 1;
+                balance.entry(core).or_default().0 += 1;
+                (core, Some(cause), xray)
             }
-            "commit_deny" => {
+            Event::CommitDeny { core, xray, .. } => {
                 denies += 1;
-                let victim = core.ok_or_else(|| {
-                    format!("{origin}: line {}: commit_deny without core", lineno + 1)
-                })?;
-                balance.entry(victim).or_default().1 += 1;
-                if let Some(site) = site {
-                    attributed += 1;
-                    sites.entry(site.to_string()).or_default().1 += 1;
-                    for &l in &witnesses {
-                        hot.entry(l).or_default().2 += 1;
-                    }
-                    if let Some(a) = agg {
-                        *matrix.entry((victim, a)).or_default() += 1;
-                        balance.entry(a).or_default().2 += 1;
-                    }
-                }
+                balance.entry(core).or_default().1 += 1;
+                (core, None, xray)
             }
-            _ => {}
+            _ => continue,
+        };
+        let Some(attr) = xray else { continue };
+        attributed += 1;
+        let site = sites.entry(attr.site).or_default();
+        match cause {
+            Some(_) => site.0 += 1,
+            None => site.1 += 1,
+        }
+        for &l in &attr.witnesses {
+            let slot = hot.entry(l).or_default();
+            match cause {
+                Some(SquashCause::TrueSharing) => slot.0 += 1,
+                Some(_) => slot.1 += 1,
+                None => slot.2 += 1,
+            }
+        }
+        if let Some(a) = attr.agg_core {
+            *matrix.entry((victim, a)).or_default() += 1;
+            balance.entry(a).or_default().2 += 1;
+        }
+        if cause.is_some() {
+            let depth = 1 + attr
+                .agg_core
+                .and_then(|a| chain.get(&a))
+                .copied()
+                .unwrap_or(0);
+            chain.insert(victim, depth);
+            *cascade.entry(depth).or_default() += 1;
         }
     }
 
@@ -946,19 +871,14 @@ pub fn xray(jsonl: &str, origin: &str, top_n: usize) -> Result<Xray, String> {
                 .to_vec(),
         );
         for (site, (s, d)) in &sites {
-            t.row(vec![site.clone(), s.to_string(), d.to_string()]);
+            t.row(vec![site.to_string(), s.to_string(), d.to_string()]);
         }
         text.push_str(&t.to_string());
     }
 
     if !matrix.is_empty() {
-        let mut cores: Vec<u64> = matrix
-            .keys()
-            .flat_map(|&(v, a)| [v, a])
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        cores.sort_unstable();
+        let cores: std::collections::BTreeSet<u32> =
+            matrix.keys().flat_map(|&(v, a)| [v, a]).collect();
         let mut header = vec!["victim \\ aggressor".to_string()];
         header.extend(cores.iter().map(|c| format!("c{c}")));
         let mut t = Table::new(header);
@@ -1237,119 +1157,52 @@ impl QueryReport {
     }
 }
 
-/// Shared tail of both query paths: test events, collect lines + agg.
-struct QueryAccum<'f> {
-    filter: &'f QueryFilter,
-    limit: usize,
-    lines: Vec<String>,
-    matched: u64,
-    scanned: u64,
-    counts: BTreeMap<String, u64>,
-    count_by: Option<CountBy>,
-}
-
-impl<'f> QueryAccum<'f> {
-    fn new(filter: &'f QueryFilter, count_by: Option<CountBy>, limit: usize) -> QueryAccum<'f> {
-        QueryAccum {
-            filter,
-            limit,
-            lines: Vec::new(),
-            matched: 0,
-            scanned: 0,
-            counts: BTreeMap::new(),
-            count_by,
-        }
-    }
-
-    fn feed(&mut self, cycle: u64, ev: &Event) {
-        self.scanned += 1;
-        if !self.filter.event_matches(cycle, ev) {
-            return;
-        }
-        self.matched += 1;
-        if self.limit == 0 || self.lines.len() < self.limit {
-            self.lines.push(ev.jsonl(cycle));
-        }
-        if let Some(by) = self.count_by {
-            *self.counts.entry(by.key(ev)).or_insert(0) += 1;
-        }
-    }
-
-    fn into_report(self, filter_desc: String, blocks: (usize, usize, usize)) -> QueryReport {
-        let agg = self.count_by.map(|by| {
-            let mut rows: Vec<(String, u64)> = self.counts.into_iter().collect();
-            rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            (by, rows)
-        });
-        QueryReport {
-            filter: filter_desc,
-            lines: self.lines,
-            matched: self.matched,
-            scanned: self.scanned,
-            blocks_total: blocks.0,
-            blocks_decoded: blocks.1,
-            blocks_skipped: blocks.2,
-            agg,
-        }
-    }
-}
-
-/// Query an indexed BTF artifact. Blocks whose index row cannot match the
-/// filter are **never decoded** — `blocks_skipped` counts them, and the
-/// skip-proof test pins that behaviour. `limit` caps rendered lines
-/// (0 = unlimited); counting is never capped.
-pub fn query_btf<R: std::io::Read + std::io::Seek>(
-    btf: &mut bulksc_trace::IndexedBtf<R>,
+/// Run a query over a trace in either encoding. On BTF input, blocks
+/// whose index row cannot match the filter are **never decoded** —
+/// `blocks_skipped` counts them, and the skip-proof test pins that
+/// behaviour; JSONL input is scanned in full with identical results.
+/// `limit` caps rendered lines (0 = unlimited); counting is never capped.
+pub fn query<'a, R: BufRead + Seek + 'a>(
+    input: R,
     origin: &str,
-    filter: &QueryFilter,
+    filter: &'a QueryFilter,
     count_by: Option<CountBy>,
     limit: usize,
 ) -> Result<QueryReport, String> {
-    let metas: Vec<BlockMeta> = btf.index().to_vec();
-    let mut acc = QueryAccum::new(filter, count_by, limit);
-    let mut decoded = 0usize;
-    for (i, meta) in metas.iter().enumerate() {
-        if !filter.block_may_match(meta) {
+    let mut events = EventSource::indexed(input, origin, |m| filter.block_may_match(m))
+        .map_err(|e| e.to_string())?;
+    let (mut lines, mut matched, mut scanned) = (Vec::new(), 0u64, 0u64);
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    for item in &mut events {
+        let (cycle, ev) = item.map_err(|e| e.to_string())?;
+        scanned += 1;
+        if !filter.event_matches(cycle, &ev) {
             continue;
         }
-        decoded += 1;
-        for (cycle, ev) in btf
-            .read_block(i)
-            .map_err(|e| format!("{origin}: block {i}: {e}"))?
-        {
-            acc.feed(cycle, &ev);
+        matched += 1;
+        if limit == 0 || lines.len() < limit {
+            lines.push(ev.jsonl(cycle));
+        }
+        if let Some(by) = count_by {
+            *counts.entry(by.key(&ev)).or_insert(0) += 1;
         }
     }
-    let total = metas.len();
-    Ok(acc.into_report(filter.describe(), (total, decoded, total - decoded)))
-}
-
-/// Query a JSONL trace by full scan — the fallback for text input, and
-/// the reference the index-skipping path is tested against.
-pub fn query_jsonl(
-    jsonl: &str,
-    origin: &str,
-    filter: &QueryFilter,
-    count_by: Option<CountBy>,
-    limit: usize,
-) -> Result<QueryReport, String> {
-    let mut lines = jsonl.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| format!("{origin}: empty trace (not even a schema header)"))?;
-    bulksc_trace::btf::parse_jsonl_header(header).map_err(|e| format!("{origin}: {e}"))?;
-    let mut acc = QueryAccum::new(filter, count_by, limit);
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj =
-            Json::parse(line).ok_or_else(|| format!("{origin}: line {}: not valid JSON", i + 1))?;
-        let (cycle, ev) = bulksc_trace::btf::event_from_json(&obj)
-            .map_err(|e| format!("{origin}: line {}: {e}", i + 1))?;
-        acc.feed(cycle, &ev);
-    }
-    Ok(acc.into_report(filter.describe(), (0, 0, 0)))
+    let agg = count_by.map(|by| {
+        let mut rows: Vec<(String, u64)> = counts.into_iter().collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        (by, rows)
+    });
+    let blocks = events.blocks();
+    Ok(QueryReport {
+        filter: filter.describe(),
+        lines,
+        matched,
+        scanned,
+        blocks_total: blocks.total,
+        blocks_decoded: blocks.decoded,
+        blocks_skipped: blocks.skipped,
+        agg,
+    })
 }
 
 /// Render a BTF artifact's observability footprint: format, size, and
@@ -1413,6 +1266,15 @@ mod tests {
     use crate::run_app;
     use bulksc::{BulkConfig, Model};
 
+    fn xray_of(text: &str, origin: &str, top_n: usize) -> Result<Xray, String> {
+        let events = EventSource::new(text.as_bytes(), origin).map_err(|e| e.to_string())?;
+        xray(events, top_n)
+    }
+
+    fn timeline_of(text: &str, origin: &str) -> Result<Timeline, String> {
+        timeline(EventSource::new(text.as_bytes(), origin).map_err(|e| e.to_string())?)
+    }
+
     #[test]
     fn xray_report_attributes_conflicts() {
         let header = bulksc_trace::jsonl_header();
@@ -1424,7 +1286,7 @@ mod tests {
              {{\"t\":12,\"ev\":\"chunk_commit\",\"core\":1,\"seq\":5,\"read_lines\":1,\"write_lines\":1,\"priv_lines\":0}}\n\
              {{\"t\":15,\"ev\":\"squash\",\"core\":3,\"seq\":1,\"cause\":\"overflow\",\"squashed_instrs\":10,\"site\":\"overflow\",\"witness\":[]}}\n"
         );
-        let x = xray(&trace, "mem", 10).unwrap();
+        let x = xray_of(&trace, "mem", 10).unwrap();
         assert_eq!(x.squashes, 3);
         assert_eq!(x.denies, 1);
         assert_eq!(x.attributed, 4);
@@ -1453,7 +1315,7 @@ mod tests {
         assert!(x.dot.contains("c0 -> c1"), "{}", x.dot);
         assert!(x.dot.contains("c1 -> c2"), "{}", x.dot);
         // Deterministic: same stream, same bytes.
-        let again = xray(&trace, "mem", 10).unwrap();
+        let again = xray_of(&trace, "mem", 10).unwrap();
         assert_eq!(x.text, again.text);
         assert_eq!(x.dot, again.dot);
     }
@@ -1465,19 +1327,19 @@ mod tests {
             "{header}\n{{\"t\":5,\"ev\":\"squash\",\"core\":1,\"seq\":4,\
              \"cause\":\"alias\",\"squashed_instrs\":7}}\n"
         );
-        let x = xray(&trace, "mem", 10).unwrap();
+        let x = xray_of(&trace, "mem", 10).unwrap();
         assert_eq!(x.squashes, 1);
         assert_eq!(x.attributed, 0);
         assert!(x.text.contains("--xray"), "{}", x.text);
-        assert!(xray("", "mem", 10).is_err());
-        assert!(xray("{\"schema\":\"other\"}\n", "mem", 10).is_err());
-        assert!(xray("{\"schema\":\"bulksc-trace\",\"version\":999}\n", "mem", 10).is_err());
+        assert!(xray_of("", "mem", 10).is_err());
+        assert!(xray_of("{\"schema\":\"other\"}\n", "mem", 10).is_err());
+        assert!(xray_of("{\"schema\":\"bulksc-trace\",\"version\":999}\n", "mem", 10).is_err());
     }
 
     #[test]
     fn xray_capture_round_trips_through_the_analyzer() {
         let stream = crate::xray::capture_stream(2_000);
-        let x = xray(&stream, "mem", 10).unwrap();
+        let x = xray_of(&stream, "mem", 10).unwrap();
         assert!(
             x.attributed > 0,
             "pinned capture must contain attributed events"
@@ -1659,7 +1521,7 @@ mod tests {
         let e = report("not json", "results/garbage.json").unwrap_err();
         assert!(e.contains("results/garbage.json"), "{e}");
         // Trace loader: same contract.
-        let e = timeline(
+        let e = timeline_of(
             "{\"schema\":\"bulksc-trace\",\"version\":999}\n",
             "run.trace.jsonl",
         )
@@ -1748,7 +1610,7 @@ mod tests {
              {{\"t\":20,\"ev\":\"chunk_start\",\"core\":0,\"seq\":1}}\n\
              {{\"t\":25,\"ev\":\"chunk_abandon\",\"core\":0,\"seq\":1}}\n"
         );
-        let tl = timeline(&trace, "mem").expect("timeline succeeds");
+        let tl = timeline_of(&trace, "mem").expect("timeline succeeds");
         assert_eq!(tl.commits, 1);
         assert_eq!(tl.squashes, 2, "squash closes seq 1 and the younger 2");
         assert_eq!(tl.abandons, 1);
@@ -1762,15 +1624,15 @@ mod tests {
     fn timeline_reports_unterminated_chunks() {
         let header = bulksc_trace::jsonl_header();
         let trace = format!("{header}\n{{\"t\":0,\"ev\":\"chunk_start\",\"core\":2,\"seq\":7}}\n");
-        let tl = timeline(&trace, "mem").expect("parse succeeds");
+        let tl = timeline_of(&trace, "mem").expect("parse succeeds");
         assert_eq!(tl.unmatched, vec!["core2#7 started at cycle 0"]);
     }
 
     #[test]
     fn timeline_rejects_bad_headers() {
-        assert!(timeline("", "mem").is_err());
-        assert!(timeline("{\"schema\":\"bulksc-trace\",\"version\":999}\n", "mem").is_err());
-        assert!(timeline("{\"schema\":\"other\"}\n", "mem").is_err());
+        assert!(timeline_of("", "mem").is_err());
+        assert!(timeline_of("{\"schema\":\"bulksc-trace\",\"version\":999}\n", "mem").is_err());
+        assert!(timeline_of("{\"schema\":\"other\"}\n", "mem").is_err());
     }
 
     #[test]
@@ -1780,7 +1642,7 @@ mod tests {
         // trace that still parses.
         let header = bulksc_trace::jsonl_header();
         for text in [header.clone(), format!("{header}\n")] {
-            let tl = timeline(&text, "empty.trace.jsonl").expect("header-only trace is valid");
+            let tl = timeline_of(&text, "empty.trace.jsonl").expect("header-only trace is valid");
             assert_eq!(tl.events, 0);
             assert_eq!(tl.commits + tl.squashes + tl.abandons, 0);
             assert!(tl.unmatched.is_empty());
@@ -1836,7 +1698,7 @@ mod tests {
         sys.set_tracer(handle);
         assert!(sys.run(u64::MAX / 4));
         let jsonl = sink.borrow().contents().to_string();
-        let tl = timeline(&jsonl, "mem").expect("timeline succeeds");
+        let tl = timeline_of(&jsonl, "mem").expect("timeline succeeds");
         assert!(tl.events > 0, "traced run emits events");
         assert_chrome_sane(&tl.chrome_trace);
 

@@ -23,7 +23,7 @@
 //! * `report` prints per-phase commit-latency percentiles, the per-core
 //!   cycle-loss attribution (validated to sum to the run's cycles), and
 //!   the signature false-positive rate for every run in each artifact.
-//! * `timeline` rebuilds per-chunk spans from a JSONL event stream,
+//! * `timeline` rebuilds per-chunk spans from an event trace,
 //!   writes a Chrome trace (open in <https://ui.perfetto.dev>), and fails
 //!   if any `chunk_start` never reached a commit, squash, or abandon.
 //! * `diff` compares two artifacts run-by-run; any metric whose relative
@@ -87,14 +87,18 @@
 //!   re-emission is byte-identical, original schema version included.
 //!
 //! Trace-consuming subcommands (`check`, `timeline`, `xray`, `query`,
-//! `report`) sniff the input format — magic bytes for BTF, `{` for JSONL
-//! — so `.btf` artifacts are consumed transparently everywhere a `.jsonl`
-//! is.
+//! `convert`, `report`) sniff the input format — magic bytes for BTF, `{`
+//! for JSONL — so `.btf` artifacts are consumed transparently everywhere a
+//! `.jsonl` is. `timeline`, `xray`, `query` and `convert` stream through
+//! one `bulksc_trace::EventSource`, holding a block or a line at a time;
+//! `check` shares its open-and-sniff helper and keeps its own decoders.
 //!
 //! Exit codes: 0 success, 1 validation/regression failure, 2 usage or
 //! unreadable/unsupported input.
 
 use bulksc_bench::{analyze, perf};
+use bulksc_trace::source::{self, Format};
+use bulksc_trace::EventSource;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -127,25 +131,17 @@ fn read(path: &str) -> Result<String, ExitCode> {
     })
 }
 
-/// Read a trace in either format as JSONL text: BTF input (sniffed by
-/// magic, not extension) is transcoded in memory, so every text-based
-/// consumer works on `.btf` artifacts unchanged.
-fn read_trace(path: &str) -> Result<String, ExitCode> {
-    let bytes = std::fs::read(path).map_err(|e| {
+/// Open a trace in either format (`-` = stdin) as a streaming event
+/// source: the format is sniffed from its first bytes, not its name.
+fn open_events(path: &str) -> Result<EventSource<'static>, ExitCode> {
+    let (_, input) = source::open(path).map_err(|e| {
         eprintln!("bulksc-analyze: cannot read {path}: {e}");
         ExitCode::from(2)
     })?;
-    if bulksc_trace::btf::is_btf(&bytes) {
-        bulksc_trace::btf::btf_to_jsonl(&bytes).map_err(|e| {
-            eprintln!("bulksc-analyze: {path}: {e}");
-            ExitCode::from(2)
-        })
-    } else {
-        String::from_utf8(bytes).map_err(|e| {
-            eprintln!("bulksc-analyze: {path}: not UTF-8 (and not BTF): {e}");
-            ExitCode::from(2)
-        })
-    }
+    EventSource::new(input, path).map_err(|e| {
+        eprintln!("bulksc-analyze: {e}");
+        ExitCode::from(2)
+    })
 }
 
 /// Parse an address argument: `0x`-prefixed hex or plain decimal.
@@ -211,11 +207,11 @@ fn main() -> ExitCode {
                 [ref flag, ref p] if flag == "--out" => Some(p.clone()),
                 _ => return usage(),
             };
-            let text = match read_trace(path) {
-                Ok(t) => t,
+            let events = match open_events(path) {
+                Ok(events) => events,
                 Err(code) => return code,
             };
-            let tl = match analyze::timeline(&text, path) {
+            let tl = match analyze::timeline(events) {
                 Ok(tl) => tl,
                 Err(e) => {
                     eprintln!("bulksc-analyze: {e}");
@@ -278,9 +274,6 @@ fn main() -> ExitCode {
                 check_btf_reader, check_jsonl_reader, CheckError, MemoryModel, StreamConfig,
                 StreamError, ValueTrace,
             };
-            use std::fs::File;
-            use std::io::{BufRead, BufReader};
-
             // Split flags off the path list (paths keep their order). `-`
             // is a path meaning stdin.
             let mut paths: Vec<&String> = Vec::new();
@@ -347,36 +340,19 @@ fn main() -> ExitCode {
                 Fatal(String),
             }
 
-            /// Peek the buffered head of a trace stream without consuming
-            /// it: BTF's magic is binary, JSONL starts with `{`, so four
-            /// bytes decide the decode path even on an unseekable pipe.
-            fn sniff_btf<R: BufRead>(r: &mut R) -> std::io::Result<bool> {
-                Ok(bulksc_trace::btf::is_btf(r.fill_buf()?))
+            fn fatal_read(origin: &str, e: std::io::Error) -> CheckOut {
+                CheckOut::Fatal(format!("bulksc-analyze: cannot read {origin}: {e}"))
             }
 
             /// Windowed certification of one trace (file or stdin),
             /// never holding more than the frontier in memory. The pool
             /// width parallelizes *within* each window seal.
             fn stream_one(path: &str, cfg: StreamConfig, model: MemoryModel) -> CheckOut {
-                let origin = if path == "-" { "<stdin>" } else { path };
-                let fatal_read =
-                    |e: std::io::Error| format!("bulksc-analyze: cannot read {origin}: {e}");
-                let result = if path == "-" {
-                    let mut input = BufReader::new(std::io::stdin());
-                    match sniff_btf(&mut input) {
-                        Ok(true) => check_btf_reader(input, origin, cfg),
-                        Ok(false) => check_jsonl_reader(input, origin, cfg),
-                        Err(e) => return CheckOut::Fatal(fatal_read(e)),
-                    }
-                } else {
-                    match File::open(path).map(BufReader::new) {
-                        Ok(mut input) => match sniff_btf(&mut input) {
-                            Ok(true) => check_btf_reader(input, origin, cfg),
-                            Ok(false) => check_jsonl_reader(input, origin, cfg),
-                            Err(e) => return CheckOut::Fatal(fatal_read(e)),
-                        },
-                        Err(e) => return CheckOut::Fatal(fatal_read(e)),
-                    }
+                let origin = source::origin_of(path);
+                let result = match source::open(path) {
+                    Ok((Format::Btf, input)) => check_btf_reader(input, origin, cfg),
+                    Ok((Format::Jsonl, input)) => check_jsonl_reader(input, origin, cfg),
+                    Err(e) => return fatal_read(origin, e),
                 };
                 match result {
                     Ok(cert) if cert.accesses == 0 => CheckOut::Fatal(format!(
@@ -395,27 +371,13 @@ fn main() -> ExitCode {
             }
 
             /// Batch certification of one trace: full witness in memory,
-            /// but the JSONL is still consumed line-at-a-time.
+            /// but the input is still consumed incrementally.
             fn batch_one(path: &str, model: MemoryModel) -> CheckOut {
-                let origin = if path == "-" { "<stdin>" } else { path };
-                let fatal_read =
-                    |e: std::io::Error| format!("bulksc-analyze: cannot read {origin}: {e}");
-                let parsed = if path == "-" {
-                    let mut input = BufReader::new(std::io::stdin());
-                    match sniff_btf(&mut input) {
-                        Ok(true) => ValueTrace::from_btf_reader(input, origin),
-                        Ok(false) => ValueTrace::from_jsonl_reader(input, origin),
-                        Err(e) => return CheckOut::Fatal(fatal_read(e)),
-                    }
-                } else {
-                    match File::open(path).map(BufReader::new) {
-                        Ok(mut input) => match sniff_btf(&mut input) {
-                            Ok(true) => ValueTrace::from_btf_reader(input, origin),
-                            Ok(false) => ValueTrace::from_jsonl_reader(input, origin),
-                            Err(e) => return CheckOut::Fatal(fatal_read(e)),
-                        },
-                        Err(e) => return CheckOut::Fatal(fatal_read(e)),
-                    }
+                let origin = source::origin_of(path);
+                let parsed = match source::open(path) {
+                    Ok((Format::Btf, input)) => ValueTrace::from_btf_reader(input, origin),
+                    Ok((Format::Jsonl, input)) => ValueTrace::from_jsonl_reader(input, origin),
+                    Err(e) => return fatal_read(origin, e),
                 };
                 let trace = match parsed {
                     Ok(t) => t,
@@ -566,44 +528,19 @@ fn main() -> ExitCode {
                 }
             }
 
-            // Sniff the format from the first bytes, then take the indexed
-            // path (block skipping) for BTF or the full-scan path for JSONL.
-            let sniffed_btf = {
-                use std::io::Read;
-                match std::fs::File::open(path) {
-                    Ok(mut f) => {
-                        let mut magic = [0u8; 4];
-                        let mut got = 0;
-                        while got < 4 {
-                            match f.read(&mut magic[got..]) {
-                                Ok(0) => break,
-                                Ok(n) => got += n,
-                                Err(e) => {
-                                    eprintln!("bulksc-analyze: cannot read {path}: {e}");
-                                    return ExitCode::from(2);
-                                }
-                            }
-                        }
-                        bulksc_trace::btf::is_btf(&magic[..got])
-                    }
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: cannot read {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            };
-            let result = if sniffed_btf {
-                match bulksc_trace::IndexedBtf::open_path(path) {
-                    Ok(mut btf) => analyze::query_btf(&mut btf, path, &filter, count_by, limit),
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            } else {
-                match read(path) {
-                    Ok(text) => analyze::query_jsonl(&text, path, &filter, count_by, limit),
-                    Err(code) => return code,
+            // BTF input is read through its block index, so blocks the
+            // filter cannot match are skipped without decoding.
+            let result = match std::fs::File::open(path) {
+                Ok(f) => analyze::query(
+                    std::io::BufReader::with_capacity(1 << 16, f),
+                    path,
+                    &filter,
+                    count_by,
+                    limit,
+                ),
+                Err(e) => {
+                    eprintln!("bulksc-analyze: cannot read {path}: {e}");
+                    return ExitCode::from(2);
                 }
             };
             match result {
@@ -618,44 +555,48 @@ fn main() -> ExitCode {
             }
         }
         ("convert", rest) if rest.len() == 2 => {
+            use bulksc_trace::source::TranscodeError;
+
             let (inp, outp) = (&rest[0], &rest[1]);
-            let bytes = match std::fs::read(inp) {
-                Ok(b) => b,
+            // Output is written while input is read: never onto itself.
+            let canonical = |p: &str| std::fs::canonicalize(p).ok();
+            if canonical(inp).is_some() && canonical(inp) == canonical(outp) {
+                eprintln!("bulksc-analyze: convert: {inp} and {outp} are the same file");
+                return ExitCode::from(2);
+            }
+            let events = match open_events(inp) {
+                Ok(events) => events,
+                Err(code) => return code,
+            };
+            let out = match std::fs::File::create(outp) {
+                Ok(f) => std::io::BufWriter::with_capacity(1 << 16, f),
                 Err(e) => {
-                    eprintln!("bulksc-analyze: cannot read {inp}: {e}");
+                    eprintln!("bulksc-analyze: cannot write {outp}: {e}");
                     return ExitCode::from(2);
                 }
             };
-            let (out_bytes, direction) = if bulksc_trace::btf::is_btf(&bytes) {
-                match bulksc_trace::btf::btf_to_jsonl(&bytes) {
-                    Ok(t) => (t.into_bytes(), "btf -> jsonl"),
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {inp}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            } else {
-                let text = match String::from_utf8(bytes) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {inp}: not UTF-8 (and not BTF): {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                match bulksc_trace::btf::jsonl_to_btf(&text) {
-                    Ok(b) => (b, "jsonl -> btf"),
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {inp}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
+            // Stream in the direction the sniffed input format implies.
+            let (direction, written) = match events.format() {
+                Format::Btf => ("btf -> jsonl", events.write_jsonl(out)),
+                Format::Jsonl => ("jsonl -> btf", events.write_btf(out)),
             };
-            if let Err(e) = std::fs::write(outp, &out_bytes) {
-                eprintln!("bulksc-analyze: cannot write {outp}: {e}");
-                return ExitCode::from(2);
+            match written {
+                Ok(bytes) => {
+                    println!("{inp} -> {outp} ({direction}, {bytes} bytes)");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    // Leave no partial artifact behind.
+                    let _ = std::fs::remove_file(outp);
+                    match e {
+                        TranscodeError::Input(e) => eprintln!("bulksc-analyze: {e}"),
+                        TranscodeError::Output(e) => {
+                            eprintln!("bulksc-analyze: cannot write {outp}: {e}")
+                        }
+                    }
+                    ExitCode::from(2)
+                }
             }
-            println!("{inp} -> {outp} ({direction}, {} bytes)", out_bytes.len());
-            ExitCode::SUCCESS
         }
         ("synth-trace", rest) if !rest.is_empty() => {
             use bulksc_trace::Event;
@@ -918,11 +859,11 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            let text = match read_trace(path) {
-                Ok(t) => t,
+            let events = match open_events(path) {
+                Ok(events) => events,
                 Err(code) => return code,
             };
-            match analyze::xray(&text, path, top_n) {
+            match analyze::xray(events, top_n) {
                 Ok(x) => {
                     print!("{}", x.text);
                     if let Some(out) = dot_out {

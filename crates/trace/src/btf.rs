@@ -45,6 +45,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::{Mutex, OnceLock};
 
 use crate::event::{ConflictAttr, Endpoint, EndpointKind, Event, SquashCause};
+use crate::source::{Cause, EventSource, SourceError, TranscodeError};
 use crate::Json;
 
 /// File magic: the first 4 bytes of every BTF artifact.
@@ -204,14 +205,19 @@ const KNOWN: &[&str] = &[
     "Writeback",
 ];
 
+/// Most distinct strings outside [`KNOWN`] a process will intern. A real
+/// emitter adds a handful; a corrupt trace could otherwise leak one string
+/// per garbage record.
+pub const INTERN_CAP: usize = 256;
+
 /// Map a decoded string to a `&'static str` (the event vocabulary stores
 /// net kinds and xray sites as statics). Known strings cost a linear scan
 /// of [`KNOWN`]; unknown ones are leaked exactly once into a process-wide
-/// table — bounded by the distinct-string vocabulary of the trace, not by
-/// its length.
-pub fn intern(s: &str) -> &'static str {
+/// table of at most [`INTERN_CAP`] entries. A novel string past the cap is
+/// an error naming it.
+pub fn intern(s: &str) -> Result<&'static str, String> {
     if let Some(&k) = KNOWN.iter().find(|&&k| k == s) {
-        return k;
+        return Ok(k);
     }
     static EXTRA: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
     let mut map = EXTRA
@@ -219,11 +225,18 @@ pub fn intern(s: &str) -> &'static str {
         .lock()
         .expect("intern table poisoned");
     if let Some(&leaked) = map.get(s) {
-        return leaked;
+        return Ok(leaked);
+    }
+    if map.len() >= INTERN_CAP {
+        let shown: String = s.chars().take(64).collect();
+        return Err(format!(
+            "string {shown:?} would exceed the {INTERN_CAP}-entry intern table \
+             (unknown net kind or xray site)"
+        ));
     }
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     map.insert(s.to_string(), leaked);
-    leaked
+    Ok(leaked)
 }
 
 // ------------------------------------------------------------ block meta
@@ -912,7 +925,9 @@ fn decode_fields(
 /// populated only by this payload's define records.
 pub fn decode_block(payload: &[u8], expect_count: u32) -> Result<Vec<(u64, Event)>, BtfError> {
     let mut strings: Vec<&'static str> = Vec::new();
-    let mut events = Vec::with_capacity(expect_count as usize);
+    // Every record takes at least two bytes, so a corrupt count cannot
+    // reserve more than the payload could hold.
+    let mut events = Vec::with_capacity((expect_count as usize).min(payload.len() / 2));
     let mut pos = 0usize;
     let mut prev_cycle = 0u64;
     while pos < payload.len() {
@@ -926,7 +941,7 @@ pub fn decode_block(payload: &[u8], expect_count: u32) -> Result<Vec<(u64, Event
                 .ok_or(BtfError::Truncated("string define"))?;
             let s = std::str::from_utf8(&payload[pos..end])
                 .map_err(|_| BtfError::InvalidRecord("string define is not UTF-8".into()))?;
-            strings.push(intern(s));
+            strings.push(intern(s).map_err(BtfError::InvalidRecord)?);
             pos = end;
             continue;
         }
@@ -961,6 +976,17 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Resul
             BtfError::Io(e)
         }
     })
+}
+
+/// Read a `len`-byte payload, growing the buffer only as bytes arrive, so
+/// a corrupt length prefix cannot allocate past the real input.
+fn read_payload(r: &mut impl Read, len: usize, what: &'static str) -> Result<Vec<u8>, BtfError> {
+    let mut payload = Vec::with_capacity(len.min(1 << 16));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(BtfError::Truncated(what));
+    }
+    Ok(payload)
 }
 
 fn checked_payload_len(len: u32, what: &'static str) -> Result<usize, BtfError> {
@@ -1027,8 +1053,7 @@ impl<R: Read> BtfReader<R> {
                     "block",
                 )?;
                 let count = u32::from_le_bytes(head[4..8].try_into().unwrap());
-                let mut payload = vec![0u8; len];
-                read_exact_or(&mut self.inner, &mut payload, "block payload")?;
+                let payload = read_payload(&mut self.inner, len, "block payload")?;
                 Ok(Some(decode_block(&payload, count)?))
             }
             TAG_INDEX => {
@@ -1036,8 +1061,7 @@ impl<R: Read> BtfReader<R> {
                 let mut lenb = [0u8; 4];
                 read_exact_or(&mut self.inner, &mut lenb, "index header")?;
                 let len = checked_payload_len(u32::from_le_bytes(lenb), "index")?;
-                let mut payload = vec![0u8; len];
-                read_exact_or(&mut self.inner, &mut payload, "index payload")?;
+                read_payload(&mut self.inner, len, "index payload")?;
                 let mut trailer = [0u8; 12];
                 read_exact_or(&mut self.inner, &mut trailer, "trailer")?;
                 if &trailer[8..12] != TRAILER_MAGIC {
@@ -1096,7 +1120,7 @@ impl<R: Read + Seek> IndexedBtf<R> {
             return Err(BtfError::BadMagic);
         }
         let index_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
-        if index_offset < 8 || index_offset + 12 > file_len {
+        if index_offset < 8 || index_offset > file_len - 12 - 5 {
             return Err(BtfError::BadIndex(format!(
                 "index offset {index_offset} outside artifact of {file_len} bytes"
             )));
@@ -1111,8 +1135,12 @@ impl<R: Read + Seek> IndexedBtf<R> {
             )));
         }
         let len = checked_payload_len(u32::from_le_bytes(head[1..5].try_into().unwrap()), "index")?;
-        let mut payload = vec![0u8; len];
-        read_exact_or(&mut inner, &mut payload, "index payload")?;
+        if index_offset + 5 + len as u64 + 12 != file_len {
+            return Err(BtfError::BadIndex(format!(
+                "index of {len} bytes at offset {index_offset} does not end at the trailer"
+            )));
+        }
+        let payload = read_payload(&mut inner, len, "index payload")?;
         if payload.len() < 4 {
             return Err(BtfError::BadIndex(
                 "index payload shorter than its count".into(),
@@ -1130,7 +1158,7 @@ impl<R: Read + Seek> IndexedBtf<R> {
         for i in 0..n {
             let meta =
                 BlockMeta::deserialize(&payload[4 + i * META_BYTES..4 + (i + 1) * META_BYTES]);
-            if meta.offset + 9 + meta.len as u64 > index_offset {
+            if meta.offset.saturating_add(9 + meta.len as u64) > index_offset {
                 return Err(BtfError::BadIndex(format!(
                     "block {i} at offset {} overruns the index",
                     meta.offset
@@ -1185,8 +1213,11 @@ impl<R: Read + Seek> IndexedBtf<R> {
                 meta.len, meta.count
             )));
         }
-        let mut payload = vec![0u8; checked_payload_len(len, "block")?];
-        read_exact_or(&mut self.inner, &mut payload, "block payload")?;
+        let payload = read_payload(
+            &mut self.inner,
+            checked_payload_len(len, "block")?,
+            "block payload",
+        )?;
         decode_block(&payload, count)
     }
 }
@@ -1323,7 +1354,7 @@ fn field_xray(obj: &Json) -> Result<Option<Box<ConflictAttr>>, String> {
     if obj.get("site").is_none() {
         return Ok(None);
     }
-    let site = intern(field_str(obj, "site")?);
+    let site = intern(field_str(obj, "site")?)?;
     let agg_core = match obj.get("agg_core") {
         Some(v) => Some(
             v.as_u64()
@@ -1468,13 +1499,13 @@ pub fn event_from_json(obj: &Json) -> Result<(u64, Event), String> {
         "net_send" => Event::NetSend {
             src: field_endpoint(obj, "src")?,
             dst: field_endpoint(obj, "dst")?,
-            kind: intern(field_str(obj, "kind")?),
+            kind: intern(field_str(obj, "kind")?)?,
             bytes: field_u64(obj, "bytes")?,
         },
         "net_deliver" => Event::NetDeliver {
             src: field_endpoint(obj, "src")?,
             dst: field_endpoint(obj, "dst")?,
-            kind: intern(field_str(obj, "kind")?),
+            kind: intern(field_str(obj, "kind")?)?,
         },
         other => return Err(format!("unknown event kind {other:?}")),
     };
@@ -1482,44 +1513,39 @@ pub fn event_from_json(obj: &Json) -> Result<(u64, Event), String> {
 }
 
 /// Convert a JSONL trace to BTF bytes, carrying the artifact's original
-/// schema version through.
+/// schema version through. A thin wrapper over
+/// [`EventSource::write_btf`](crate::EventSource::write_btf).
 pub fn jsonl_to_btf(text: &str) -> Result<Vec<u8>, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| "empty input (no schema header)".to_string())?;
-    let version = parse_jsonl_header(header)?;
-    let mut writer = BtfWriter::with_version(Vec::new(), version).expect("Vec write is infallible");
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = Json::parse(line).ok_or_else(|| format!("line {}: not valid JSON", i + 1))?;
-        let (cycle, ev) = event_from_json(&obj).map_err(|e| format!("line {}: {e}", i + 1))?;
-        writer.push(cycle, &ev).expect("Vec write is infallible");
-    }
-    writer.finish().map_err(|e| format!("finish: {e}"))
+    let mut out = Vec::new();
+    EventSource::new(text.as_bytes(), "<jsonl>")
+        .map_err(|e| e.to_string())?
+        .write_btf(&mut out)
+        .map_err(|e| e.to_string())?;
+    Ok(out)
 }
 
 /// Convert BTF bytes back to the JSONL text they came from. Byte-identical
 /// to the original for any stream this workspace's tools emitted (the
 /// header re-renders from the stored version; every event re-renders
-/// through [`Event::jsonl`]).
+/// through [`Event::jsonl`]). A thin wrapper over
+/// [`EventSource::write_jsonl`](crate::EventSource::write_jsonl).
 pub fn btf_to_jsonl(bytes: &[u8]) -> Result<String, BtfError> {
-    let mut reader = BtfReader::new(bytes)?;
-    let mut out = Json::obj([
-        ("schema", "bulksc-trace".into()),
-        ("version", reader.version().into()),
-    ])
-    .to_string();
-    out.push('\n');
-    while let Some(block) = reader.next_block()? {
-        for (cycle, ev) in block {
-            out.push_str(&ev.jsonl(cycle));
-            out.push('\n');
-        }
+    if !is_btf(bytes) {
+        return Err(BtfError::BadMagic);
     }
-    Ok(out)
+    let into_btf = |e: SourceError| match e.cause {
+        Cause::Btf(e) => e,
+        Cause::Jsonl(m) => BtfError::InvalidRecord(m),
+    };
+    let mut out = Vec::new();
+    match EventSource::new(bytes, "<btf>")
+        .map_err(into_btf)?
+        .write_jsonl(&mut out)
+    {
+        Ok(_) => Ok(String::from_utf8(out).expect("JSONL rendering is UTF-8")),
+        Err(TranscodeError::Input(e)) => Err(into_btf(e)),
+        Err(TranscodeError::Output(e)) => Err(BtfError::Io(e)),
+    }
 }
 
 #[cfg(test)]
@@ -1952,9 +1978,9 @@ mod tests {
 
     #[test]
     fn intern_returns_stable_pointers() {
-        assert_eq!(intern("wsig"), "wsig");
-        let a = intern("some-novel-site");
-        let b = intern("some-novel-site");
+        assert_eq!(intern("wsig"), Ok("wsig"));
+        let a = intern("some-novel-site").unwrap();
+        let b = intern("some-novel-site").unwrap();
         assert!(std::ptr::eq(a, b));
     }
 

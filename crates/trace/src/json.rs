@@ -54,7 +54,7 @@ impl Json {
     /// emits, so render → parse round-trips.
     pub fn parse(input: &str) -> Option<Json> {
         let bytes = input.as_bytes();
-        let (value, next) = parse_tree(bytes, skip_ws(bytes, 0))?;
+        let (value, next) = parse_tree(bytes, skip_ws(bytes, 0), 0)?;
         (skip_ws(bytes, next) == bytes.len()).then_some(value)
     }
 
@@ -367,9 +367,17 @@ fn parse_obj(b: &[u8], i: usize) -> Option<usize> {
     }
 }
 
-/// Parse one value starting at `i`, building the tree; return the value
-/// and the index just past it.
-fn parse_tree(b: &[u8], i: usize) -> Option<(Json, usize)> {
+/// Deepest nesting [`Json::parse`] accepts. Every artifact this workspace
+/// writes nests a few levels; the bound keeps a garbage line of brackets
+/// from overflowing the stack.
+const MAX_DEPTH: usize = 64;
+
+/// Parse one value starting at `i`, `depth` containers deep, building the
+/// tree; return the value and the index just past it.
+fn parse_tree(b: &[u8], i: usize, depth: usize) -> Option<(Json, usize)> {
+    if depth > MAX_DEPTH {
+        return None;
+    }
     match b.get(i)? {
         b'{' => {
             let mut fields = Vec::new();
@@ -386,7 +394,7 @@ fn parse_tree(b: &[u8], i: usize) -> Option<(Json, usize)> {
                 if b.get(pos) != Some(&b':') {
                     return None;
                 }
-                let (value, next) = parse_tree(b, skip_ws(b, pos + 1))?;
+                let (value, next) = parse_tree(b, skip_ws(b, pos + 1), depth + 1)?;
                 fields.push((key, value));
                 pos = skip_ws(b, next);
                 match b.get(pos)? {
@@ -403,7 +411,7 @@ fn parse_tree(b: &[u8], i: usize) -> Option<(Json, usize)> {
                 return Some((Json::Arr(items), pos + 1));
             }
             loop {
-                let (value, next) = parse_tree(b, pos)?;
+                let (value, next) = parse_tree(b, pos, depth + 1)?;
                 items.push(value);
                 pos = skip_ws(b, next);
                 match b.get(pos)? {
@@ -560,6 +568,14 @@ mod tests {
         assert_eq!(back, o);
         // Re-render is byte-identical: parse is a faithful inverse.
         assert_eq!(back.to_string(), text);
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting_without_overflowing() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_some());
+        let bomb = "[".repeat(1 << 20);
+        assert!(Json::parse(&bomb).is_none());
     }
 
     #[test]

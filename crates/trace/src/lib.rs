@@ -82,12 +82,14 @@ pub mod event;
 pub mod json;
 pub mod sampler;
 pub mod sinks;
+pub mod source;
 
 pub use btf::{BlockMeta, BtfError, BtfReader, BtfTracer, BtfWriter, IndexedBtf};
 pub use event::{ConflictAttr, Endpoint, EndpointKind, Event, SquashCause, XRAY_WITNESS_CAP};
 pub use json::Json;
 pub use sampler::{GaugeSnapshot, IntervalSample, IntervalSeries};
 pub use sinks::{ChromeTracer, JsonlTracer, RingTracer};
+pub use source::{EventSource, Format, SourceError};
 
 /// Version of every on-disk artifact schema this workspace emits: the
 /// JSONL event stream header, the sampler series header, and the

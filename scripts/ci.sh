@@ -96,6 +96,45 @@ run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
 run cmp results/trace_demo.jsonl results/trace_demo.ci.jsonl
 rm -f results/query.ci.txt results/trace_demo.ci.jsonl
 
+# The streaming consumers must not notice the encoding either: `xray`
+# (report and --dot graph) and `timeline` (summary and --out Chrome
+# trace) on the BTF artifact must match the same commands on the JSONL
+# original byte for byte. Each format runs in its own directory under
+# the same file name, so the paths the commands print agree.
+echo "==> xray + timeline on trace_demo.btf == on trace_demo.jsonl"
+for fmt in jsonl btf; do
+  rm -rf "results/ci.$fmt" && mkdir -p "results/ci.$fmt"
+  cp "results/trace_demo.$fmt" "results/ci.$fmt/trace"
+  (
+    cd "results/ci.$fmt"
+    ../../target/release/bulksc-analyze xray trace --dot xray.dot > xray.txt
+    ../../target/release/bulksc-analyze timeline trace --out timeline.json > timeline.txt
+    rm trace
+  )
+done
+run diff -r results/ci.jsonl results/ci.btf
+rm -rf results/ci.jsonl results/ci.btf
+
+# BTF analysis throughput gate: `xray` decodes BTF blocks straight into
+# events, so on the same synthetic trace it must be no slower from the
+# BTF file than from its JSONL twin (EXPERIMENTS.md records the ratio).
+echo "==> xray on synth-trace 1000000 (timed, btf <= jsonl)"
+./target/release/bulksc-analyze synth-trace 1000000 > results/synth.ci.jsonl
+./target/release/bulksc-analyze synth-trace 1000000 --format btf > results/synth.ci.btf
+t0=$(date +%s%N)
+./target/release/bulksc-analyze xray results/synth.ci.jsonl > /dev/null
+t1=$(date +%s%N)
+./target/release/bulksc-analyze xray results/synth.ci.btf > /dev/null
+t2=$(date +%s%N)
+rm -f results/synth.ci.jsonl results/synth.ci.btf
+jsonl_ms=$(((t1 - t0) / 1000000))
+btf_ms=$(((t2 - t1) / 1000000))
+echo "    xray from jsonl: ${jsonl_ms} ms, from btf: ${btf_ms} ms"
+if [ "$btf_ms" -gt "$jsonl_ms" ]; then
+  echo "xray from BTF (${btf_ms} ms) slower than from JSONL (${jsonl_ms} ms)" >&2
+  exit 1
+fi
+
 # BTF throughput gate: certifying the same synthetic trace end-to-end
 # (generator | windowed checker) must be no slower through the BTF pipe
 # than through the JSONL pipe — the binary decode path replaces JSON

@@ -3,9 +3,9 @@
 //! The binary trace format is only trustworthy if it is *invisible*: any
 //! trace this repo can produce must survive `jsonl → btf → jsonl`
 //! byte-identically, every consumer (oracle, timeline, xray, query) must
-//! reach the same answer from either encoding, and the block index must
-//! demonstrably skip work without ever changing a result. Three corpora
-//! pin that:
+//! reach the same answer from either encoding — read through the one
+//! streaming `EventSource` — and the block index must demonstrably skip
+//! work without ever changing a result. Three corpora pin that:
 //!
 //! * the demo-example trace (the run behind `results/trace_demo.jsonl`);
 //! * a live xray capture — squash causes, conflict-attribution blobs,
@@ -13,12 +13,14 @@
 //! * a seeded fuzz corpus under contended configs (value events, the
 //!   same traces `bulksc-fuzz` differentially sweeps).
 
+use std::io::Cursor;
+
 use bulksc::{BulkConfig, Model, System, SystemConfig};
-use bulksc_bench::analyze::{self, QueryFilter};
+use bulksc_bench::analyze::{self, CountBy, QueryFilter};
 use bulksc_bench::{fuzz, xray};
-use bulksc_check::{check_btf_reader, check_jsonl_reader, StreamConfig};
+use bulksc_check::{check_btf_reader, check_jsonl_reader, StreamConfig, ValueTrace};
 use bulksc_trace::btf::{btf_to_jsonl, jsonl_to_btf};
-use bulksc_trace::{BtfWriter, IndexedBtf, JsonlTracer, TraceHandle};
+use bulksc_trace::{BtfWriter, EventSource, IndexedBtf, JsonlTracer, TraceHandle};
 use bulksc_workloads::{by_name, fuzz_programs, FuzzSpec, SyntheticApp, ThreadProgram};
 
 /// The `examples/trace_demo.rs` run (ocean, seed 42, budget 5k), traced
@@ -134,6 +136,27 @@ fn checker_verdicts_agree_across_formats_and_pool_widths() {
     }
 }
 
+/// One encoding of a trace as a streaming event source.
+fn events(bytes: &[u8]) -> EventSource<'_> {
+    EventSource::new(bytes, "trace").unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Everything the trace consumers print for one encoding of a trace:
+/// the timeline summary and Chrome trace, the xray report and dot graph,
+/// and `query --count-by` on every axis.
+fn consumer_outputs(bytes: &[u8]) -> Vec<String> {
+    let tl = analyze::timeline(events(bytes)).expect("timeline");
+    let x = analyze::xray(events(bytes), 10).expect("xray");
+    let mut out = vec![tl.summary(), tl.chrome_trace, x.text, x.dot];
+    for by in ["kind", "core", "cause", "site"] {
+        let filter = QueryFilter::default();
+        let q = analyze::query(Cursor::new(bytes), "trace", &filter, CountBy::parse(by), 20)
+            .unwrap_or_else(|e| panic!("query --count-by {by}: {e}"));
+        out.push(q.render("trace", false));
+    }
+    out
+}
+
 #[test]
 fn btf_tracer_capture_decodes_to_the_jsonl_capture() {
     // The same pinned xray run through both sinks: the BtfTracer artifact
@@ -146,24 +169,53 @@ fn btf_tracer_capture_decodes_to_the_jsonl_capture() {
         jsonl,
         "the two sinks must record the identical event stream"
     );
-
-    let tl_j = analyze::timeline(&jsonl, "capture.jsonl").expect("timeline (jsonl)");
-    let decoded = btf_to_jsonl(&btf).unwrap();
-    let tl_b = analyze::timeline(&decoded, "capture.jsonl").expect("timeline (btf)");
+    let from_jsonl: Vec<(u64, bulksc_trace::Event)> =
+        events(jsonl.as_bytes()).map(Result::unwrap).collect();
+    let from_btf: Vec<(u64, bulksc_trace::Event)> = events(&btf).map(Result::unwrap).collect();
+    assert_eq!(from_jsonl, from_btf, "the event sources diverge");
     assert_eq!(
-        tl_j.summary(),
-        tl_b.summary(),
-        "timeline diverges across formats"
+        consumer_outputs(jsonl.as_bytes()),
+        consumer_outputs(&btf),
+        "a consumer's output depends on the capture's encoding"
     );
-    assert_eq!(
-        tl_j.chrome_trace, tl_b.chrome_trace,
-        "chrome trace diverges across formats"
-    );
+}
 
-    let x_j = analyze::xray(&jsonl, "capture.jsonl", 10).expect("xray (jsonl)");
-    let x_b = analyze::xray(&decoded, "capture.jsonl", 10).expect("xray (btf)");
-    assert_eq!(x_j.text, x_b.text, "xray report diverges across formats");
-    assert_eq!(x_j.dot, x_b.dot, "xray dot graph diverges across formats");
+#[test]
+fn every_consumer_reads_both_encodings_identically() {
+    for (name, text) in corpus() {
+        let btf = jsonl_to_btf(&text).unwrap_or_else(|e| panic!("{name}: encode: {e}"));
+        let (from_jsonl, from_btf) = (consumer_outputs(text.as_bytes()), consumer_outputs(&btf));
+        for (j, b) in from_jsonl.iter().zip(&from_btf) {
+            assert_eq!(j, b, "{name}: output diverges across formats");
+        }
+    }
+}
+
+#[test]
+fn blank_lines_are_skipped_by_every_consumer() {
+    // Blank and whitespace-only lines mid-stream and at the end: timeline,
+    // xray, query and the oracle (streaming and batch) must all print
+    // exactly what they print for the clean stream.
+    let clean = demo_jsonl();
+    let mut lines: Vec<&str> = clean.lines().collect();
+    lines.insert(200, "   ");
+    lines.insert(100, "");
+    let spaced = lines.join("\n") + "\n\n";
+    let check = |text: &str| {
+        let stream = check_jsonl_reader(text.as_bytes(), "trace", StreamConfig::windowed(512))
+            .unwrap_or_else(|e| panic!("streaming check: {e}"));
+        let batch = ValueTrace::from_jsonl(text, "trace")
+            .expect("batch load")
+            .verify()
+            .unwrap_or_else(|e| panic!("batch check: {e:?}"));
+        [stream.summary(), batch.summary()]
+    };
+    assert_eq!(check(&spaced), check(&clean), "check disagrees");
+    assert_eq!(
+        consumer_outputs(spaced.as_bytes()),
+        consumer_outputs(clean.as_bytes()),
+        "timeline / xray / query disagree"
+    );
 }
 
 #[test]
@@ -172,14 +224,8 @@ fn query_skips_unmatching_blocks_without_changing_results() {
     // must then skip whole blocks (the index proof) while producing the
     // exact result of the full-scan JSONL path.
     let text = demo_jsonl();
-    let events: Vec<(u64, bulksc_trace::Event)> = text
-        .lines()
-        .skip(1)
-        .map(|l| {
-            let json = bulksc_trace::Json::parse(l).expect("demo trace line parses");
-            bulksc_trace::btf::event_from_json(&json).expect("demo trace event decodes")
-        })
-        .collect();
+    let events: Vec<(u64, bulksc_trace::Event)> =
+        events(text.as_bytes()).map(Result::unwrap).collect();
     assert!(events.len() > 1_000, "demo trace is non-trivial");
 
     let mut w = BtfWriter::new(Vec::new()).unwrap().with_block_events(256);
@@ -187,7 +233,7 @@ fn query_skips_unmatching_blocks_without_changing_results() {
         w.push(*cycle, ev).unwrap();
     }
     let bytes = w.finish().unwrap();
-    let mut btf = IndexedBtf::new(std::io::Cursor::new(bytes)).unwrap();
+    let btf = IndexedBtf::new(Cursor::new(&bytes)).unwrap();
     let blocks_total = btf.index().len();
     assert!(blocks_total > 3, "filter test needs several blocks");
 
@@ -195,22 +241,18 @@ fn query_skips_unmatching_blocks_without_changing_results() {
     let first_max = btf.index()[0].max_cycle;
     let filters = [
         QueryFilter {
-            core: None,
-            kinds: Vec::new(),
             cycles: Some((0, first_max)),
-            line: None,
+            ..QueryFilter::default()
         },
         // ...and a kind that never occurs, which must skip *everything*.
         QueryFilter {
-            core: None,
             kinds: vec![bulksc_trace::Event::kind_id_of("chunk_abandon").unwrap()],
-            cycles: None,
-            line: None,
+            ..QueryFilter::default()
         },
     ];
     for (i, filter) in filters.iter().enumerate() {
-        let fast = analyze::query_btf(&mut btf, "demo.btf", filter, None, 0)
-            .unwrap_or_else(|e| panic!("query_btf: {e}"));
+        let fast = analyze::query(Cursor::new(&bytes), "demo.btf", filter, None, 0)
+            .unwrap_or_else(|e| panic!("query (btf): {e}"));
         assert!(
             fast.blocks_skipped > 0,
             "filter {i}: index skipped nothing ({} blocks decoded of {})",
@@ -222,8 +264,9 @@ fn query_skips_unmatching_blocks_without_changing_results() {
             blocks_total,
             "filter {i}: block accounting is inconsistent"
         );
-        let slow = analyze::query_jsonl(&text, "demo.jsonl", filter, None, 0)
-            .unwrap_or_else(|e| panic!("query_jsonl: {e}"));
+        let slow = analyze::query(Cursor::new(text.as_bytes()), "demo.jsonl", filter, None, 0)
+            .unwrap_or_else(|e| panic!("query (jsonl): {e}"));
+        assert_eq!(slow.blocks_total, 0, "a JSONL scan has no blocks");
         assert_eq!(
             fast.matched, slow.matched,
             "filter {i}: match counts diverge"
@@ -231,7 +274,7 @@ fn query_skips_unmatching_blocks_without_changing_results() {
         assert_eq!(fast.lines, slow.lines, "filter {i}: matched events diverge");
     }
     // The never-occurring kind decodes zero blocks: pure index traversal.
-    let none = analyze::query_btf(&mut btf, "demo.btf", &filters[1], None, 0).unwrap();
+    let none = analyze::query(Cursor::new(&bytes), "demo.btf", &filters[1], None, 0).unwrap();
     assert_eq!(
         none.blocks_decoded, 0,
         "an impossible filter must decode nothing"

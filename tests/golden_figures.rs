@@ -113,8 +113,10 @@ fn ablations_match_golden() {
 #[test]
 fn xray_report_matches_golden() {
     use bulksc_bench::{analyze, xray};
+    use bulksc_trace::EventSource;
     let stream = xray::capture_stream(25_000);
-    let report = analyze::xray(&stream, "capture", 10).expect("capture stream parses");
+    let events = EventSource::new(stream.as_bytes(), "capture").expect("capture header");
+    let report = analyze::xray(events, 10).expect("capture stream parses");
     assert!(
         report.attributed > 0,
         "the pinned capture attributes conflicts"

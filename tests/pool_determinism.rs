@@ -100,6 +100,7 @@ fn jsonl_traces_survive_the_pool_byte_for_byte() {
 #[test]
 fn xray_captures_and_reports_are_identical_at_any_width() {
     use bulksc_bench::{analyze, xray};
+    use bulksc_trace::EventSource;
 
     fn pooled(width: usize) -> Vec<String> {
         pool::run_all(
@@ -121,9 +122,8 @@ fn xray_captures_and_reports_are_identical_at_any_width() {
     let reports: Vec<String> = serial
         .iter()
         .map(|s| {
-            analyze::xray(s, "capture", 10)
-                .expect("capture parses")
-                .text
+            let events = EventSource::new(s.as_bytes(), "capture").expect("capture header");
+            analyze::xray(events, 10).expect("capture parses").text
         })
         .collect();
     assert_eq!(reports[0], reports[1]);

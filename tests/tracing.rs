@@ -194,7 +194,8 @@ fn timeline_reconstruction_matches_live_trace() {
     // End-to-end: a real traced run feeds `bulksc-analyze timeline` logic
     // and every chunk_start finds its commit, squash, or abandon.
     let (r, text, _) = traced_run(3_000, 7);
-    let tl = bulksc_bench::analyze::timeline(&text, "mem").expect("trace parses");
+    let events = bulksc_trace::EventSource::new(text.as_bytes(), "mem").expect("trace header");
+    let tl = bulksc_bench::analyze::timeline(events).expect("trace parses");
     assert!(
         tl.unmatched.is_empty(),
         "every chunk span terminates: {:?}",
