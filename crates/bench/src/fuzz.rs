@@ -181,9 +181,9 @@ pub struct CaseStats {
     pub lifecycle: usize,
 }
 
-/// Run one fuzz case under one sweep entry with value tracing on and
-/// return the captured trace plus the live system for cross-checks.
-pub fn run_traced(entry: &SweepEntry, spec: FuzzSpec, seed: u64) -> (ValueTrace, System) {
+/// The machine of one fuzz case, untraced and not yet run: `entry`'s
+/// model and knobs on `spec.threads` cores, running `seed`'s programs.
+pub fn build_case(entry: &SweepEntry, spec: FuzzSpec, seed: u64) -> System {
     let mut cfg = SystemConfig::cmp8(entry.model.clone());
     cfg.cores = spec.threads;
     cfg.dirs = entry.dirs;
@@ -192,7 +192,13 @@ pub fn run_traced(entry: &SweepEntry, spec: FuzzSpec, seed: u64) -> (ValueTrace,
         cfg.core.store_buffer = sb;
     }
     cfg.budget = u64::MAX;
-    let mut sys = System::new(cfg, fuzz_programs(spec, seed));
+    System::new(cfg, fuzz_programs(spec, seed))
+}
+
+/// Run one fuzz case under one sweep entry with value tracing on and
+/// return the captured trace plus the live system for cross-checks.
+pub fn run_traced(entry: &SweepEntry, spec: FuzzSpec, seed: u64) -> (ValueTrace, System) {
+    let mut sys = build_case(entry, spec, seed);
     let tracer = CollectingTracer::shared();
     let mut handle = TraceHandle::off();
     handle.attach(tracer.clone());

@@ -1771,93 +1771,6 @@ impl BulkNode {
         }
     }
 
-    /// Earliest cycle at which this node may do useful work (`now` is
-    /// always a safe answer).
-    pub fn idle_until(&self, now: Cycle) -> Cycle {
-        if self.finished() {
-            return self
-                .deferred_fetches
-                .iter()
-                .map(|&(c, ..)| c)
-                .min()
-                .unwrap_or(Cycle::MAX);
-        }
-        // Un-issued memory operations are immediate work.
-        if self.window.iter().any(|s| s.state == SlotState::Waiting) {
-            return now;
-        }
-        if let Some(head) = self.window.oldest() {
-            let retirable = match head.instr {
-                Instr::Compute(_) | Instr::Fence | Instr::Store { .. } => true,
-                Instr::Load { .. } => head.state == SlotState::Done,
-                Instr::Rmw { addr, .. } => {
-                    self.l1.contains(addr.line())
-                        || self.chunks.iter().any(|c| c.forward(addr).is_some())
-                }
-                Instr::Io => {
-                    self.chunks
-                        .front()
-                        .map(|c| Some(c.tag.seq) == self.slot_chunks.get(&head.id).copied())
-                        .unwrap_or(false)
-                        && self.committing.is_empty()
-                }
-            };
-            if retirable {
-                return now;
-            }
-        }
-        // A commit-ready front chunk is immediate work.
-        if self
-            .chunks
-            .front()
-            .map(|c| {
-                c.state == ChunkState::Closed
-                    && c.pending_lines.is_empty()
-                    && self.commit_retry_at <= now
-                    && !self.slot_chunks.values().any(|&s| s == c.tag.seq)
-            })
-            .unwrap_or(false)
-        {
-            return now;
-        }
-        let can_fetch = (!self.program_done || self.stash.is_some())
-            && self.awaiting.is_none()
-            && (!self.prearb_waiting || self.prearb_granted)
-            && (self.open_chunk_mut_peek()
-                || self.chunks.len() < self.bulk.chunks_per_core as usize);
-        if can_fetch {
-            return now;
-        }
-        let mut t = Cycle::MAX;
-        if let Some(&Reverse((c, _))) = self.completions.peek() {
-            t = t.min(c);
-        }
-        for m in self.misses.values() {
-            if !m.sent {
-                t = t.min(m.retry_at);
-            }
-        }
-        for &(c, ..) in &self.deferred_fetches {
-            t = t.min(c);
-        }
-        if self
-            .chunks
-            .front()
-            .map(|c| c.state == ChunkState::Closed && c.pending_lines.is_empty())
-            .unwrap_or(false)
-        {
-            t = t.min(self.commit_retry_at.max(now + 1));
-        }
-        t.max(now + 1)
-    }
-
-    fn open_chunk_mut_peek(&self) -> bool {
-        self.chunks
-            .back()
-            .map(|c| c.state == ChunkState::Open)
-            .unwrap_or(false)
-    }
-
     /// One-line diagnostic snapshot.
     pub fn debug_state(&self) -> String {
         format!(

@@ -49,13 +49,6 @@ impl CoreNode {
         }
     }
 
-    fn idle_until(&self, now: Cycle) -> Cycle {
-        match self {
-            CoreNode::Baseline(n) => n.idle_until(now),
-            CoreNode::Bulk(n) => n.idle_until(now),
-        }
-    }
-
     /// The thread program, for reading observations after a run.
     pub fn program(&self) -> &dyn ThreadProgram {
         match self {
@@ -226,8 +219,7 @@ impl System {
     }
 
     /// Record an [`bulksc_trace::IntervalSample`] every `every` cycles
-    /// (clamped to at least 1). Idle fast-forwarded stretches collapse
-    /// into the sample at the next boundary actually stepped.
+    /// (clamped to at least 1).
     ///
     /// The series is primed with the *current* cycle and counter totals,
     /// so enabling sampling mid-run yields a first sample covering only
@@ -373,40 +365,36 @@ impl System {
         self.now += 1;
     }
 
-    /// Run until every core finishes or `max_cycles` elapse. Returns true
-    /// if the machine finished. Idle stretches are skipped, so wall-clock
-    /// cost tracks useful simulation work.
+    /// Run until every core finishes or `max_cycles` elapse, stepping
+    /// every cycle. Returns true if the machine finished, and false at the
+    /// cap or once a watchdog sees a stuck machine: no instruction retired
+    /// and no message sent for 65,536 cycles. `debug_state` then still
+    /// shows what it was waiting for.
     pub fn run(&mut self, max_cycles: Cycle) -> bool {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Run);
+        let mut mark = (self.progress(), self.now);
         while self.now < max_cycles {
             if self.finished() {
                 bulksc_metrics::inc(bulksc_metrics::Counter::RunsCompleted);
                 return true;
             }
-            // Fast-forward: if no node can work now and no message is due,
-            // jump straight to the next event — and step there.
-            let node_next = self
-                .nodes
-                .iter()
-                .map(|n| n.idle_until(self.now))
-                .min()
-                .unwrap_or(Cycle::MAX);
-            let net_next = self.fabric.next_delivery().unwrap_or(Cycle::MAX);
-            let next = node_next.min(net_next);
-            if next == Cycle::MAX {
-                // Nothing will ever happen again.
-                if self.finished() {
-                    bulksc_metrics::inc(bulksc_metrics::Counter::RunsCompleted);
-                    return true;
+            if self.now.is_multiple_of(STALL_CHECK_EVERY) {
+                let progress = self.progress();
+                if progress != mark.0 {
+                    mark = (progress, self.now);
+                } else if self.now - mark.1 >= STALL_WINDOW {
+                    return false;
                 }
-                return false;
-            }
-            if next > self.now {
-                self.now = next.min(max_cycles);
             }
             self.step();
         }
         self.finished()
+    }
+
+    /// Instructions retired plus messages sent so far: the watchdog's
+    /// measure of forward progress.
+    fn progress(&self) -> u64 {
+        self.per_core_retired().iter().sum::<u64>() + self.fabric.traffic().messages()
     }
 
     /// One-line diagnostic snapshot of the whole machine (for debugging
@@ -442,9 +430,54 @@ impl System {
     }
 }
 
+/// The stuck-run watchdog: [`System::run`] looks at [`System::progress`]
+/// every `STALL_CHECK_EVERY` cycles and gives up once it has not moved
+/// for `STALL_WINDOW` cycles.
+const STALL_CHECK_EVERY: Cycle = 1024;
+const STALL_WINDOW: Cycle = 65_536;
+
 /// Line-to-directory routing for baseline nodes (single-directory default;
 /// multi-directory baselines route the same way BulkSC cores do).
 fn dir_of_static(line: bulksc_sig::LineAddr) -> u32 {
     let _ = line;
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::BulkConfig;
+    use bulksc_cpu::BaselineModel;
+    use bulksc_workloads::{fuzz_programs, FuzzSpec};
+
+    #[test]
+    fn watchdog_gives_up_on_a_machine_that_lost_its_messages() {
+        let spec = FuzzSpec::default();
+        let sc = Model::Baseline(BaselineModel::Sc);
+        for model in [sc, Model::Bulk(BulkConfig::bsc_dypvt())] {
+            let name = model.name();
+            let mut cfg = SystemConfig::cmp8(model);
+            (cfg.cores, cfg.budget) = (spec.threads, u64::MAX);
+            let mut sys = System::new(cfg, fuzz_programs(spec, 1));
+            while sys.fabric.is_idle() {
+                sys.step();
+            }
+            // Lose every in-flight message: the misses that sent them now
+            // wait for replies that will never come.
+            assert!(!sys.fabric.deliver_due(Cycle::MAX).is_empty());
+            let lost_at = sys.cycles();
+            assert!(!sys.run(u64::MAX / 4), "{name}: a stuck machine finished");
+            let gave_up = sys.cycles();
+            let bound = lost_at + STALL_WINDOW + 2 * STALL_CHECK_EVERY;
+            assert!(
+                gave_up <= bound,
+                "{name}: lost at {lost_at}, gave up at {gave_up}"
+            );
+            let dump = sys.debug_state();
+            assert!(
+                dump.contains("sent=true"),
+                "{name}: no orphaned miss:\n{dump}"
+            );
+        }
+    }
 }

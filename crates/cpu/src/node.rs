@@ -846,85 +846,6 @@ impl BaselineNode {
         }
     }
 
-    /// Earliest cycle at which this node may do useful work. Used by the
-    /// surrounding system to skip idle cycles; returning `now` is always
-    /// safe.
-    pub fn idle_until(&self, now: Cycle) -> Cycle {
-        if self.finished() {
-            return self
-                .deferred_fetches
-                .iter()
-                .map(|&(c, ..)| c)
-                .min()
-                .unwrap_or(Cycle::MAX);
-        }
-        // Un-issued memory operations are immediate work.
-        if self.window.iter().any(|s| s.state == SlotState::Waiting) {
-            return now;
-        }
-        // Retirable or fetchable work right now?
-        if let Some(head) = self.window.oldest() {
-            let retirable = match head.instr {
-                Instr::Compute(_) => true,
-                Instr::Fence => self.model != BaselineModel::Tso || self.store_buffer.is_empty(),
-                Instr::Load { .. } => head.state == SlotState::Done && self.may_perform_mem(now),
-                // "Line not owned with no miss registered" counts as
-                // retirable work: the retire pass is what files the
-                // ownership request, and nothing else will wake us to do
-                // it (e.g. the store buffer drained after retire already
-                // broke this cycle, or an invalidated in-flight fill
-                // dropped the miss).
-                Instr::Store { .. } => match self.model {
-                    BaselineModel::Sc => {
-                        let line = head_line(head.instr);
-                        (self.line_owned(line) || !self.misses.contains_key(&line))
-                            && self.may_perform_mem(now)
-                    }
-                    _ => self.store_buffer.len() < self.cfg.store_buffer as usize,
-                },
-                Instr::Rmw { .. } => {
-                    let line = head_line(head.instr);
-                    self.store_buffer.is_empty()
-                        && (self.line_owned(line) || !self.misses.contains_key(&line))
-                }
-                Instr::Io => self.store_buffer.is_empty() && self.misses.is_empty(),
-            };
-            if retirable {
-                return now;
-            }
-        }
-        if (!self.program_done || self.stash.is_some()) && self.awaiting.is_none() {
-            return now;
-        }
-        if self
-            .store_buffer
-            .front()
-            .map(|e| self.line_owned(e.addr.line()) || !self.misses.contains_key(&e.addr.line()))
-            .unwrap_or(false)
-        {
-            return now;
-        }
-        if self.misses.values().any(|m| !m.sent && m.retry_at <= now) {
-            return now;
-        }
-        let mut t = Cycle::MAX;
-        if let Some(&Reverse((c, _))) = self.completions.peek() {
-            t = t.min(c);
-        }
-        for &(c, ..) in &self.deferred_fetches {
-            t = t.min(c);
-        }
-        if self.model == BaselineModel::Sc && !self.window.is_empty() {
-            t = t.min(self.last_mem_retire + self.cfg.l1_latency);
-        }
-        for m in self.misses.values() {
-            if !m.sent {
-                t = t.min(m.retry_at);
-            }
-        }
-        t.max(now + 1)
-    }
-
     /// One-line diagnostic snapshot (for debugging stuck systems).
     pub fn debug_state(&self) -> String {
         let head = self
@@ -1064,10 +985,9 @@ impl BaselineNode {
             }
             // The fill was not installed and the miss is gone, but a
             // Store/Rmw that prefetched ownership (or a buffered store)
-            // still needs the line at retire/drain and has no other
-            // wake-up path — without a fresh request the node can sleep
-            // forever on a Done head it cannot perform. Re-request; the
-            // directory serializes the retry.
+            // still needs the line at retire/drain. Re-request now, so
+            // ownership stays on its way; the directory serializes the
+            // retry.
             let still_needed = m.excl
                 && (self.window.iter().any(|s| {
                     matches!(
@@ -1320,8 +1240,4 @@ impl BaselineNode {
         self.epochs.truncate(pos);
         self.open_epoch();
     }
-}
-
-fn head_line(i: Instr) -> LineAddr {
-    i.addr().expect("memory instruction").line()
 }

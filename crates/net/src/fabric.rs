@@ -164,8 +164,8 @@ impl Fabric {
         out
     }
 
-    /// The delivery time of the earliest in-flight message, if any. Lets
-    /// the simulator skip idle cycles.
+    /// The delivery time of the earliest in-flight message, if any (for
+    /// diagnostics such as `System::debug_state`).
     pub fn next_delivery(&self) -> Option<Cycle> {
         self.queue.peek().map(|Reverse(m)| m.at)
     }

@@ -85,7 +85,7 @@ pub enum Phase {
     /// `System::new`: building cores, directories, arbiters.
     Setup,
     /// `System::run`: the step loop itself (self time = loop overhead,
-    /// idle fast-forwarding, and finish checks).
+    /// finish checks, and the stuck-run watchdog).
     Run,
     /// Core work: `BulkNode`/`BaselineNode` tick and message handling.
     Execute,
@@ -427,12 +427,14 @@ mod tests {
 
     #[test]
     fn coverage_tracks_instrumented_share() {
+        // Long spins, so one scheduler preemption on a busy host cannot
+        // tip the split.
         enable();
         {
             let _g = scope(Phase::Run);
-            spin(500_000);
+            spin(20_000_000);
         }
-        spin(500_000); // uninstrumented
+        spin(20_000_000); // uninstrumented
         let r = disable();
         let pct = r.coverage_pct();
         assert!(pct > 20.0 && pct < 80.0, "roughly half covered: {pct}");

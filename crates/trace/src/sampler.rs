@@ -3,10 +3,10 @@
 //! End-of-run aggregates (`SimReport`) say *what* happened; the interval
 //! series says *when*. Every `every` cycles the system records per-core
 //! retirement deltas (IPC), the arbiters' pending-W-signature count, the
-//! fabric queue depth, and interconnect traffic deltas. The simulator may
-//! fast-forward across idle stretches, so sampling is boundary-based: a
-//! sample is taken at the first opportunity at or after each boundary and
-//! deltas are normalized by the cycles actually elapsed.
+//! fabric queue depth, and interconnect traffic deltas. `System` steps
+//! every cycle, so its samples land exactly on the boundaries. A caller
+//! that records late gets one sample at the first opportunity after the
+//! boundary, with deltas normalized by the cycles actually elapsed.
 
 use crate::Json;
 
@@ -119,7 +119,8 @@ impl IntervalSeries {
     }
 
     /// Is a sample due at `now`? (True whenever `now` has reached or
-    /// passed the next boundary — time jumps cost at most one sample.)
+    /// passed the next boundary; boundaries skipped by a late caller cost
+    /// at most one sample.)
     pub fn due(&self, now: u64) -> bool {
         now >= self.next_at
     }
@@ -171,8 +172,8 @@ impl IntervalSeries {
         self.last_retired = retired.to_vec();
         self.last_bytes = g.traffic_bytes;
         self.last_messages = g.messages;
-        // Next boundary strictly after `now` (a fast-forward may have
-        // jumped several boundaries; they collapse into this one sample).
+        // Next boundary strictly after `now` (a late record may have
+        // passed several boundaries; they collapse into this one sample).
         self.next_at = (now / self.every + 1) * self.every;
     }
 

@@ -28,8 +28,11 @@ run cargo test -q --offline --test golden_figures --test pool_determinism
 # nonzero if any chunk_start never reached a commit, squash, or abandon;
 # `report` exits nonzero if an artifact's schema version is stale or a
 # core's cycle-loss total drifts from its run's cycle count; a self-`diff`
-# must always be clean.
+# must always be clean. A fast fig9 pass writes the RunLog first, since
+# results/ is a gitignored run output.
 run cargo run -q --release --offline --example trace_demo
+run cargo run -q --release --offline -p bulksc-bench --bin fig9 -- \
+  fast --json --jobs 2 > /dev/null
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   timeline results/trace_demo.jsonl
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \

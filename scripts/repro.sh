@@ -14,8 +14,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The banner goes to stderr: stdout is redirected into the artifacts.
 run() {
-  echo "==> $*"
+  echo "==> $*" >&2
   "$@"
 }
 

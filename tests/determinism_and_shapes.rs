@@ -3,9 +3,12 @@
 //! live in the bench harness and EXPERIMENTS.md).
 
 use bulksc::{BulkConfig, Model, SimReport, System, SystemConfig};
+use bulksc_bench::fuzz::{self, SweepEntry};
+use bulksc_check::MemoryModel;
 use bulksc_cpu::BaselineModel;
 use bulksc_net::TrafficClass;
-use bulksc_workloads::{by_name, SyntheticApp, ThreadProgram};
+use bulksc_trace::{JsonlTracer, TraceHandle};
+use bulksc_workloads::{by_name, FuzzSpec, SyntheticApp, ThreadProgram};
 
 fn run(model: Model, app: &str, budget: u64, seed: u64) -> SimReport {
     let params = by_name(app).expect("catalog app");
@@ -152,4 +155,43 @@ fn distributed_arbiter_machine_matches_single_arbiter_results() {
     // single arbiter is not a bottleneck at this scale).
     let ratio = single.cycles as f64 / multi.cycles as f64;
     assert!((0.7..1.3).contains(&ratio), "ratio {ratio:.3}");
+}
+
+/// One fuzz case with a JSONL sink attached, driven by `drive`; returns
+/// the report JSON and the trace text.
+fn fuzz_case(entry: &SweepEntry, seed: u64, drive: impl FnOnce(&mut System)) -> (String, String) {
+    let mut sys = fuzz::build_case(entry, FuzzSpec::default(), seed);
+    let sink = JsonlTracer::shared();
+    let mut handle = TraceHandle::off();
+    handle.attach(sink.clone());
+    sys.set_tracer(handle);
+    drive(&mut sys);
+    let report = SimReport::collect(&sys).to_json().to_string();
+    let trace = sink.borrow().contents().to_string();
+    (report, trace)
+}
+
+#[test]
+fn run_matches_per_cycle_stepping() {
+    // `run` is the loop every experiment uses; a plain step loop is the
+    // definition of the machine. They must agree on every simulated byte.
+    const CAP: u64 = 1_000_000;
+    let entries = fuzz::sweep_for(MemoryModel::Sc)
+        .into_iter()
+        .chain(fuzz::sweep_for(MemoryModel::Tso));
+    for entry in entries {
+        for seed in [1u64, 5] {
+            let what = format!("{} seed {seed}", entry.name);
+            let ran = fuzz_case(&entry, seed, |sys| {
+                assert!(sys.run(CAP), "{what}: run did not finish");
+            });
+            let stepped = fuzz_case(&entry, seed, |sys| {
+                while !sys.finished() && sys.cycles() < CAP {
+                    sys.step();
+                }
+            });
+            assert_eq!(ran.0, stepped.0, "{what}: SimReport differs");
+            assert!(ran.1 == stepped.1, "{what}: JSONL trace differs");
+        }
+    }
 }
