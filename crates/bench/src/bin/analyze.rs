@@ -13,7 +13,7 @@
 //! bulksc-analyze convert   <in.jsonl|in.btf> <out>
 //! bulksc-analyze synth-trace <N> [--cores C] [--words W] [--format jsonl|btf]
 //! bulksc-analyze prof      <perf.json> [--chrome <out.json>] [--max-trace-overhead <x>]
-//!                          [--max-metrics-overhead <x>] [--max-xray-overhead <x>]
+//!                          [--max-xray-overhead <x>]
 //! bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]
 //! bulksc-analyze metrics   <name.metrics.jsonl>...
 //! bulksc-analyze trend     <BENCH_label.json>...
@@ -115,7 +115,7 @@ fn usage() -> ExitCode {
          \x20      bulksc-analyze convert <in.jsonl|in.btf> <out>\n\
          \x20      bulksc-analyze synth-trace <N> [--cores C] [--words W] [--format jsonl|btf]\n\
          \x20      bulksc-analyze prof <perf.json> [--chrome <out.json>] \
-         [--max-trace-overhead <x>] [--max-metrics-overhead <x>] [--max-xray-overhead <x>]\n\
+         [--max-trace-overhead <x>] [--max-xray-overhead <x>]\n\
          \x20      bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]\n\
          \x20      bulksc-analyze metrics <name.metrics.jsonl>...\n\
          \x20      bulksc-analyze trend <BENCH_label.json>...\n\
@@ -707,7 +707,6 @@ fn main() -> ExitCode {
             let path = &rest[0];
             let mut chrome_out: Option<String> = None;
             let mut max_overhead: Option<f64> = None;
-            let mut max_metrics_overhead: Option<f64> = None;
             let mut max_xray_overhead: Option<f64> = None;
             let mut it = rest[1..].iter();
             while let Some(flag) = it.next() {
@@ -715,10 +714,6 @@ fn main() -> ExitCode {
                     ("--chrome", Some(p)) => chrome_out = Some(p.clone()),
                     ("--max-trace-overhead", Some(v)) => match v.parse::<f64>() {
                         Ok(x) if x > 0.0 => max_overhead = Some(x),
-                        _ => return usage(),
-                    },
-                    ("--max-metrics-overhead", Some(v)) => match v.parse::<f64>() {
-                        Ok(x) if x > 0.0 => max_metrics_overhead = Some(x),
                         _ => return usage(),
                     },
                     ("--max-xray-overhead", Some(v)) => match v.parse::<f64>() {
@@ -762,25 +757,6 @@ fn main() -> ExitCode {
                         if ratio > bound {
                             eprintln!(
                                 "bulksc-analyze: tracing overhead {ratio:.2}x exceeds bound {bound:.2}x"
-                            );
-                            return ExitCode::from(1);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            if let Some(bound) = max_metrics_overhead {
-                match perf::metrics_overhead(&text, path) {
-                    Ok(ratio) => {
-                        println!(
-                            "metrics overhead (bsc8 / bsc8_metrics): {ratio:.2}x (bound {bound:.2}x)"
-                        );
-                        if ratio > bound {
-                            eprintln!(
-                                "bulksc-analyze: metrics overhead {ratio:.2}x exceeds bound {bound:.2}x"
                             );
                             return ExitCode::from(1);
                         }

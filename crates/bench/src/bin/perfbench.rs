@@ -106,10 +106,6 @@ fn main() {
         Ok(ratio) => println!("tracing overhead (bsc8 / bsc8_trace): {ratio:.2}x"),
         Err(e) => eprintln!("bulksc-perf: {e}"),
     }
-    match perf::metrics_overhead(&text, "<memory>") {
-        Ok(ratio) => println!("metrics overhead (bsc8 / bsc8_metrics): {ratio:.2}x"),
-        Err(e) => eprintln!("bulksc-perf: {e}"),
-    }
 
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {

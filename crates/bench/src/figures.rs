@@ -17,14 +17,14 @@
 
 use crate::artifact::RunLog;
 use crate::pool::{self, Job};
-use crate::{geomean, run_app, SEED};
-use bulksc::{BulkConfig, Model, SimReport, System, SystemConfig};
+use crate::{geomean, run_app, run_custom};
+use bulksc::{BulkConfig, Model, SimReport, SystemConfig};
 use bulksc_cpu::BaselineModel;
 use bulksc_net::TrafficClass;
 use bulksc_sig::SignatureConfig;
 use bulksc_stats::Table;
 use bulksc_trace::Json;
-use bulksc_workloads::{by_name, catalog, SyntheticApp, ThreadProgram};
+use bulksc_workloads::{by_name, catalog};
 use std::fmt::Write as _;
 
 /// The rendered stdout text and the `--json` artifact of one experiment.
@@ -396,19 +396,6 @@ pub fn table4(budget: u64, jobs: usize) -> FigureOutput {
     FigureOutput { text, log }
 }
 
-/// Run with full control over the system configuration (ablation 4 needs
-/// a non-default directory count).
-fn run_custom(mut cfg: SystemConfig, app: &str, budget: u64) -> SimReport {
-    cfg.budget = budget;
-    let params = by_name(app).expect("catalog app");
-    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.cores)
-        .map(|t| Box::new(SyntheticApp::new(params, t, cfg.cores, SEED)) as Box<dyn ThreadProgram>)
-        .collect();
-    let mut sys = System::new(cfg, programs);
-    assert!(sys.run(u64::MAX / 4), "run finished");
-    SimReport::collect(&sys)
-}
-
 /// Design-choice ablations: signature size, Private Buffer capacity,
 /// chunk slots per core, distributed arbitration.
 pub fn ablations(budget: u64, jobs: usize) -> FigureOutput {
@@ -552,15 +539,12 @@ pub fn ablations(budget: u64, jobs: usize) -> FigureOutput {
         apps.iter()
             .map(|&app| {
                 Job::new(format!("ablation arbiters {app}"), move || {
-                    let single = run_custom(
-                        SystemConfig::cmp8(Model::Bulk(BulkConfig::bsc_dypvt())),
-                        app,
-                        budget,
-                    );
+                    let params = by_name(app).expect("catalog app");
+                    let single = run_app(Model::Bulk(BulkConfig::bsc_dypvt()), &params, budget);
                     let mut cfg =
                         SystemConfig::cmp8(Model::Bulk(BulkConfig::bsc_dypvt().with_arbiters(4)));
                     cfg.dirs = 4;
-                    let multi = run_custom(cfg, app, budget);
+                    let multi = run_custom(cfg, &params, budget);
                     eprintln!("  arbiters {app} done");
                     vec![single, multi]
                 })

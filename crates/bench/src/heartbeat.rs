@@ -7,7 +7,8 @@
 //! chosen interval and
 //!
 //! * prints a one-line progress report to **stderr** (`done/total`, jobs
-//!   in flight, queue depth, ETA) — stdout stays reserved for the
+//!   in flight, queue depth, ETA, and the squash rates of the runs
+//!   finished so far) — stdout stays reserved for the
 //!   deterministic figure/report text, which must be byte-identical with
 //!   metrics on or off;
 //! * appends a schema-stamped JSON snapshot line to
@@ -118,8 +119,8 @@ fn stderr_line(name: &str, start_ns: u64, live: metrics::live::LiveSnapshot) -> 
     } else {
         String::new()
     };
-    // Squash rates by cause, visible only once squashes happen — the
-    // live read on a squash storm (`EXPERIMENTS.md` walkthrough).
+    // Squash rates by cause, visible once a finished run has squashed —
+    // the live read on a squash storm (`EXPERIMENTS.md` walkthrough).
     let squashed = live.squashes_true + live.squashes_alias + live.squashes_overflow;
     let squashes = if squashed > 0 && elapsed_s > 0.0 {
         format!(
@@ -158,7 +159,7 @@ impl Heartbeat {
         metrics_from_cli().map(|every_ms| Heartbeat::start(name, every_ms))
     }
 
-    /// Activate live + registry collection and spawn the snapshot thread.
+    /// Activate live collection and spawn the snapshot thread.
     /// Files land in `results/<name>.metrics.{jsonl,prom}`.
     ///
     /// # Panics
@@ -173,11 +174,10 @@ impl Heartbeat {
             File::create(&jsonl_path).unwrap_or_else(|e| panic!("cannot create {jsonl_path}: {e}"));
         writeln!(file, "{}", jsonl_header(name, every_ms)).expect("metrics jsonl write failed");
 
-        // Order matters: live + registry collection must be on before the
-        // sweep enqueues its first job.
+        // Order matters: live collection must be on before the sweep
+        // enqueues its first job or finishes its first run.
         metrics::reset_global();
         metrics::live::activate();
-        metrics::enable();
 
         let start_ns = bulksc_prof::clock::now_ns();
         let stop = Arc::new(AtomicBool::new(false));
@@ -231,8 +231,8 @@ impl Heartbeat {
     }
 
     /// Stop the snapshot thread, append the final JSONL line, write the
-    /// text exposition, and return the merged registry snapshot (the
-    /// caller thread's shard merged with every published worker shard).
+    /// text exposition, and return the accumulated registry snapshot
+    /// (every run's view merged with the pool's job totals).
     pub fn finish(mut self) -> MetricsSnapshot {
         let file = self.join_thread();
         metrics::live::deactivate();
@@ -244,8 +244,7 @@ impl Heartbeat {
             let _ = file.flush();
         }
 
-        let mut snap = metrics::disable();
-        snap.merge(&metrics::take_global());
+        let snap = metrics::take_global();
         std::fs::write(&self.prom_path, snap.to_text_exposition())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", self.prom_path));
 

@@ -47,12 +47,9 @@ pub struct Scenario {
     /// bounded-memory certification path end to end, JSONL consumption
     /// included.
     pub oracle_stream: bool,
-    /// Enable the `bulksc-metrics` registry for every measured rep (the
-    /// metrics-tax cell; see [`metrics_overhead`]).
-    pub metrics: bool,
 }
 
-/// The pinned scenario matrix (~9 cells). Every run in every cell uses
+/// The pinned scenario matrix (10 cells). Every run in every cell uses
 /// the workspace-wide [`SEED`], so the simulated side is byte-identical
 /// across hosts and reps — only host time varies.
 pub fn matrix() -> Vec<Scenario> {
@@ -66,7 +63,6 @@ pub fn matrix() -> Vec<Scenario> {
         sampling,
         oracle,
         oracle_stream: false,
-        metrics: false,
     };
     use bulksc::BulkConfig;
     use bulksc_cpu::BaselineModel;
@@ -146,22 +142,10 @@ pub fn matrix() -> Vec<Scenario> {
             false,
             true,
         ),
-        {
-            let mut m = cell(
-                "bsc8_metrics",
-                Model::Bulk(BulkConfig::bsc_dypvt()),
-                1,
-                false,
-                false,
-                false,
-            );
-            m.metrics = true;
-            m
-        },
         // Same traced run certified through the windowed streaming
         // oracle: bsc8_oracle / bsc8_oracle_stream isolates what bounded
         // memory costs (or saves) against the batch checker. Last on
-        // purpose: the ten cells above keep their historical queue order
+        // purpose: the nine cells above keep their historical queue order
         // (and thus their contention pairing under a width-2 smoke
         // pool), so the tight overhead gates see the same interleaving
         // they were calibrated against.
@@ -271,7 +255,12 @@ fn build_system(s: &Scenario, budget: u64) -> System {
 /// One unmeasured execution (warmup: page in code, warm allocator).
 fn run_once(s: &Scenario, budget: u64) {
     let mut sys = build_system(s, budget);
-    assert!(sys.run(u64::MAX / 4), "warmup run finishes");
+    assert!(
+        sys.run(u64::MAX / 4),
+        "{} warmup run did not finish:\n{}",
+        s.name,
+        sys.debug_state()
+    );
     let _ = SimReport::collect(&sys);
 }
 
@@ -296,13 +285,6 @@ pub fn run_scenario(s: &Scenario, budget: u64, warmup: u32, reps: u32) -> Scenar
         prof: ProfReport::default(),
     };
     for _ in 0..reps {
-        // Metrics bracket with a nested-enable guard: if the caller (a
-        // `--metrics` sweep) already holds this thread's shard, reuse it
-        // rather than clobbering it with a disable().
-        let outer_metrics = bulksc_metrics::is_enabled();
-        if s.metrics && !outer_metrics {
-            bulksc_metrics::enable();
-        }
         prof::enable();
         let (mut sys, jsonl) = {
             let _setup = prof::scope(Phase::Setup);
@@ -321,7 +303,12 @@ pub fn run_scenario(s: &Scenario, budget: u64, warmup: u32, reps: u32) -> Scenar
             }
             (sys, jsonl)
         };
-        assert!(sys.run(u64::MAX / 4), "measured run finishes");
+        assert!(
+            sys.run(u64::MAX / 4),
+            "{} measured run did not finish:\n{}",
+            s.name,
+            sys.debug_state()
+        );
         let report = SimReport::collect(&sys);
         if s.oracle || s.oracle_stream {
             let _oracle = prof::scope(Phase::Oracle);
@@ -344,9 +331,6 @@ pub fn run_scenario(s: &Scenario, budget: u64, warmup: u32, reps: u32) -> Scenar
             }
         }
         let pr = prof::disable();
-        if s.metrics && !outer_metrics {
-            bulksc_metrics::publish(bulksc_metrics::disable());
-        }
         let secs = pr.wall_ns as f64 / 1e9;
         out.reps.push(Rep {
             wall_ns: pr.wall_ns,
@@ -748,26 +732,6 @@ pub fn trace_overhead(text: &str, origin: &str) -> Result<f64, String> {
     Ok(base / traced)
 }
 
-/// The metrics tax: `bsc8` median KIPS over `bsc8_metrics` median KIPS
-/// (>1 means the enabled registry slows the simulator down by that
-/// factor; the CI gate holds it under 2%).
-pub fn metrics_overhead(text: &str, origin: &str) -> Result<f64, String> {
-    let doc = load_perf(text, origin)?;
-    let kips = scenario_kips(&doc);
-    let get = |name: &str| -> Result<f64, String> {
-        kips.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, k)| *k)
-            .ok_or_else(|| format!("{origin}: no scenario {name:?} to compute metrics overhead"))
-    };
-    let base = get("bsc8")?;
-    let metered = get("bsc8_metrics")?;
-    if metered <= 0.0 {
-        return Err(format!("{origin}: bsc8_metrics has no measured throughput"));
-    }
-    Ok(base / metered)
-}
-
 /// The xray tax: `bsc8_trace` median KIPS over `bsc8_xray` median KIPS.
 /// Both cells trace; only the second computes conflict attribution, so
 /// the ratio is the attribution cost alone (the CI gate holds it under
@@ -860,15 +824,14 @@ mod tests {
     #[test]
     fn matrix_is_stable_and_unique() {
         let m = matrix();
-        assert_eq!(m.len(), 11);
+        assert_eq!(m.len(), 10);
         let mut names: Vec<&str> = m.iter().map(|s| s.name).collect();
         assert!(names.contains(&"bsc8") && names.contains(&"bsc8_trace"));
-        assert!(names.contains(&"bsc8_metrics"));
         assert!(names.contains(&"bsc8_xray"));
         assert!(names.contains(&"bsc8_oracle_stream"));
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 11, "scenario names are the pairing keys");
+        assert_eq!(names.len(), 10, "scenario names are the pairing keys");
         for s in &m {
             assert!(
                 !(s.oracle || s.oracle_stream) || s.tracing,
@@ -1047,32 +1010,6 @@ mod tests {
         let xrayed = tiny_result("bsc8_xray");
         assert_eq!(traced.reps[0].cycles, xrayed.reps[0].cycles);
         assert_eq!(traced.reps[0].instrs, xrayed.reps[0].instrs);
-    }
-
-    #[test]
-    fn metrics_overhead_is_the_base_over_metered_ratio() {
-        let doc = synthetic(&[("bsc8", 100.0), ("bsc8_metrics", 98.0)]);
-        let ratio = metrics_overhead(&doc, "mem").unwrap();
-        assert!((ratio - 100.0 / 98.0).abs() < 1e-9);
-        let missing = synthetic(&[("bsc8", 100.0)]);
-        assert!(metrics_overhead(&missing, "mem")
-            .unwrap_err()
-            .contains("bsc8_metrics"));
-    }
-
-    #[test]
-    fn metrics_cell_publishes_counters_without_perturbing_the_sim() {
-        bulksc_metrics::reset_global();
-        let metered = tiny_result("bsc8_metrics");
-        let snap = bulksc_metrics::take_global();
-        assert!(
-            snap.counter(bulksc_metrics::Counter::ChunksCommitted) > 0,
-            "metered reps must publish sim counters"
-        );
-        // Out-of-band: the metered cell simulates exactly what bsc8 does.
-        let base = tiny_result("bsc8");
-        assert_eq!(base.reps[0].cycles, metered.reps[0].cycles);
-        assert_eq!(base.reps[0].instrs, metered.reps[0].instrs);
     }
 
     #[test]

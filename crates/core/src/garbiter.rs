@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 
-use bulksc_metrics as metrics;
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
 use bulksc_sig::TrackedSig;
 use bulksc_trace::{ConflictAttr, Event, TraceHandle};
@@ -143,7 +142,6 @@ impl GArbiter {
             panic!("commit requests come from cores, got {src:?}");
         };
         self.stats.requests += 1;
-        metrics::inc(metrics::Counter::GarbRequests);
         let r = r.expect("multi-range commits always carry the R signature");
 
         // Fast denial against locally-known in-flight W signatures.
@@ -153,7 +151,6 @@ impl GArbiter {
             .find(|(_, committing)| committing.intersects(&w) || committing.intersects(&r))
         {
             self.stats.fast_denials += 1;
-            metrics::inc(metrics::Counter::GarbFastDenials);
             let attr = self.xray.then(|| {
                 const CAP: usize = bulksc_trace::XRAY_WITNESS_CAP;
                 let mut witnesses: Vec<u64> = committing
@@ -259,7 +256,6 @@ impl GArbiter {
             }
         } else {
             self.stats.denials += 1;
-            metrics::inc(metrics::Counter::GarbDenials);
             // The colliding W lives at whichever range arbiter voted no;
             // the G-arbiter sees only the verdict, so no aggressor here.
             let attr = self.xray.then(|| ConflictAttr {

@@ -32,7 +32,6 @@ use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 use bulksc_cpu::{CoreConfig, InstrWindow, Slot, SlotId, SlotState, ValueStore};
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
-use bulksc_metrics as metrics;
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
 use bulksc_sig::{Addr, LineAddr, TrackedSig};
 use bulksc_stats::{CycleLoss, Histogram, RunningMean};
@@ -50,6 +49,8 @@ pub struct BulkStats {
     pub retired: u64,
     /// Chunks committed.
     pub chunks_committed: u64,
+    /// Instructions per committed chunk, one sample per commit.
+    pub chunk_instrs: Histogram,
     /// Chunk squashes.
     pub squashes: u64,
     /// Squashes an alias-free signature would have avoided.
@@ -1132,9 +1133,7 @@ impl BulkNode {
             }
         }
         self.stats.chunks_committed += 1;
-        metrics::inc(metrics::Counter::ChunksCommitted);
-        metrics::add(metrics::Counter::InstrsCommitted, front.retired);
-        metrics::observe(metrics::Hist::ChunkInstrs, front.retired);
+        self.stats.chunk_instrs.record(front.retired);
         self.trace.emit(now, || Event::ChunkCommit {
             core: chunk.core,
             seq: chunk.seq,
@@ -1237,7 +1236,6 @@ impl BulkNode {
         }
         self.stats.squashes += 1;
         self.stats.squashed_instrs += wasted;
-        metrics::add(metrics::Counter::InstrsSquashed, wasted);
         self.trace.emit(now, || Event::Squash {
             core: self.core,
             seq: first_seq,
@@ -1371,8 +1369,6 @@ impl BulkNode {
                 self.stats.alias_squashes += 1;
                 SquashCause::Alias
             };
-            metrics::inc(metrics::Counter::for_squash_cause(cause));
-            metrics::live::squash(cause);
             // Which signature detected the conflict: the victim's R (a
             // read this chunk did) or its W (a write-write collision).
             let label = if w.intersects(&self.chunks[idx].r) {
@@ -1401,7 +1397,6 @@ impl BulkNode {
                     self.stats.cache_invs += 1;
                     if !w.contains_exact(line) {
                         self.stats.extra_cache_invs += 1;
-                        metrics::inc(metrics::Counter::SigFpExtraInvs);
                     }
                 }
             }
@@ -1485,8 +1480,6 @@ impl BulkNode {
                 self.stats.alias_squashes += 1;
                 SquashCause::Alias
             };
-            metrics::inc(metrics::Counter::for_squash_cause(cause));
-            metrics::live::squash(cause);
             let label = if sig.intersects(&self.chunks[idx].r) {
                 "r_sig_conflict"
             } else {
@@ -1668,8 +1661,6 @@ impl BulkNode {
                 // check). Fall back to self-squashing the youngest chunk,
                 // which shrinks on repetition (§3.3).
                 self.stats.overflow_squashes += 1;
-                metrics::inc(metrics::Counter::for_squash_cause(SquashCause::Overflow));
-                metrics::live::squash(SquashCause::Overflow);
                 if !self.chunks.is_empty() {
                     let idx = self.chunks.len() - 1;
                     // A self-squash: no aggressor, no witnesses — the

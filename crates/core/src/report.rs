@@ -6,6 +6,7 @@
 //! coherence columns are precomputed here, and Figure 11 reads the traffic
 //! breakdown.
 
+use bulksc_metrics::Counter;
 use bulksc_net::{TrafficClass, TrafficStats};
 use bulksc_stats::{per_100k, per_1k, percent, CycleLoss, Histogram};
 use bulksc_trace::Json;
@@ -145,18 +146,17 @@ pub fn cycle_loss_json(l: &CycleLoss) -> Json {
 }
 
 impl SimReport {
-    /// Collapse a run into its metrics.
+    /// Collapse a run into its metrics: event counts from
+    /// [`System::metrics`], means and distributions from the components.
     pub fn collect(sys: &System) -> SimReport {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Collect);
         let model = sys.config().model.name();
+        let m = sys.metrics();
+        let squashed = m.counter(Counter::InstrsSquashed);
+        let chunks = m.counter(Counter::ChunksCommitted);
         let mut retired = 0u64;
-        let mut squashed = 0u64;
-        let mut chunks = 0u64;
-        let mut alias_squashes = 0u64;
-        let mut true_squashes = 0u64;
         let mut read_disp = 0u64;
         let mut priv_supplies = 0u64;
-        let mut extra_invs = 0u64;
         let (mut rs, mut ws, mut ps) = (
             bulksc_stats::RunningMean::new(),
             bulksc_stats::RunningMean::new(),
@@ -171,13 +171,8 @@ impl SimReport {
         for n in sys.nodes() {
             if let Some(b) = n.bulk_stats() {
                 retired += b.retired;
-                squashed += b.squashed_instrs;
-                chunks += b.chunks_committed;
-                alias_squashes += b.alias_squashes + b.overflow_squashes;
-                true_squashes += b.true_squashes;
                 read_disp += b.read_set_displacements;
                 priv_supplies += b.priv_buffer_supplies;
-                extra_invs += b.extra_cache_invs;
                 rs.merge(&b.read_set);
                 ws.merge(&b.write_set);
                 ps.merge(&b.priv_write_set);
@@ -195,35 +190,24 @@ impl SimReport {
             }
             if let Some(b) = n.baseline_stats() {
                 retired += b.retired;
-                squashed += b.squashed_instrs;
                 lat_l1_miss.merge(&b.lat_miss);
             }
         }
 
-        let mut lookups = 0u64;
-        let mut unnecessary_lookups = 0u64;
-        let mut updates = 0u64;
-        let mut unnecessary_updates = 0u64;
-        let mut inv_targets = 0u64;
-        for d in sys.dir_stats() {
-            lookups += d.lookups;
-            unnecessary_lookups += d.unnecessary_lookups;
-            updates += d.updates;
-            unnecessary_updates += d.unnecessary_updates;
-            inv_targets += d.inv_targets;
-        }
+        let lookups = m.counter(Counter::DirLookups);
+        let updates = m.counter(Counter::DirUpdates);
+        let inv_targets = m.counter(Counter::DirInvTargets);
+        // Requests and denials at the G-arbiter count with the arbiters'.
+        let requests = m.counter(Counter::ArbRequests) + m.counter(Counter::GarbRequests);
+        let denials = m.counter(Counter::ArbDenials)
+            + m.counter(Counter::GarbFastDenials)
+            + m.counter(Counter::GarbDenials);
 
-        let mut requests = 0u64;
-        let mut denials = 0u64;
         let mut rsig_required = 0u64;
-        let mut grants = 0u64;
         let mut lat_dir_update = Histogram::new();
         let (mut pending_sum, mut nonempty_sum, mut arbs) = (0.0f64, 0.0f64, 0u32);
         for a in sys.arbiter_stats() {
-            requests += a.requests;
-            denials += a.denials;
             rsig_required += a.rsig_required;
-            grants += a.grants;
             lat_dir_update.merge(&a.dir_update_latency);
             // The run may still be inside the stats window: finish a copy.
             let mut tw = a.pending_w;
@@ -231,10 +215,6 @@ impl SimReport {
             pending_sum += tw.average();
             nonempty_sum += tw.nonzero_fraction();
             arbs += 1;
-        }
-        if let Some(g) = sys.garbiter_stats() {
-            requests += g.requests;
-            denials += g.fast_denials + g.denials;
         }
 
         SimReport {
@@ -250,16 +230,17 @@ impl SimReport {
             priv_write_set: ps.mean(),
             read_displacements_per_100k: per_100k(read_disp, chunks),
             priv_supplies_per_1k: per_1k(priv_supplies, chunks),
-            extra_invs_per_1k: per_1k(extra_invs, chunks),
-            alias_squashes,
-            true_squashes,
+            extra_invs_per_1k: per_1k(m.counter(Counter::SigFpExtraInvs), chunks),
+            alias_squashes: m.counter(Counter::SquashesAlias)
+                + m.counter(Counter::SquashesOverflow),
+            true_squashes: m.counter(Counter::SquashesTrueSharing),
             lookups_per_commit: if chunks == 0 {
                 0.0
             } else {
                 lookups as f64 / chunks as f64
             },
-            unnecessary_lookups_pct: percent(unnecessary_lookups, lookups),
-            unnecessary_updates_pct: percent(unnecessary_updates, updates),
+            unnecessary_lookups_pct: percent(m.counter(Counter::DirLookupsUnnecessary), lookups),
+            unnecessary_updates_pct: percent(m.counter(Counter::DirUpdatesUnnecessary), updates),
             nodes_per_wsig: if chunks == 0 {
                 0.0
             } else {
@@ -275,7 +256,7 @@ impl SimReport {
             } else {
                 100.0 * nonempty_sum / arbs as f64
             },
-            rsig_required_pct: percent(rsig_required, grants.max(1)),
+            rsig_required_pct: percent(rsig_required, m.counter(Counter::ArbGrants).max(1)),
             empty_w_pct: percent(empty_w, chunks),
             arb_requests: requests,
             arb_denials: denials,

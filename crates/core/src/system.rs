@@ -4,6 +4,7 @@
 //! deterministically.
 
 use bulksc_cpu::{BaselineNode, CoreStats, ValueStore};
+use bulksc_metrics::{Counter, Gauge, Hist, MetricsSnapshot};
 use bulksc_net::{Cycle, Envelope, Fabric, NodeId};
 use bulksc_trace::{Event, IntervalSeries, TraceHandle};
 use bulksc_workloads::{AddressMap, ThreadProgram};
@@ -370,25 +371,84 @@ impl System {
     /// cap or once a watchdog sees a stuck machine: no instruction retired
     /// and no message sent for 65,536 cycles. `debug_state` then still
     /// shows what it was waiting for.
+    ///
+    /// While a `--metrics` heartbeat is live, the run's [`System::metrics`]
+    /// view is merged into the process-global accumulator on return.
     pub fn run(&mut self, max_cycles: Cycle) -> bool {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Run);
         let mut mark = (self.progress(), self.now);
-        while self.now < max_cycles {
-            if self.finished() {
-                bulksc_metrics::inc(bulksc_metrics::Counter::RunsCompleted);
-                return true;
-            }
+        while self.now < max_cycles && !self.finished() {
             if self.now.is_multiple_of(STALL_CHECK_EVERY) {
                 let progress = self.progress();
                 if progress != mark.0 {
                     mark = (progress, self.now);
                 } else if self.now - mark.1 >= STALL_WINDOW {
-                    return false;
+                    break;
                 }
             }
             self.step();
         }
+        if bulksc_metrics::live::is_active() {
+            bulksc_metrics::publish(self.metrics());
+        }
         self.finished()
+    }
+
+    /// This run's view of the metrics registry, read out of the
+    /// components' own statistics: the one place the simulator sums its
+    /// counters into registry families. `SimReport::collect` reads its
+    /// counts from here.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut m = MetricsSnapshot::default();
+        for n in &self.nodes {
+            match n {
+                CoreNode::Bulk(b) => {
+                    let s = b.stats();
+                    m.count(Counter::ChunksCommitted, s.chunks_committed);
+                    m.count(Counter::SquashesTrueSharing, s.true_squashes);
+                    m.count(Counter::SquashesAlias, s.alias_squashes);
+                    m.count(Counter::SquashesOverflow, s.overflow_squashes);
+                    m.count(Counter::InstrsSquashed, s.squashed_instrs);
+                    m.count(Counter::SigFpExtraInvs, s.extra_cache_invs);
+                    m.hist_mut(Hist::ChunkInstrs).merge(&s.chunk_instrs);
+                }
+                CoreNode::Baseline(b) => {
+                    m.count(Counter::InstrsSquashed, b.stats().squashed_instrs)
+                }
+            }
+        }
+        // Committed work only: `retired` also holds the instructions of
+        // chunks an unfinished run has not committed yet.
+        let committed = m.hist(Hist::ChunkInstrs).sum();
+        m.count(Counter::InstrsCommitted, committed);
+        for a in &self.arbiters {
+            let s = a.stats();
+            m.count(Counter::ArbRequests, s.requests);
+            m.count(Counter::ArbDenials, s.denials);
+            m.count(Counter::ArbGrants, s.grants);
+            m.peak(Gauge::ArbPendingWPeak, s.pending_w_peak);
+        }
+        if let Some(g) = &self.garbiter {
+            let s = g.stats();
+            m.count(Counter::GarbRequests, s.requests);
+            m.count(Counter::GarbFastDenials, s.fast_denials);
+            m.count(Counter::GarbDenials, s.denials);
+        }
+        for d in &self.dirs {
+            let s = d.stats();
+            m.count(Counter::DirWsigsReceived, s.wsigs_received);
+            m.count(Counter::DirLookups, s.lookups);
+            m.count(Counter::DirLookupsUnnecessary, s.unnecessary_lookups);
+            m.count(Counter::DirUpdates, s.updates);
+            m.count(Counter::DirUpdatesUnnecessary, s.unnecessary_updates);
+            m.count(Counter::DirInvTargets, s.inv_targets);
+        }
+        let traffic = self.fabric.traffic();
+        m.count(Counter::FabricMessages, traffic.messages());
+        m.count(Counter::FabricBytes, traffic.total());
+        m.peak(Gauge::FabricDepthPeak, self.fabric.peak_in_flight() as u64);
+        m.count(Counter::RunsCompleted, self.finished() as u64);
+        m
     }
 
     /// Instructions retired plus messages sent so far: the watchdog's

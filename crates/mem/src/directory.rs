@@ -19,7 +19,6 @@
 
 use std::collections::HashMap;
 
-use bulksc_metrics as metrics;
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
 use bulksc_sig::{LineAddr, SigMode, SignatureConfig, TrackedSig};
 
@@ -657,21 +656,6 @@ impl Directory {
         self.stats.updates += r.updates;
         self.stats.unnecessary_updates += r.unnecessary_updates;
         self.stats.inv_targets += r.invalidation_list.len() as u64;
-        metrics::inc(metrics::Counter::DirWsigsReceived);
-        metrics::add(metrics::Counter::DirLookups, r.lookups);
-        metrics::add(
-            metrics::Counter::DirLookupsUnnecessary,
-            r.unnecessary_lookups,
-        );
-        metrics::add(metrics::Counter::DirUpdates, r.updates);
-        metrics::add(
-            metrics::Counter::DirUpdatesUnnecessary,
-            r.unnecessary_updates,
-        );
-        metrics::add(
-            metrics::Counter::DirInvTargets,
-            r.invalidation_list.len() as u64,
-        );
         self.trace.emit(now, || bulksc_trace::Event::SigExpand {
             dir: self.dir_index(),
             core: chunk.core,

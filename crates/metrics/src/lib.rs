@@ -1,29 +1,26 @@
-//! Unified metrics registry for the whole workspace: what is the
-//! simulator — and the sweep driving it — *doing right now*, and what did
-//! it do in total?
+//! Unified metrics registry for the whole workspace: what did the
+//! simulator — and the sweep driving it — do in total, and how far along
+//! is the sweep right now?
 //!
-//! `SimReport` aggregates one run after the fact; `bulksc-prof` attributes
-//! host time; this crate is the third leg: named counters, high-water
-//! gauges, and histograms that any layer (simulator core, worker pool,
-//! experiment binaries) can increment cheaply, collected per thread and
-//! merged into one process-wide [`MetricsSnapshot`] for live heartbeats
-//! and a Prometheus-style text exposition.
+//! `SimReport` aggregates one run in the paper's units; `bulksc-prof`
+//! attributes host time; this crate is the third leg: a closed set of
+//! named counters, high-water gauges, and histograms, merged into one
+//! process-wide [`MetricsSnapshot`] for live heartbeats and a
+//! Prometheus-style text exposition.
 //!
 //! # Design constraints
 //!
-//! * **Off by default, and cheap when off.** Every increment first reads
-//!   one `const`-initialized thread-local flag ([`is_enabled`]) and
-//!   returns immediately when metrics are disabled — the same zero-cost
-//!   discipline as `bulksc-prof::scope`. Enabling metrics cannot change a
-//!   single simulated cycle, event, or artifact byte (enforced by
-//!   `tests/metrics_determinism.rs` at the workspace root).
-//! * **Sharded per thread, merged deterministically.** All registry state
-//!   is thread-local. Each `bulksc_bench::pool` worker brackets its jobs
-//!   with [`enable`]/[`disable`] and [`publish`]es the resulting snapshot
-//!   into the process-global accumulator after the join. Counters merge by
-//!   summation, gauges by maximum, histograms by bucket-wise addition —
-//!   all commutative — so the merged snapshot is identical at any worker
-//!   width and any completion order.
+//! * **Counted once, by the components.** The simulator's components
+//!   keep their own `*Stats`; `System::metrics` reads them out into a
+//!   [`MetricsSnapshot`] once per run, and this crate owns no per-event
+//!   hook. Under a live heartbeat ([`live::is_active`]) `System::run`
+//!   [`publish`]es that view as it returns; nothing else in the simulator
+//!   touches this crate, so `--metrics` cannot change or slow a simulated
+//!   cycle.
+//! * **Merged deterministically.** Counters merge by summation, gauges by
+//!   maximum, histograms by bucket-wise addition — all commutative — so
+//!   the accumulated snapshot is identical at any worker width and any
+//!   completion order.
 //! * **Deterministic and host-time surfaces are separate.** Counters,
 //!   gauges, and simulated-quantity histograms are pure functions of the
 //!   simulated work and therefore byte-stable across runs and widths
@@ -33,13 +30,11 @@
 //!   ([`MetricsSnapshot::to_text_exposition`]) but never in the
 //!   deterministic surface.
 //!
-//! The [`live`] module is the one intentional exception to thread-local
-//! sharding: a handful of process-global relaxed atomics (jobs done /
-//! total / in flight, queue depth and its peak) that the sweep heartbeat
-//! thread reads while workers are still running. Live state carries
-//! progress only — never simulated results.
+//! The [`live`] module holds the sweep's progress: a handful of
+//! process-global relaxed atomics (jobs done / total / in flight, queue
+//! depth and its peak) that the heartbeat thread reads while workers are
+//! still running, plus the accumulator's squash counters.
 
-use std::cell::{Cell, RefCell};
 use std::sync::Mutex;
 
 use bulksc_stats::Histogram;
@@ -167,7 +162,7 @@ impl Counter {
 
     /// The counter that tallies squashes of `cause`. This is the single
     /// source of truth binding the trace vocabulary to the metrics
-    /// registry: the simulator core increments squash counters through
+    /// registry: the heartbeat reads its per-cause squash rates through
     /// this mapping, and a test below pins each mapped counter's
     /// exposition name to the cause's trace label so the two surfaces can
     /// never drift.
@@ -181,9 +176,10 @@ impl Counter {
     }
 }
 
-/// Registered gauges. Gauges here are *high-water marks*: [`gauge_peak`]
-/// keeps the maximum observed value, and shards merge by maximum — the
-/// only gauge semantic whose merge is order- and width-independent.
+/// Registered gauges. Gauges here are *high-water marks*:
+/// [`MetricsSnapshot::peak`] keeps the maximum observed value, and
+/// snapshots merge by maximum — the only gauge semantic whose merge is
+/// order- and width-independent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Gauge {
@@ -254,111 +250,31 @@ impl Hist {
     }
 }
 
-/// One thread's registry shard.
-struct Shard {
+/// One run's view of the registry, or the merge of many.
+#[derive(Clone, Debug, Default)]
+pub struct MetricsSnapshot {
     counters: [u64; COUNTER_COUNT],
     gauges: [u64; GAUGE_COUNT],
     hists: [Histogram; HIST_COUNT],
 }
 
-impl Default for Shard {
-    fn default() -> Shard {
-        Shard {
-            counters: [0; COUNTER_COUNT],
-            gauges: [0; GAUGE_COUNT],
-            hists: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
-}
-
-thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static SHARD: RefCell<Shard> = RefCell::new(Shard::default());
-}
-
-/// Start collecting on this thread, discarding any previous shard.
-pub fn enable() {
-    SHARD.with(|s| *s.borrow_mut() = Shard::default());
-    ENABLED.with(|e| e.set(true));
-}
-
-/// True if [`enable`] is active on this thread.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.with(|e| e.get())
-}
-
-/// Stop collecting and return this thread's shard as a snapshot.
-pub fn disable() -> MetricsSnapshot {
-    ENABLED.with(|e| e.set(false));
-    SHARD.with(|s| {
-        let shard = std::mem::take(&mut *s.borrow_mut());
-        MetricsSnapshot {
-            counters: shard.counters,
-            gauges: shard.gauges,
-            hists: shard.hists.to_vec(),
-        }
-    })
-}
-
-/// Add 1 to `c`. Disabled (the default), this reads one thread-local
-/// flag and returns.
-#[inline]
-pub fn inc(c: Counter) {
-    add(c, 1);
-}
-
-/// Add `n` to `c`.
-#[inline]
-pub fn add(c: Counter, n: u64) {
-    if !ENABLED.with(|e| e.get()) {
-        return;
-    }
-    SHARD.with(|s| s.borrow_mut().counters[c as usize] += n);
-}
-
-/// Raise `g` to `v` if `v` exceeds the current high-water mark.
-#[inline]
-pub fn gauge_peak(g: Gauge, v: u64) {
-    if !ENABLED.with(|e| e.get()) {
-        return;
-    }
-    SHARD.with(|s| {
-        let slot = &mut s.borrow_mut().gauges[g as usize];
-        if v > *slot {
-            *slot = v;
-        }
-    });
-}
-
-/// Record `v` into histogram `h`.
-#[inline]
-pub fn observe(h: Hist, v: u64) {
-    if !ENABLED.with(|e| e.get()) {
-        return;
-    }
-    SHARD.with(|s| s.borrow_mut().hists[h as usize].record(v));
-}
-
-/// A merged (or single-shard) view of the registry.
-#[derive(Clone, Debug)]
-pub struct MetricsSnapshot {
-    counters: [u64; COUNTER_COUNT],
-    gauges: [u64; GAUGE_COUNT],
-    hists: Vec<Histogram>,
-}
-
-impl Default for MetricsSnapshot {
-    fn default() -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: [0; COUNTER_COUNT],
-            gauges: [0; GAUGE_COUNT],
-            hists: (0..HIST_COUNT).map(|_| Histogram::new()).collect(),
-        }
-    }
-}
-
 impl MetricsSnapshot {
+    /// Add `n` to counter `c`.
+    pub fn count(&mut self, c: Counter, n: u64) {
+        self.counters[c as usize] += n;
+    }
+
+    /// Raise gauge `g` to `v` if `v` exceeds its high-water mark.
+    pub fn peak(&mut self, g: Gauge, v: u64) {
+        let slot = &mut self.gauges[g as usize];
+        *slot = (*slot).max(v);
+    }
+
+    /// One histogram, to record or merge into.
+    pub fn hist_mut(&mut self, h: Hist) -> &mut Histogram {
+        &mut self.hists[h as usize]
+    }
+
     /// The value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize]
@@ -383,8 +299,8 @@ impl MetricsSnapshot {
 
     /// Merge another snapshot into this one. Counters sum, gauges take
     /// the maximum, histograms merge bucket-wise — every operation is
-    /// commutative and associative, so any merge order over any shard
-    /// partition yields the identical snapshot.
+    /// commutative and associative, so any merge order over any set of
+    /// runs yields the identical snapshot.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
             *a += b;
@@ -462,8 +378,9 @@ impl MetricsSnapshot {
 
 static GLOBAL: Mutex<Option<MetricsSnapshot>> = Mutex::new(None);
 
-/// Merge a thread's snapshot into the process-global accumulator (called
-/// by pool workers after [`disable`]).
+/// Merge a snapshot into the process-global accumulator: each run's view
+/// from `System::run` and each pool job's wall time, while a heartbeat is
+/// live.
 pub fn publish(snap: MetricsSnapshot) {
     let mut global = GLOBAL.lock().unwrap();
     match global.as_mut() {
@@ -472,9 +389,19 @@ pub fn publish(snap: MetricsSnapshot) {
     }
 }
 
-/// Take (and clear) the process-global accumulator.
+/// Take (and clear) the process-global accumulator, with the pool's job
+/// and queue totals filled in from the [`live`] progress state.
 pub fn take_global() -> MetricsSnapshot {
-    GLOBAL.lock().unwrap().take().unwrap_or_default()
+    let mut snap = GLOBAL
+        .lock()
+        .expect("no merge panics while holding the accumulator")
+        .take()
+        .unwrap_or_default();
+    let live = live::snapshot();
+    snap.counters[Counter::PoolJobsCompleted as usize] = live.done;
+    snap.counters[Counter::PoolJobsPanicked as usize] = live.panicked;
+    snap.gauges[Gauge::PoolQueueDepthPeak as usize] = live.queue_peak;
+    snap
 }
 
 /// Clear the process-global accumulator (start of a metered sweep).
@@ -485,14 +412,18 @@ pub fn reset_global() {
 pub mod live {
     //! Process-global live progress for sweep heartbeats.
     //!
-    //! Unlike the sharded registry, these are relaxed atomics a heartbeat
-    //! thread can read while pool workers are mid-job. They carry *host
-    //! progress only* (job counts, queue depth); simulated quantities
-    //! never pass through here. Activation is process-wide: the pool
-    //! only spends atomic operations on live state when a `--metrics`
-    //! sweep turned it on.
+    //! These are relaxed atomics a heartbeat thread can read while pool
+    //! workers are mid-job: job counts and queue depth. Activation is
+    //! process-wide: the pool only spends atomic operations on live state,
+    //! and `System::run` only publishes its view, when a `--metrics` sweep
+    //! turned it on. The per-cause squash tallies in a [`LiveSnapshot`]
+    //! are read from the accumulator, so they move as runs finish.
 
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    use bulksc_trace::SquashCause;
+
+    use super::{Counter, GLOBAL};
 
     static ACTIVE: AtomicBool = AtomicBool::new(false);
     static TOTAL: AtomicU64 = AtomicU64::new(0);
@@ -501,9 +432,6 @@ pub mod live {
     static QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
     static QUEUE_PEAK: AtomicU64 = AtomicU64::new(0);
     static PANICKED: AtomicU64 = AtomicU64::new(0);
-    static SQUASHES_TRUE: AtomicU64 = AtomicU64::new(0);
-    static SQUASHES_ALIAS: AtomicU64 = AtomicU64::new(0);
-    static SQUASHES_OVERFLOW: AtomicU64 = AtomicU64::new(0);
 
     /// Turn live collection on and zero all progress state.
     pub fn activate() {
@@ -532,33 +460,9 @@ pub mod live {
             &QUEUE_DEPTH,
             &QUEUE_PEAK,
             &PANICKED,
-            &SQUASHES_TRUE,
-            &SQUASHES_ALIAS,
-            &SQUASHES_OVERFLOW,
         ] {
             a.store(0, Ordering::SeqCst);
         }
-    }
-
-    /// A simulated chunk was squashed for `cause`. Unlike job progress
-    /// (which the pool tracks unconditionally while active), this is
-    /// called from the simulator's squash path, so it pays one relaxed
-    /// load and returns when no `--metrics` sweep is live — the same
-    /// off-is-free discipline as the sharded registry. Counts here feed
-    /// heartbeat lines only; the authoritative totals are the registry
-    /// counters.
-    #[inline]
-    pub fn squash(cause: bulksc_trace::SquashCause) {
-        if !is_active() {
-            return;
-        }
-        use bulksc_trace::SquashCause;
-        let slot = match cause {
-            SquashCause::TrueSharing => &SQUASHES_TRUE,
-            SquashCause::Alias => &SQUASHES_ALIAS,
-            SquashCause::Overflow => &SQUASHES_OVERFLOW,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A sweep enqueued `n` more jobs.
@@ -602,7 +506,7 @@ pub mod live {
         pub queue_peak: u64,
         /// Jobs that panicked.
         pub panicked: u64,
-        /// Squashes caused by true sharing (simulated, live tally).
+        /// Squashes caused by true sharing, in the runs finished so far.
         pub squashes_true: u64,
         /// Squashes caused by signature aliasing.
         pub squashes_alias: u64,
@@ -612,6 +516,16 @@ pub mod live {
 
     /// Read the current progress state.
     pub fn snapshot() -> LiveSnapshot {
+        let squashes = {
+            let acc = GLOBAL
+                .lock()
+                .expect("no merge panics while holding the accumulator");
+            SquashCause::ALL.map(|cause| {
+                acc.as_ref()
+                    .map_or(0, |s| s.counter(Counter::for_squash_cause(cause)))
+            })
+        };
+        let [squashes_alias, squashes_true, squashes_overflow] = squashes;
         LiveSnapshot {
             total: TOTAL.load(Ordering::Relaxed),
             done: DONE.load(Ordering::Relaxed),
@@ -619,9 +533,9 @@ pub mod live {
             queue_depth: QUEUE_DEPTH.load(Ordering::Relaxed),
             queue_peak: QUEUE_PEAK.load(Ordering::Relaxed),
             panicked: PANICKED.load(Ordering::Relaxed),
-            squashes_true: SQUASHES_TRUE.load(Ordering::Relaxed),
-            squashes_alias: SQUASHES_ALIAS.load(Ordering::Relaxed),
-            squashes_overflow: SQUASHES_OVERFLOW.load(Ordering::Relaxed),
+            squashes_true,
+            squashes_alias,
+            squashes_overflow,
         }
     }
 }
@@ -679,72 +593,49 @@ mod tests {
         assert_eq!(mapped.len(), 3);
     }
 
-    /// Serializes tests that touch the process-global live atomics (the
-    /// cargo harness runs `#[test]`s concurrently).
-    static LIVE_SLOT: Mutex<()> = Mutex::new(());
+    /// Serializes tests that touch the process-global accumulator or the
+    /// live atomics (the cargo harness runs `#[test]`s concurrently).
+    static GLOBAL_SLOT: Mutex<()> = Mutex::new(());
+
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_SLOT.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
-    fn live_squash_tallies_per_cause_only_while_active() {
-        use bulksc_trace::SquashCause;
-        let _g = LIVE_SLOT.lock().unwrap_or_else(|p| p.into_inner());
-        live::reset();
-        assert!(!live::is_active());
-        live::squash(SquashCause::Alias); // inactive: dropped
-        live::activate();
-        live::squash(SquashCause::TrueSharing);
-        live::squash(SquashCause::Alias);
-        live::squash(SquashCause::Alias);
-        live::squash(SquashCause::Overflow);
+    fn live_squash_tallies_read_the_accumulator() {
+        let _g = lock();
+        reset_global();
+        assert_eq!(live::snapshot().squashes_alias, 0, "empty accumulator");
+        let mut run = MetricsSnapshot::default();
+        run.count(Counter::SquashesTrueSharing, 1);
+        run.count(Counter::SquashesAlias, 2);
+        run.count(Counter::SquashesOverflow, 3);
+        publish(run.clone());
+        publish(run);
         let s = live::snapshot();
-        assert_eq!(s.squashes_true, 1);
-        assert_eq!(s.squashes_alias, 2);
-        assert_eq!(s.squashes_overflow, 1);
-        live::deactivate();
-        live::reset();
+        assert_eq!(s.squashes_true, 2);
+        assert_eq!(s.squashes_alias, 4);
+        assert_eq!(s.squashes_overflow, 6);
+        reset_global();
         assert_eq!(live::snapshot().squashes_alias, 0);
     }
 
-    #[test]
-    fn disabled_increments_collect_nothing() {
-        assert!(!is_enabled());
-        inc(Counter::ChunksCommitted);
-        gauge_peak(Gauge::FabricDepthPeak, 9);
-        observe(Hist::ChunkInstrs, 100);
-        enable();
-        let snap = disable();
-        assert!(snap.is_empty(), "increments before enable must not count");
-    }
-
-    #[test]
-    fn enabled_shard_collects_and_resets() {
-        enable();
-        inc(Counter::ChunksCommitted);
-        add(Counter::InstrsCommitted, 500);
-        gauge_peak(Gauge::ArbPendingWPeak, 3);
-        gauge_peak(Gauge::ArbPendingWPeak, 2); // below peak: ignored
-        observe(Hist::ChunkInstrs, 500);
-        let snap = disable();
-        assert_eq!(snap.counter(Counter::ChunksCommitted), 1);
-        assert_eq!(snap.counter(Counter::InstrsCommitted), 500);
-        assert_eq!(snap.gauge(Gauge::ArbPendingWPeak), 3);
-        assert_eq!(snap.hist(Hist::ChunkInstrs).count(), 1);
-        // Re-enabling starts from a clean shard.
-        enable();
-        assert!(disable().is_empty());
+    fn run_view(n: u64, peak: u64, chunk: u64) -> MetricsSnapshot {
+        let mut s = MetricsSnapshot::default();
+        s.count(Counter::ArbRequests, n);
+        s.peak(Gauge::FabricDepthPeak, peak);
+        s.peak(Gauge::FabricDepthPeak, peak / 2); // below peak: ignored
+        s.hist_mut(Hist::ChunkInstrs).record(chunk);
+        s
     }
 
     #[test]
     fn merge_is_commutative() {
-        let shard = |n: u64, peak: u64, obs: u64| {
-            enable();
-            add(Counter::ArbRequests, n);
-            gauge_peak(Gauge::FabricDepthPeak, peak);
-            observe(Hist::ChunkInstrs, obs);
-            disable()
-        };
-        let a = shard(10, 4, 100);
-        let b = shard(3, 9, 200);
-        let c = shard(7, 1, 50);
+        let a = run_view(10, 4, 100);
+        let b = run_view(3, 9, 200);
+        let c = run_view(7, 1, 50);
+        assert_eq!(a.counter(Counter::ArbRequests), 10);
+        assert_eq!(a.gauge(Gauge::FabricDepthPeak), 4);
         let mut abc = a.clone();
         abc.merge(&b);
         abc.merge(&c);
@@ -755,15 +646,16 @@ mod tests {
         assert_eq!(abc.counter(Counter::ArbRequests), 20);
         assert_eq!(abc.gauge(Gauge::FabricDepthPeak), 9);
         assert_eq!(abc.hist(Hist::ChunkInstrs).count(), 3);
+        assert!(MetricsSnapshot::default().is_empty());
+        assert!(!abc.is_empty());
     }
 
     #[test]
     fn exposition_is_prometheus_shaped() {
-        enable();
-        inc(Counter::FabricMessages);
-        add(Counter::FabricBytes, 64);
-        observe(Hist::JobWallNs, 1_000_000);
-        let snap = disable();
+        let mut snap = MetricsSnapshot::default();
+        snap.count(Counter::FabricMessages, 1);
+        snap.count(Counter::FabricBytes, 64);
+        snap.hist_mut(Hist::JobWallNs).record(1_000_000);
         let text = snap.to_text_exposition();
         assert!(text.contains("# TYPE bulksc_sim_fabric_messages counter"));
         assert!(text.contains("bulksc_sim_fabric_bytes 64"));
@@ -786,13 +678,14 @@ mod tests {
 
     #[test]
     fn publish_accumulates_into_the_global() {
+        let _g = lock();
+        live::reset();
         reset_global();
-        enable();
-        inc(Counter::RunsCompleted);
-        publish(disable());
-        enable();
-        add(Counter::RunsCompleted, 2);
-        publish(disable());
+        let mut run = MetricsSnapshot::default();
+        run.count(Counter::RunsCompleted, 1);
+        publish(run.clone());
+        run.count(Counter::RunsCompleted, 1);
+        publish(run);
         let merged = take_global();
         assert_eq!(merged.counter(Counter::RunsCompleted), 3);
         // take_global drains.
@@ -801,7 +694,7 @@ mod tests {
 
     #[test]
     fn live_progress_tracks_jobs() {
-        let _g = LIVE_SLOT.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = lock();
         live::activate();
         assert!(live::is_active());
         live::add_total(4);
@@ -818,6 +711,12 @@ mod tests {
         assert_eq!(s.queue_peak, 4);
         live::deactivate();
         assert!(!live::is_active());
+        // The accumulator reports the pool's totals from live state.
+        reset_global();
+        let snap = take_global();
+        assert_eq!(snap.counter(Counter::PoolJobsCompleted), 1);
+        assert_eq!(snap.counter(Counter::PoolJobsPanicked), 1);
+        assert_eq!(snap.gauge(Gauge::PoolQueueDepthPeak), 4);
         live::reset();
         assert_eq!(live::snapshot().total, 0);
     }

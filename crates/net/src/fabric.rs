@@ -8,7 +8,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bulksc_metrics as metrics;
 use bulksc_trace::{Event, TraceHandle};
 
 use crate::msg::{Message, NodeId};
@@ -86,6 +85,7 @@ pub struct Fabric {
     cfg: FabricConfig,
     queue: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
+    peak_in_flight: usize,
     traffic: TrafficStats,
     trace: TraceHandle,
 }
@@ -97,6 +97,7 @@ impl Fabric {
             cfg,
             queue: BinaryHeap::new(),
             seq: 0,
+            peak_in_flight: 0,
             traffic: TrafficStats::new(),
             trace: TraceHandle::off(),
         }
@@ -130,9 +131,6 @@ impl Fabric {
         msg: Message,
     ) {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Fabric);
-        metrics::inc(metrics::Counter::FabricMessages);
-        metrics::add(metrics::Counter::FabricBytes, msg.wire_bytes());
-        metrics::gauge_peak(metrics::Gauge::FabricDepthPeak, self.queue.len() as u64 + 1);
         msg.account(&mut self.traffic);
         self.trace.emit(now, || Event::NetSend {
             src: src.into(),
@@ -148,6 +146,7 @@ impl Fabric {
             seq,
             env: Envelope { src, dst, msg },
         }));
+        self.peak_in_flight = self.peak_in_flight.max(self.queue.len());
     }
 
     /// Pop every message whose delivery time is `<= now`, in deterministic
@@ -179,6 +178,11 @@ impl Fabric {
     /// queue-depth metric).
     pub fn in_flight(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Most messages ever in flight at once.
+    pub fn peak_in_flight(&self) -> usize {
+        self.peak_in_flight
     }
 
     /// Accumulated traffic statistics.

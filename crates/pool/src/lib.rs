@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use bulksc_metrics::{self as metrics, Counter, Gauge, Hist};
+use bulksc_metrics::{self as metrics, Hist, MetricsSnapshot};
 
 /// One unit of work: a display name (used in panic messages) plus the
 /// closure that performs it.
@@ -92,14 +92,10 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 pub fn run_all<'a, T: Send>(width: usize, jobs: Vec<Job<'a, T>>) -> Vec<T> {
     let n = jobs.len();
     let width = width.max(1).min(n.max(1));
-    // Two independent metrics hooks, both off unless a `--metrics` sweep
-    // (or a test) turned them on before calling in:
-    // * `collect` — the caller's thread-local registry is enabled, so each
-    //   worker opens its own shard and publishes it post-join. The merged
-    //   snapshot is a commutative sum, identical at any width.
-    // * `live` — the process-global progress atomics a heartbeat thread
-    //   reads mid-sweep. Host progress only; never simulated results.
-    let collect = metrics::is_enabled();
+    // Live progress, off unless a `--metrics` sweep (or a test) turned it
+    // on before calling in: the process-global atomics a heartbeat thread
+    // reads mid-sweep, plus each job's wall time in the metrics
+    // accumulator. Host progress only; never simulated results.
     let live = metrics::live::is_active();
     if live {
         metrics::live::add_total(n as u64);
@@ -109,63 +105,43 @@ pub fn run_all<'a, T: Send>(width: usize, jobs: Vec<Job<'a, T>>) -> Vec<T> {
     let slots: Mutex<Vec<Outcome<T>>> = Mutex::new((0..n).map(|_| Outcome::Skipped).collect());
     let failed = AtomicBool::new(false);
 
-    let worker = || {
-        // On a spawned worker thread the registry starts disabled, so open
-        // a shard for the jobs this worker will run; on the serial path the
-        // caller's own (already-enabled) shard is reused and must survive.
-        let opened_shard = collect && !metrics::is_enabled();
-        if opened_shard {
-            metrics::enable();
+    let worker = || loop {
+        if failed.load(Ordering::SeqCst) {
+            break;
         }
-        loop {
-            if failed.load(Ordering::SeqCst) {
-                break;
-            }
-            let (popped, depth) = {
-                let mut q = queue.lock().unwrap();
-                let depth = q.len() as u64;
-                (q.pop_front(), depth)
-            };
-            let Some((idx, job)) = popped else {
-                break;
-            };
-            if collect {
-                metrics::gauge_peak(Gauge::PoolQueueDepthPeak, depth);
-            }
-            if live {
-                metrics::live::job_started();
-            }
-            let started_ns = bulksc_prof::clock::now_ns();
-            let name = job.name;
-            let run = job.run;
-            let outcome = match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(value) => {
-                    if collect {
-                        metrics::inc(Counter::PoolJobsCompleted);
-                        let wall = bulksc_prof::clock::now_ns().saturating_sub(started_ns);
-                        metrics::observe(Hist::JobWallNs, wall);
-                    }
-                    if live {
-                        metrics::live::job_finished();
-                    }
-                    Outcome::Done(value)
+        let popped = queue
+            .lock()
+            .expect("jobs run outside the queue lock")
+            .pop_front();
+        let Some((idx, job)) = popped else {
+            break;
+        };
+        if live {
+            metrics::live::job_started();
+        }
+        let started_ns = bulksc_prof::clock::now_ns();
+        let name = job.name;
+        let run = job.run;
+        let outcome = match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(value) => {
+                if live {
+                    let wall = bulksc_prof::clock::now_ns().saturating_sub(started_ns);
+                    let mut job = MetricsSnapshot::default();
+                    job.hist_mut(Hist::JobWallNs).record(wall);
+                    metrics::publish(job);
+                    metrics::live::job_finished();
                 }
-                Err(payload) => {
-                    if collect {
-                        metrics::inc(Counter::PoolJobsPanicked);
-                    }
-                    if live {
-                        metrics::live::job_panicked();
-                    }
-                    failed.store(true, Ordering::SeqCst);
-                    Outcome::Panicked(name, payload_text(payload.as_ref()))
+                Outcome::Done(value)
+            }
+            Err(payload) => {
+                if live {
+                    metrics::live::job_panicked();
                 }
-            };
-            slots.lock().unwrap()[idx] = outcome;
-        }
-        if opened_shard {
-            metrics::publish(metrics::disable());
-        }
+                failed.store(true, Ordering::SeqCst);
+                Outcome::Panicked(name, payload_text(payload.as_ref()))
+            }
+        };
+        slots.lock().expect("jobs run outside the slots lock")[idx] = outcome;
     };
 
     if width == 1 {

@@ -26,9 +26,10 @@ bin=target/release/fig9
 
 # Each measured run also records pool activity via --metrics. A long
 # interval keeps the heartbeat thread asleep for the whole sweep, so the
-# only metrics work inside the timed window is the per-job counter
-# bumps (the <2% overhead ci.sh gates on); the final snapshot line in
-# results/fig9.metrics.jsonl still carries the totals we want.
+# only metrics work inside the timed window is the pool's per-job
+# progress atomics and one registry view per finished run; the final
+# snapshot line in results/fig9.metrics.jsonl still carries the totals
+# we want.
 measure() { # measure <jobs> -> wall milliseconds on stdout
   local start end
   start="$(date +%s%N)"

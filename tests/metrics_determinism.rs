@@ -1,42 +1,66 @@
-//! The metrics registry's two contracts, end to end.
+//! The metrics registry's contracts, end to end.
 //!
-//! 1. **Width-invariant merge.** A `--metrics` sweep shards the registry
-//!    per pool worker and merges post-join; counters sum, gauges take
-//!    maxima, histograms add bucket-wise — all commutative — so the merged
-//!    deterministic snapshot must be byte-identical at `--jobs` 1, 4, 8.
-//! 2. **Strictly out-of-band.** Enabling the registry (and the live
-//!    progress atomics) must not perturb anything the simulator produces:
-//!    figure text, `results/*.json` RunLogs, SimReports, and JSONL event
-//!    traces stay byte-identical with metrics on or off.
+//! 1. **A view of the component stats.** `System::metrics` reads each
+//!    run's registry families out of the components' own counters, and
+//!    a `--metrics` sweep merges one view per finished run; counters sum,
+//!    gauges take maxima, histograms add bucket-wise — all commutative —
+//!    so the accumulated deterministic snapshot is byte-identical at any
+//!    `--jobs` and pinned by `tests/golden/metrics_ablations.txt`.
+//! 2. **Strictly out-of-band.** A live heartbeat must not perturb anything
+//!    the simulator produces: figure text, `results/*.json` RunLogs,
+//!    SimReports, and JSONL event traces stay byte-identical with metrics
+//!    on or off.
 //!
-//! Tests that touch the process-global snapshot slot (`publish` /
-//! `take_global` — any pool run wider than one worker with collection on)
-//! serialize on a static mutex; the cargo test harness runs `#[test]`s
-//! concurrently and the global slot is one per process.
+//! Publishing is process-global (every `System::run` merges into one
+//! accumulator while `live` is active), and the cargo test harness runs
+//! `#[test]`s concurrently, so every test here that runs a simulation
+//! serializes on one static mutex.
 
 use std::sync::Mutex;
 
 use bulksc::{BulkConfig, Model, SimReport, System, SystemConfig};
 use bulksc_bench::figures;
-use bulksc_metrics as metrics;
+use bulksc_cpu::BaselineModel;
+use bulksc_metrics::{self as metrics, Counter, Hist, MetricsSnapshot};
 use bulksc_trace::{JsonlTracer, TraceHandle};
 use bulksc_workloads::{by_name, SyntheticApp, ThreadProgram};
 
-/// Serializes every test that publishes to / drains the global snapshot.
+/// Serializes every test that runs a simulation or touches the
+/// accumulator.
 static GLOBAL_SLOT: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     GLOBAL_SLOT.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Run `sweep` under a live heartbeat's collection; returns its result
+/// and the accumulated snapshot.
+fn metered<T>(sweep: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
+    metrics::reset_global();
+    metrics::live::activate();
+    let out = sweep();
+    metrics::live::deactivate();
+    (out, metrics::take_global())
+}
+
+#[test]
+fn registry_matches_the_golden_ablations_view_at_widths_1_and_4() {
+    let _g = lock();
+    let golden = include_str!("golden/metrics_ablations.txt");
+    for width in [1, 4] {
+        let (_, snap) = metered(|| figures::ablations(2000, width));
+        assert_eq!(
+            snap.deterministic_text(),
+            golden,
+            "ablations registry view at --jobs {width}"
+        );
+    }
+}
+
 /// fig9 at `width` with collection on; returns (merged deterministic
 /// snapshot text, figure text, RunLog JSON).
 fn fig9_with_metrics(width: usize) -> (String, String, String) {
-    metrics::reset_global();
-    metrics::enable();
-    let out = figures::fig9(600, width);
-    let mut snap = metrics::disable();
-    snap.merge(&metrics::take_global());
+    let (out, snap) = metered(|| figures::fig9(600, width));
     (
         snap.deterministic_text(),
         out.text,
@@ -79,12 +103,10 @@ fn live_progress_tracks_a_sweep_without_touching_its_output() {
     let _g = lock();
     metrics::reset_global();
     metrics::live::activate();
-    metrics::enable();
     let out = figures::table3(500, 4);
     metrics::live::deactivate();
     let live = metrics::live::snapshot();
-    let mut snap = metrics::disable();
-    snap.merge(&metrics::take_global());
+    let snap = metrics::take_global();
 
     assert!(live.total > 0, "sweep enqueued jobs");
     assert_eq!(live.done, live.total, "all jobs completed");
@@ -92,18 +114,26 @@ fn live_progress_tracks_a_sweep_without_touching_its_output() {
     assert_eq!(live.queue_depth, 0);
     assert!(live.queue_peak >= live.total, "peak saw the full queue");
     assert_eq!(live.panicked, 0);
+    assert_eq!(snap.counter(Counter::PoolJobsCompleted), live.done);
+    assert_eq!(snap.hist(Hist::JobWallNs).count(), live.done);
+    // The heartbeat's squash rates read the accumulated run views.
     assert_eq!(
-        snap.counter(metrics::Counter::PoolJobsCompleted),
-        live.done,
-        "registry and live agree on completions"
+        live.squashes_true,
+        snap.counter(Counter::SquashesTrueSharing)
+    );
+    assert_eq!(live.squashes_alias, snap.counter(Counter::SquashesAlias));
+    assert_eq!(
+        live.squashes_overflow,
+        snap.counter(Counter::SquashesOverflow)
     );
 
     let off = figures::table3(500, 4);
     assert_eq!(out.text, off.text, "live tracking is out-of-band");
 }
 
-/// One traced run: JSONL event stream plus the SimReport JSON.
-fn traced_run() -> (String, String) {
+/// One traced run: JSONL event stream, the SimReport JSON, and the run's
+/// own registry view.
+fn traced_run() -> (String, String, MetricsSnapshot) {
     let mut cfg = SystemConfig::cmp8(Model::Bulk(BulkConfig::bsc_dypvt()));
     cfg.budget = 800;
     let app = by_name("ocean").unwrap();
@@ -121,16 +151,14 @@ fn traced_run() -> (String, String) {
     assert!(sys.run(u64::MAX / 4));
     let report = SimReport::collect(&sys).to_json().to_string();
     let stream = sink.borrow().contents().to_string();
-    (stream, report)
+    (stream, report, sys.metrics())
 }
 
 #[test]
 fn traces_and_simreports_are_unchanged_metrics_on_vs_off() {
-    // Thread-local enable only — no pool, no global slot, no lock needed.
-    let (stream_off, report_off) = traced_run();
-    metrics::enable();
-    let (stream_on, report_on) = traced_run();
-    let snap = metrics::disable();
+    let _g = lock();
+    let (stream_off, report_off, view) = traced_run();
+    let ((stream_on, report_on, _), snap) = metered(traced_run);
 
     assert_eq!(
         stream_off, stream_on,
@@ -140,26 +168,55 @@ fn traces_and_simreports_are_unchanged_metrics_on_vs_off() {
         report_off, report_on,
         "SimReport JSON must not depend on --metrics"
     );
-    // The metered run really counted — out-of-band, not off.
-    assert!(snap.counter(metrics::Counter::ChunksCommitted) > 0);
-    assert!(snap.counter(metrics::Counter::InstrsCommitted) > 0);
+    // The metered run published exactly its own view.
+    assert_eq!(snap.deterministic_text(), view.deterministic_text());
+    assert!(snap.counter(Counter::ChunksCommitted) > 0);
+    assert_eq!(snap.counter(Counter::RunsCompleted), 1);
     assert_eq!(
-        snap.hist(metrics::Hist::ChunkInstrs).count(),
-        snap.counter(metrics::Counter::ChunksCommitted),
-        "one histogram observation per committed chunk"
+        snap.hist(Hist::ChunkInstrs).count(),
+        snap.counter(Counter::ChunksCommitted),
+        "one histogram sample per committed chunk"
+    );
+    assert_eq!(
+        snap.hist(Hist::ChunkInstrs).sum(),
+        snap.counter(Counter::InstrsCommitted)
     );
 }
 
 #[test]
 fn disabled_registry_collects_nothing() {
-    // No enable() on this thread: a full simulated run must leave every
-    // shard untouched (the zero-cost-when-off contract).
-    let (_, _) = traced_run();
-    metrics::enable();
-    let snap = metrics::disable();
+    // No live heartbeat: a full simulated run must leave the accumulator
+    // untouched (the free-when-off contract).
+    let _g = lock();
+    metrics::live::reset();
+    metrics::reset_global();
+    let _ = traced_run();
+    let snap = metrics::take_global();
     assert!(
         snap.is_empty(),
-        "a disabled registry must not accumulate: {}",
+        "a run without a heartbeat must not publish: {}",
         snap.deterministic_text()
+    );
+}
+
+#[test]
+fn squashed_instructions_include_scpp_epoch_squashes() {
+    let _g = lock();
+    let mut cfg = SystemConfig::cmp8(Model::Baseline(BaselineModel::Scpp));
+    cfg.budget = 3000;
+    let app = by_name("radix").unwrap();
+    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.cores)
+        .map(|t| {
+            Box::new(SyntheticApp::new(app, t, cfg.cores, bulksc_bench::SEED))
+                as Box<dyn ThreadProgram>
+        })
+        .collect();
+    let mut sys = System::new(cfg, programs);
+    assert!(sys.run(u64::MAX / 4));
+    let report = SimReport::collect(&sys);
+    assert_eq!(report.squashed_instrs, 1191, "SC++ radix squashes at 3000");
+    assert_eq!(
+        sys.metrics().counter(Counter::InstrsSquashed),
+        report.squashed_instrs
     );
 }
