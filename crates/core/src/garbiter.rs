@@ -83,11 +83,13 @@ impl GArbiter {
         &self.stats
     }
 
-    /// One-line diagnostic snapshot.
+    /// One-line diagnostic snapshot, pending chunks in tag order.
     pub fn debug_state(&self) -> String {
+        let mut pending: Vec<_> = self.pending.iter().collect();
+        pending.sort_unstable_by_key(|&(c, _)| *c);
         format!(
             "garbiter pending={:?} fast_w={}",
-            self.pending
+            pending
                 .iter()
                 .map(|(c, tr)| format!(
                     "{c}:v{}d{}nok{}",

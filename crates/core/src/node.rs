@@ -27,13 +27,14 @@
 //! * Forward progress (§3.3): consecutive squashes first shrink the chunk
 //!   exponentially, then fall back to pre-arbitration.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use bulksc_cpu::{CoreConfig, InstrWindow, Slot, SlotId, SlotState, ValueStore};
-use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
+use bulksc_cpu::{
+    CoreConfig, Fetch, InstrWindow, MemPort, PortStats, SlotId, SlotState, ValueStore,
+};
+use bulksc_mem::{CacheConfig, InsertOutcome, LineState};
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
-use bulksc_sig::{Addr, LineAddr, TrackedSig};
+use bulksc_sig::{Addr, LineAddr, LineData, TrackedSig};
 use bulksc_stats::{CycleLoss, Histogram, RunningMean};
 use bulksc_trace::{ConflictAttr, Event, SquashCause, TraceHandle};
 use bulksc_workloads::{AddressMap, Instr, ThreadProgram};
@@ -81,12 +82,6 @@ pub struct BulkStats {
     pub cache_invs: u64,
     /// Invalidations caused purely by signature aliasing (Table 3).
     pub extra_cache_invs: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L1 misses.
-    pub l1_misses: u64,
-    /// Nacks received on demand reads.
-    pub nacks: u64,
     /// Pre-arbitration episodes entered.
     pub prearbs: u64,
     /// I/O operations serialized.
@@ -102,33 +97,11 @@ pub struct BulkStats {
     /// Commit-visibility latency: grant received to CommitComplete
     /// received (the directory round trip as seen by the core).
     pub lat_commit_visible: Histogram,
-    /// L1 miss latency: request sent to fill received.
-    pub lat_miss: Histogram,
     /// Where this core's cycles went: each interval between lifecycle
     /// events is charged to the event that ended it (commit grant, denial,
     /// squash by cause). The end-of-run remainder is added as "tail" by
     /// `SimReport::collect`, making the total exactly the run's cycles.
     pub loss: CycleLoss,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum WindowForward {
-    /// No older in-window store to this word.
-    None,
-    /// Forward this value.
-    Value(u64),
-    /// An older RMW has not performed yet; the value is unknown.
-    Unknown,
-}
-
-#[derive(Debug)]
-struct MissEntry {
-    sent: bool,
-    /// Cycle the request actually went out (for miss-latency accounting).
-    sent_at: Cycle,
-    retry_at: Cycle,
-    waiting_loads: Vec<SlotId>,
-    invalidated: bool,
 }
 
 /// A BulkSC core node: processor + checkpointing + BDM + private L1.
@@ -149,11 +122,7 @@ pub struct BulkNode {
     stash: Option<Instr>,
     slot_chunks: HashMap<SlotId, u64>,
 
-    l1: SetAssocCache,
-    misses: HashMap<LineAddr, MissEntry>,
-    completions: BinaryHeap<Reverse<(Cycle, SlotId)>>,
-    pending_fetches: HashMap<LineAddr, (NodeId, bool)>,
-    deferred_fetches: Vec<(Cycle, LineAddr, NodeId, bool)>,
+    port: MemPort,
 
     /// Active chunks, oldest first; the back one may be open.
     chunks: VecDeque<Chunk>,
@@ -219,11 +188,7 @@ impl BulkNode {
             feed: None,
             stash: None,
             slot_chunks: HashMap::new(),
-            l1: SetAssocCache::new(l1),
-            misses: HashMap::new(),
-            completions: BinaryHeap::new(),
-            pending_fetches: HashMap::new(),
-            deferred_fetches: Vec::new(),
+            port: MemPort::new(core, cfg, l1, num_dirs),
             chunks: VecDeque::new(),
             next_seq: 0,
             fetched_into_chunk: 0,
@@ -259,6 +224,11 @@ impl BulkNode {
         &self.stats
     }
 
+    /// L1 and miss counters.
+    pub fn port_stats(&self) -> &PortStats {
+        self.port.stats()
+    }
+
     /// The thread program (for observations after a run).
     pub fn program(&self) -> &dyn ThreadProgram {
         self.program.as_ref()
@@ -287,10 +257,6 @@ impl BulkNode {
             .loss
             .charge(label, now.saturating_sub(self.loss_mark));
         self.loss_mark = now;
-    }
-
-    fn dir_node(&self, line: LineAddr) -> NodeId {
-        NodeId::Dir((line.0 % self.num_dirs as u64) as u32)
     }
 
     fn open_chunk(&mut self, now: Cycle) {
@@ -330,18 +296,6 @@ impl BulkNode {
         self.chunks.iter_mut().find(|c| c.tag.seq == seq)
     }
 
-    /// A window slot that in-flight pipeline state (a completion, a miss
-    /// wakeup) still refers to. Losing it means the window and the
-    /// bookkeeping maps disagree — panic with the core, cycle, and slot
-    /// so a bad configuration produces a usable report instead of an
-    /// anonymous `Option::unwrap`.
-    fn slot_mut(&mut self, now: Cycle, slot: SlotId, ctx: &str) -> &mut Slot {
-        let core = self.core;
-        self.window.get_mut(slot).unwrap_or_else(|| {
-            panic!("core {core}: cycle {now}: window slot {slot} is gone ({ctx})")
-        })
-    }
-
     /// The chunk sequence number a slot was fetched into. Every slot is
     /// tagged at fetch time; an untagged slot in the retire/issue path
     /// means chunk accounting was corrupted.
@@ -369,27 +323,21 @@ impl BulkNode {
     /// Advance this core by one cycle.
     pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
-        self.answer_deferred_fetches(now, fab);
+        for f in self.port.due_fetches(now) {
+            self.surrender(now, f, fab);
+        }
         if self.finished() {
             return;
         }
-        self.pop_completions(now, values);
+        while let Some(slot) = self.port.next_completion(now) {
+            self.complete_load(now, slot, |a| values.read(a));
+        }
         self.maybe_request_commit(now, fab, values);
         self.retire(now, values, fab);
         self.issue(now);
-        self.send_pending_misses(now, fab);
+        self.port.send_misses(now, fab);
         self.fetch(now, fab);
         self.check_finished(now);
-    }
-
-    fn pop_completions(&mut self, now: Cycle, values: &ValueStore) {
-        while let Some(&Reverse((t, slot))) = self.completions.peek() {
-            if t > now {
-                break;
-            }
-            self.completions.pop();
-            self.complete_load_slot(now, slot, values);
-        }
     }
 
     /// The value a load must observe: the youngest speculative store of
@@ -403,58 +351,14 @@ impl BulkNode {
         values.read(addr)
     }
 
-    fn complete_load_slot(&mut self, now: Cycle, slot: SlotId, values: &ValueStore) {
-        let Some(s) = self.window.get_mut(slot) else {
-            return;
-        };
-        if s.state != SlotState::Issued {
-            return;
-        }
-        let Instr::Load { addr, .. } = s.instr else {
-            s.state = SlotState::Done;
-            return;
-        };
-        // Forward from older in-window stores first (they have not
-        // reached the chunk store buffer yet), then from the chunk
-        // buffers, then committed memory. An older unperformed RMW means
-        // the value is not known yet: retry next cycle.
-        match self.window_forward(slot, addr) {
-            WindowForward::Value(v) => {
-                let s = self.slot_mut(now, slot, "load completed by store forwarding");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-            WindowForward::Unknown => {
-                // Re-examine next cycle; the RMW performs at the head.
-                self.completions.push(Reverse((now + 1, slot)));
-            }
-            WindowForward::None => {
-                let v = self.resolved_value(addr, values);
-                let s = self.slot_mut(now, slot, "load completed from memory");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-        }
-    }
-
-    /// The youngest older same-word store/RMW still in the window.
-    fn window_forward(&self, slot: SlotId, addr: Addr) -> WindowForward {
-        let mut fwd = WindowForward::None;
-        for s in self.window.iter() {
-            if s.id >= slot {
-                break;
-            }
-            match s.instr {
-                Instr::Store { addr: a, value } if a == addr => {
-                    fwd = WindowForward::Value(value);
-                }
-                Instr::Rmw { addr: a, .. } if a == addr => {
-                    fwd = WindowForward::Unknown;
-                }
-                _ => {}
-            }
-        }
-        fwd
+    /// Complete the load at `slot`: older in-window stores forward first
+    /// (they have not reached the chunk store buffer yet), then the chunk
+    /// buffers, then `memory`.
+    fn complete_load(&mut self, now: Cycle, slot: SlotId, memory: impl Fn(Addr) -> u64) {
+        let chunks = &self.chunks;
+        let buffered = |a| chunks.iter().rev().find_map(|c| c.forward(a));
+        self.port
+            .complete_load(now, &mut self.window, slot, buffered, memory);
     }
 
     fn retire(&mut self, now: Cycle, values: &mut ValueStore, fab: &mut Fabric) {
@@ -545,10 +449,10 @@ impl BulkNode {
                 Instr::Rmw { addr, op } => {
                     // Atomicity comes from the chunk (§3.3); the RMW just
                     // needs its line (or a forwarded value) to read.
-                    let have_line = self.l1.contains(addr.line())
+                    let have_line = self.port.l1.contains(addr.line())
                         || self.chunks.iter().any(|c| c.forward(addr).is_some());
                     if !have_line {
-                        self.want_line(now, head_id, addr.line(), None);
+                        self.port.want(now, addr.line(), false, None);
                         break;
                     }
                     let old = self.resolved_value(addr, values);
@@ -632,12 +536,13 @@ impl BulkNode {
         let is_static_priv =
             self.bulk.private == PrivateMode::Static && self.map.is_static_private(addr);
         let dirty_nonspec =
-            self.l1.state(line) == Some(LineState::Dirty) && !self.spec_written(line);
+            self.port.l1.state(line) == Some(LineState::Dirty) && !self.spec_written(line);
 
         // Make sure the line is present or on its way (§6: must arrive
         // before the chunk commits).
-        if !self.l1.contains(line) {
-            self.want_line(now, slot, line, Some(seq));
+        let missing = !self.port.l1.contains(line);
+        if missing {
+            self.port.want(now, line, false, None);
         }
 
         let use_wpriv = if is_static_priv {
@@ -652,13 +557,13 @@ impl BulkNode {
                 fab.send(
                     now,
                     self.id(),
-                    self.dir_node(line),
+                    self.port.dir_of(line),
                     Message::Writeback {
                         line,
                         keep_shared: true,
                     },
                 );
-                self.l1.set_state(line, LineState::Shared);
+                self.port.l1.set_state(line, LineState::Shared);
                 false
             }
         } else {
@@ -668,13 +573,13 @@ impl BulkNode {
                 fab.send(
                     now,
                     self.id(),
-                    self.dir_node(line),
+                    self.port.dir_of(line),
                     Message::Writeback {
                         line,
                         keep_shared: true,
                     },
                 );
-                self.l1.set_state(line, LineState::Shared);
+                self.port.l1.set_state(line, LineState::Shared);
             }
             false
         };
@@ -691,6 +596,9 @@ impl BulkNode {
                      seq {seq}, but no chunk with that tag is live"
                 )
             });
+        if missing {
+            chunk.pending_lines.insert(line);
+        }
         if use_wpriv || (self.bulk.private == PrivateMode::Dynamic && already_wpriv) {
             chunk.wpriv.insert(line);
         } else {
@@ -723,19 +631,10 @@ impl BulkNode {
                 Instr::Load { addr, .. } => {
                     self.record_read(seq, addr);
                     let forwarded = self.chunks.iter().any(|c| c.forward(addr).is_some());
-                    if forwarded || self.l1.contains(addr.line()) {
-                        if self.l1.touch(addr.line()) {
-                            self.stats.l1_hits += 1;
-                        }
-                        self.completions
-                            .push(Reverse((now + self.cfg.l1_latency, id)));
+                    if forwarded || self.port.l1.contains(addr.line()) {
+                        self.port.hit(now, addr.line(), id);
                     } else {
-                        self.want_line(now, id, addr.line(), None);
-                        if let Some(m) = self.misses.get_mut(&addr.line()) {
-                            if !m.waiting_loads.contains(&id) {
-                                m.waiting_loads.push(id);
-                            }
-                        }
+                        self.port.want(now, addr.line(), false, Some(id));
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Issued;
@@ -745,8 +644,8 @@ impl BulkNode {
                     // The read side joins R; the line is prefetched; the
                     // op itself performs at the head.
                     self.record_read(seq, addr);
-                    if !self.l1.contains(addr.line()) {
-                        self.want_line(now, id, addr.line(), None);
+                    if !self.port.l1.contains(addr.line()) {
+                        self.port.want(now, addr.line(), false, None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done;
@@ -754,8 +653,8 @@ impl BulkNode {
                 }
                 Instr::Store { addr, .. } => {
                     // Prefetch the line; the store performs at the head.
-                    if !self.l1.contains(addr.line()) {
-                        self.want_line(now, id, addr.line(), None);
+                    if !self.port.l1.contains(addr.line()) {
+                        self.port.want(now, addr.line(), false, None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done;
@@ -775,62 +674,6 @@ impl BulkNode {
         }
         if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
             c.r.insert(addr.line());
-        }
-    }
-
-    /// Register interest in `line`. `pending_for` marks the chunk that
-    /// cannot commit until the line arrives (speculative stores).
-    fn want_line(&mut self, now: Cycle, _slot: SlotId, line: LineAddr, pending_for: Option<u64>) {
-        self.misses.entry(line).or_insert_with(|| MissEntry {
-            sent: false,
-            sent_at: 0,
-            retry_at: now,
-            waiting_loads: Vec::new(),
-            invalidated: false,
-        });
-        if let Some(seq) = pending_for {
-            if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
-                c.pending_lines.insert(line);
-            }
-        }
-    }
-
-    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric) {
-        let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
-        let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
-        if budget == 0 {
-            return;
-        }
-        let mut lines: Vec<LineAddr> = self
-            .misses
-            .iter()
-            .filter(|(_, m)| !m.sent && m.retry_at <= now)
-            .map(|(&l, _)| l)
-            .collect();
-        lines.sort_unstable();
-        for line in lines {
-            if budget == 0 {
-                break;
-            }
-            let dst = self.dir_node(line);
-            let core = self.core;
-            let m = self.misses.get_mut(&line).unwrap_or_else(|| {
-                panic!(
-                    "core {core}: cycle {now}: miss entry for {line} vanished \
-                     while draining the MSHR send queue"
-                )
-            });
-            m.sent = true;
-            m.sent_at = now;
-            self.stats.l1_misses += 1;
-            // §4.3: always a read request, even for writes.
-            fab.send(
-                now,
-                NodeId::Core(self.core),
-                dst,
-                Message::ReadShared { line },
-            );
-            budget -= 1;
         }
     }
 
@@ -890,8 +733,8 @@ impl BulkNode {
                 let line = addr.line();
                 let veto_set = self.spec_veto();
                 if self.fetched_into_chunk > 0
-                    && !self.l1.contains(line)
-                    && self.l1.would_overflow(line, |l| veto_set.contains(&l))
+                    && !self.port.l1.contains(line)
+                    && self.port.l1.would_overflow(line, |l| veto_set.contains(&l))
                 {
                     self.close_open_chunk();
                     self.stash = Some(instr);
@@ -1101,8 +944,8 @@ impl BulkNode {
         // The committer is now the owner of the lines it wrote (the
         // directory's Table 1 row 2 does the same on its side).
         for line in front.w.exact().iter().chain(front.wpriv.exact().iter()) {
-            if self.l1.contains(line) {
-                self.l1.set_state(line, LineState::Dirty);
+            if self.port.l1.contains(line) {
+                self.port.l1.set_state(line, LineState::Dirty);
             }
         }
         // §5.1: private data is kept coherent by sending Wpriv straight to
@@ -1225,7 +1068,7 @@ impl BulkNode {
             // §5.2). The exact shadow is used so that older chunks' lines
             // are never hit.
             for line in c.w.exact().iter() {
-                self.l1.invalidate(line);
+                self.port.l1.invalidate(line);
             }
             for line in c.wpriv.exact().iter() {
                 let still_needed = self.chunks.iter().any(|k| k.wpriv.contains_exact(line));
@@ -1277,20 +1120,18 @@ impl BulkNode {
                 data,
             } => self.fill(now, line, exclusive, data, fab),
             Message::Nack { line } => {
-                self.stats.nacks += 1;
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.sent = false;
-                    m.retry_at = now + self.cfg.nack_retry;
-                }
-                if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-                    self.surrender_line(now, line, src, for_excl, fab);
+                if let Some(f) = self.port.nack(now, line) {
+                    self.surrender(now, f, fab);
                 }
             }
             Message::Fetch { line, for_excl } => {
-                if self.misses.get(&line).map(|m| m.sent).unwrap_or(false) {
-                    self.pending_fetches.insert(line, (env.src, for_excl));
-                } else {
-                    self.surrender_line(now, line, env.src, for_excl, fab);
+                let f = Fetch {
+                    line,
+                    src: env.src,
+                    excl: for_excl,
+                };
+                if !self.port.defer_fetch(f) {
+                    self.surrender(now, f, fab);
                 }
             }
             Message::WSigInv {
@@ -1344,18 +1185,6 @@ impl BulkNode {
         // 1. Disambiguate: the oldest colliding chunk and all younger ones
         //    squash (CReq1's in-order rule).
         let victim = self.chunks.iter().position(|c| c.collides_with(w));
-        if std::env::var_os("BULKSC_TRACE_DISAMBIG").is_some() && !w.is_empty() {
-            for c in &self.chunks {
-                eprintln!(
-                    "DISAMBIG core{} w_len={} r_len={} bloom={} exact={}",
-                    self.core,
-                    w.len(),
-                    c.r.len(),
-                    c.collides_with(w),
-                    c.collides_exactly_with(w)
-                );
-            }
-        }
         if let Some(idx) = victim {
             let exact = self
                 .chunks
@@ -1388,11 +1217,11 @@ impl BulkNode {
         //    invalidate members. Lines whose pre-image the Private Buffer
         //    retains stay (the commit cannot really have written them —
         //    we are their registered owner).
-        for set in w.decode_sets(self.l1.num_sets()) {
-            for line in self.l1.lines_in_set(set) {
+        for set in w.decode_sets(self.port.l1.num_sets()) {
+            for line in self.port.l1.lines_in_set(set) {
                 if w.contains(line) && !self.priv_buffer.contains(line) && !self.spec_written(line)
                 {
-                    self.l1.invalidate(line);
+                    self.port.l1.invalidate(line);
                     self.note_lost_clean_line(line);
                     self.stats.cache_invs += 1;
                     if !w.contains_exact(line) {
@@ -1403,11 +1232,7 @@ impl BulkNode {
         }
         // 3. Stale-fill protection: in-flight fills for lines the commit
         //    wrote must not install.
-        for (line, m) in self.misses.iter_mut() {
-            if m.sent && w.contains(*line) {
-                m.invalidated = true;
-            }
-        }
+        self.port.invalidate_in_flight(|line| w.contains(line));
         if needs_ack {
             fab.send(now, self.id(), src, Message::WSigInvAck { chunk });
         }
@@ -1493,7 +1318,7 @@ impl BulkNode {
                 .then(|| self.conflict_attr(idx, sig, "displacement", None));
             self.squash_from(idx, cause, label, attr, fab, now);
         }
-        let state = self.l1.invalidate(line);
+        let state = self.port.invalidate(line);
         if self.priv_buffer.remove(line) {
             // The displaced line's pre-image leaves the buffer; make sure
             // the eventual commit announces the write.
@@ -1502,9 +1327,6 @@ impl BulkNode {
                     c.w.insert(line);
                 }
             }
-        }
-        if let Some(m) = self.misses.get_mut(&line) {
-            m.invalidated = true;
         }
         fab.send(
             now,
@@ -1517,17 +1339,12 @@ impl BulkNode {
         );
     }
 
-    fn surrender_line(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        dst: NodeId,
-        for_excl: bool,
-        fab: &mut Fabric,
-    ) {
+    /// Answer a directory fetch for a line we own or are about to.
+    fn surrender(&mut self, now: Cycle, f: Fetch, fab: &mut Fabric) {
         // §5.2: an external request for a line whose old version sits in
         // the Private Buffer is served from the buffer, and the address
         // goes (back) into W so the commit will announce the write.
+        let line = f.line;
         if self.priv_buffer.contains(line) {
             self.priv_buffer.remove(line);
             self.stats.priv_buffer_supplies += 1;
@@ -1540,11 +1357,11 @@ impl BulkNode {
                     c.w.insert(line);
                 }
             }
-            self.l1.set_state(line, LineState::Shared);
+            self.port.l1.set_state(line, LineState::Shared);
             fab.send(
                 now,
                 self.id(),
-                dst,
+                f.src,
                 Message::FetchResp {
                     line,
                     dirty: true,
@@ -1553,39 +1370,9 @@ impl BulkNode {
             );
             return;
         }
-        let state = if for_excl {
-            let s = self.l1.invalidate(line);
+        self.port.surrender(now, f, fab);
+        if f.excl {
             self.note_lost_clean_line(line);
-            s
-        } else {
-            let s = self.l1.state(line);
-            if s.is_some() {
-                self.l1.set_state(line, LineState::Shared);
-            }
-            s
-        };
-        fab.send(
-            now,
-            self.id(),
-            dst,
-            Message::FetchResp {
-                line,
-                dirty: state == Some(LineState::Dirty),
-                had_line: state.is_some(),
-            },
-        );
-    }
-
-    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric) {
-        let due: Vec<(Cycle, LineAddr, NodeId, bool)> = self
-            .deferred_fetches
-            .iter()
-            .filter(|(t, ..)| *t <= now)
-            .copied()
-            .collect();
-        self.deferred_fetches.retain(|(t, ..)| *t > now);
-        for (_, line, src, for_excl) in due {
-            self.surrender_line(now, line, src, for_excl, fab);
         }
     }
 
@@ -1594,30 +1381,16 @@ impl BulkNode {
         now: Cycle,
         line: LineAddr,
         exclusive: bool,
-        data: bulksc_sig::LineData,
+        data: LineData,
         fab: &mut Fabric,
     ) {
-        if self
-            .misses
-            .get(&line)
-            .map(|m| m.invalidated)
-            .unwrap_or(false)
-        {
+        if self.port.is_stale(line) {
             // Stale fill: re-request (the chunk that wanted it was either
             // squashed or will read the fresh copy).
-            if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-                self.surrender_line(now, line, src, for_excl, fab);
+            if let Some(f) = self.port.take_fetch(line) {
+                self.surrender(now, f, fab);
             }
-            let core = self.core;
-            let m = self.misses.get_mut(&line).unwrap_or_else(|| {
-                panic!(
-                    "core {core}: cycle {now}: miss entry for {line} vanished \
-                     while its stale fill was being re-requested"
-                )
-            });
-            m.sent = false;
-            m.invalidated = false;
-            m.retry_at = now + 1;
+            self.port.retry_miss(now, line);
             return;
         }
         let state = if exclusive {
@@ -1626,7 +1399,7 @@ impl BulkNode {
             LineState::Shared
         };
         let veto_set = self.spec_veto();
-        match self.l1.insert(line, state, |l| veto_set.contains(&l)) {
+        match self.port.l1.insert(line, state, |l| veto_set.contains(&l)) {
             InsertOutcome::Evicted {
                 line: victim,
                 state: vstate,
@@ -1640,7 +1413,7 @@ impl BulkNode {
                     fab.send(
                         now,
                         self.id(),
-                        self.dir_node(victim),
+                        self.port.dir_of(victim),
                         Message::Writeback {
                             line: victim,
                             keep_shared: false,
@@ -1687,42 +1460,9 @@ impl BulkNode {
         for c in self.chunks.iter_mut() {
             c.pending_lines.remove(&line);
         }
-        if let Some(m) = self.misses.remove(&line) {
-            if m.sent {
-                self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
-            }
-            for slot in m.waiting_loads {
-                // Values: forwarding first, then the response snapshot.
-                let Some(s) = self.window.get_mut(slot) else {
-                    continue;
-                };
-                if s.state != SlotState::Issued {
-                    continue;
-                }
-                let Instr::Load { addr, .. } = s.instr else {
-                    continue;
-                };
-                let v = match self.window_forward(slot, addr) {
-                    WindowForward::Value(v) => v,
-                    WindowForward::Unknown => {
-                        self.completions.push(Reverse((now + 1, slot)));
-                        continue;
-                    }
-                    WindowForward::None => self
-                        .chunks
-                        .iter()
-                        .rev()
-                        .find_map(|c| c.forward(addr))
-                        .unwrap_or(data[addr.line_offset() as usize]),
-                };
-                let s = self.slot_mut(now, slot, "load woken by a fill");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-        }
-        if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-            self.deferred_fetches
-                .push((now + self.cfg.l1_latency + 1, line, src, for_excl));
+        // Values: forwarding first, then the response snapshot.
+        for slot in self.port.filled(now, line) {
+            self.complete_load(now, slot, |a| data[a.line_offset() as usize]);
         }
     }
 
@@ -1771,10 +1511,7 @@ impl BulkNode {
             self.window.len(),
             self.chunks.iter().map(|c| format!("{}:{:?}r{}", c.tag, c.state, c.retired)).collect::<Vec<_>>(),
             self.committing.len(),
-            self.misses
-                .iter()
-                .map(|(l, m)| format!("{l}:sent={},inv={},retry={}", m.sent, m.invalidated, m.retry_at))
-                .collect::<Vec<_>>(),
+            self.port.debug_misses(),
             self.chunks.front().map(|c| c.pending_lines.len()),
             self.prearb_waiting,
             self.prearb_granted,

@@ -180,7 +180,6 @@ impl SimReport {
                 lat_execute.merge(&b.lat_execute);
                 lat_arbitration.merge(&b.lat_arbitration);
                 lat_commit_visible.merge(&b.lat_commit_visible);
-                lat_l1_miss.merge(&b.lat_miss);
                 // Close each core's attribution: whatever follows the last
                 // charged lifecycle event (end-of-run drain, post-finish
                 // idle) is the tail, making the total exactly the run.
@@ -190,8 +189,8 @@ impl SimReport {
             }
             if let Some(b) = n.baseline_stats() {
                 retired += b.retired;
-                lat_l1_miss.merge(&b.lat_miss);
             }
+            lat_l1_miss.merge(&n.port_stats().lat_miss);
         }
 
         let lookups = m.counter(Counter::DirLookups);

@@ -3,7 +3,7 @@
 //! G-arbiter, and the interconnect — advanced cycle by cycle,
 //! deterministically.
 
-use bulksc_cpu::{BaselineNode, CoreStats, ValueStore};
+use bulksc_cpu::{BaselineNode, CoreStats, PortStats, ValueStore};
 use bulksc_metrics::{Counter, Gauge, Hist, MetricsSnapshot};
 use bulksc_net::{Cycle, Envelope, Fabric, NodeId};
 use bulksc_trace::{Event, IntervalSeries, TraceHandle};
@@ -74,6 +74,14 @@ impl CoreNode {
         }
     }
 
+    /// L1 and miss counters, for either kind of core.
+    pub fn port_stats(&self) -> &PortStats {
+        match self {
+            CoreNode::Baseline(n) => n.port_stats(),
+            CoreNode::Bulk(n) => n.port_stats(),
+        }
+    }
+
     /// One-line diagnostic snapshot.
     pub fn debug_state(&self) -> String {
         match self {
@@ -123,13 +131,7 @@ impl System {
             .enumerate()
             .map(|(i, p)| match &cfg.model {
                 Model::Baseline(m) => CoreNode::Baseline(BaselineNode::new(
-                    i as u32,
-                    *m,
-                    cfg.core,
-                    cfg.l1,
-                    p,
-                    cfg.budget,
-                    dir_of_static,
+                    i as u32, *m, cfg.core, cfg.l1, p, cfg.budget, num_dirs,
                 )),
                 Model::Bulk(b) => CoreNode::Bulk(BulkNode::new(
                     i as u32,
@@ -496,13 +498,6 @@ impl System {
 const STALL_CHECK_EVERY: Cycle = 1024;
 const STALL_WINDOW: Cycle = 65_536;
 
-/// Line-to-directory routing for baseline nodes (single-directory default;
-/// multi-directory baselines route the same way BulkSC cores do).
-fn dir_of_static(line: bulksc_sig::LineAddr) -> u32 {
-    let _ = line;
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,6 +533,35 @@ mod tests {
                 dump.contains("sent=true"),
                 "{name}: no orphaned miss:\n{dump}"
             );
+        }
+    }
+
+    #[test]
+    fn identical_machines_print_identical_dumps() {
+        let spec = FuzzSpec::default();
+        let sc = Model::Baseline(BaselineModel::Sc);
+        let rc = Model::Baseline(BaselineModel::Rc);
+        for model in [sc, rc, Model::Bulk(BulkConfig::bsc_dypvt())] {
+            let name = model.name();
+            for seed in 1..=4 {
+                let build = || {
+                    let mut cfg = SystemConfig::cmp8(model.clone());
+                    (cfg.cores, cfg.budget) = (spec.threads, u64::MAX);
+                    System::new(cfg, fuzz_programs(spec, seed))
+                };
+                let (mut a, mut b) = (build(), build());
+                for until in [20, 50, 100, 200] {
+                    while a.cycles() < until {
+                        a.step();
+                        b.step();
+                    }
+                    assert_eq!(
+                        a.debug_state(),
+                        b.debug_state(),
+                        "{name}: seed {seed}, cycle {until}"
+                    );
+                }
+            }
         }
     }
 }

@@ -15,13 +15,16 @@
 //! * SC++, modelled at epoch granularity with checkpoint rollback.
 //!
 //! The BulkSC core itself lives in the `bulksc` crate; it shares this
-//! crate's [`window`], [`ValueStore`], and [`CoreConfig`] building blocks.
+//! crate's [`window`], memory [`port`], [`ValueStore`], and [`CoreConfig`]
+//! building blocks.
 
 pub mod config;
 pub mod node;
+pub mod port;
 pub mod window;
 
 pub use bulksc_mem::ValueStore;
 pub use config::CoreConfig;
 pub use node::{BaselineModel, BaselineNode, CoreStats};
+pub use port::{Fetch, MemPort, PortStats};
 pub use window::{InstrWindow, Slot, SlotId, SlotState};

@@ -29,17 +29,16 @@
 //!
 //! One node = one core + L1 + its protocol endpoint on the fabric.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
+use bulksc_mem::{CacheConfig, InsertOutcome, LineState};
 use bulksc_net::{Cycle, Envelope, Fabric, Message, NodeId};
-use bulksc_sig::{Addr, LineAddr};
-use bulksc_stats::Histogram;
+use bulksc_sig::{Addr, LineAddr, LineData};
 use bulksc_trace::{Event, TraceHandle};
 use bulksc_workloads::{Instr, ThreadProgram};
 
 use crate::config::CoreConfig;
+use crate::port::{Fetch, MemPort, PortStats};
 use crate::window::{InstrWindow, SlotId, SlotState};
 use bulksc_mem::ValueStore;
 
@@ -71,34 +70,8 @@ pub struct CoreStats {
     pub squashes: u64,
     /// Speculative loads re-issued after invalidation/displacement (SC).
     pub load_reissues: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L1 misses (requests sent to the directory).
-    pub l1_misses: u64,
-    /// Nacks received.
-    pub nacks: u64,
     /// Cycle at which this core finished its program, if it has.
     pub finished_at: Option<Cycle>,
-    /// L1 miss latency: request sent to fill (or upgrade ack) received.
-    pub lat_miss: Histogram,
-}
-
-#[derive(Debug)]
-struct MissEntry {
-    /// True if exclusivity (ownership) is required.
-    excl: bool,
-    /// Request currently in flight.
-    sent: bool,
-    /// Cycle the request went out (for miss-latency accounting).
-    sent_at: Cycle,
-    /// Retry barrier after a Nack.
-    retry_at: Cycle,
-    /// Loads waiting for this line.
-    waiting_loads: Vec<SlotId>,
-    /// An invalidation raced past the in-flight fill: the response data is
-    /// already stale by coherence order. The fill must not install the
-    /// line, and SC/SC++ must replay the waiting loads.
-    invalidated: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -130,7 +103,6 @@ pub struct BaselineNode {
     core: u32,
     model: BaselineModel,
     cfg: CoreConfig,
-    dir_of: fn(LineAddr) -> u32,
 
     program: Box<dyn ThreadProgram>,
     program_done: bool,
@@ -148,17 +120,8 @@ pub struct BaselineNode {
     /// Epoch id assigned to newly fetched slots.
     slot_epochs: HashMap<SlotId, u64>,
 
-    l1: SetAssocCache,
-    misses: HashMap<LineAddr, MissEntry>,
-    completions: BinaryHeap<Reverse<(Cycle, SlotId)>>,
-
+    port: MemPort,
     store_buffer: VecDeque<SbEntry>,
-
-    /// Fetch requests that arrived while our own fill for the line was in
-    /// flight: answered after the fill lands (plus a grace cycle so the
-    /// head store can perform during its ownership tenure).
-    pending_fetches: HashMap<LineAddr, (NodeId, bool)>,
-    deferred_fetches: Vec<(Cycle, LineAddr, NodeId, bool)>,
 
     /// SC: cycle the last memory operation retired (performs serialize).
     last_mem_retire: Cycle,
@@ -180,8 +143,8 @@ pub struct BaselineNode {
 
 impl BaselineNode {
     /// A core node for `core`, running `program` under `model`, stopping
-    /// after `budget` retired dynamic instructions (or program end).
-    /// `dir_of` maps a line to the directory module owning it.
+    /// after `budget` retired dynamic instructions (or program end), on a
+    /// machine with `num_dirs` directories.
     pub fn new(
         core: u32,
         model: BaselineModel,
@@ -189,13 +152,12 @@ impl BaselineNode {
         l1: CacheConfig,
         program: Box<dyn ThreadProgram>,
         budget: u64,
-        dir_of: fn(LineAddr) -> u32,
+        num_dirs: u32,
     ) -> Self {
         let mut node = BaselineNode {
             core,
             model,
             cfg,
-            dir_of,
             program,
             program_done: false,
             budget,
@@ -204,12 +166,8 @@ impl BaselineNode {
             feed: None,
             stash: None,
             slot_epochs: HashMap::new(),
-            l1: SetAssocCache::new(l1),
-            misses: HashMap::new(),
-            completions: BinaryHeap::new(),
+            port: MemPort::new(core, cfg, l1, num_dirs),
             store_buffer: VecDeque::new(),
-            pending_fetches: HashMap::new(),
-            deferred_fetches: Vec::new(),
             last_mem_retire: 0,
             epochs: VecDeque::new(),
             current_epoch: 0,
@@ -258,6 +216,11 @@ impl BaselineNode {
         &self.stats
     }
 
+    /// L1 and miss counters.
+    pub fn port_stats(&self) -> &PortStats {
+        self.port.stats()
+    }
+
     /// The thread program (for reading observations after a run).
     pub fn program(&self) -> &dyn ThreadProgram {
         self.program.as_ref()
@@ -266,10 +229,6 @@ impl BaselineNode {
     /// True once the program has ended and all its effects have drained.
     pub fn finished(&self) -> bool {
         self.stats.finished_at.is_some()
-    }
-
-    fn dir_node(&self, line: LineAddr) -> NodeId {
-        NodeId::Dir((self.dir_of)(line))
     }
 
     fn open_epoch(&mut self) {
@@ -295,83 +254,30 @@ impl BaselineNode {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
         // Protocol obligations outlive the program: a finished core must
         // still answer fetches deferred behind its last fills.
-        self.answer_deferred_fetches(now, fab);
+        for f in self.port.due_fetches(now) {
+            self.surrender(now, f, fab);
+        }
         if self.finished() {
             return;
         }
-        self.pop_completions(now, values);
+        while let Some(slot) = self.port.next_completion(now) {
+            self.complete_load(now, slot, |a| values.read(a));
+        }
         self.retire(now, values);
-        self.drain_store_buffer(now, fab, values);
-        self.issue(now, fab);
-        self.send_pending_misses(now, fab);
-        self.fetch(now);
+        self.drain_store_buffer(now, values);
+        self.issue(now);
+        self.port.send_misses(now, fab);
+        self.fetch();
         self.check_finished(now);
     }
 
-    fn pop_completions(&mut self, now: Cycle, values: &mut ValueStore) {
-        while let Some(&Reverse((t, slot))) = self.completions.peek() {
-            if t > now {
-                break;
-            }
-            self.completions.pop();
-            self.complete_load_slot(now, slot, values);
-        }
-    }
-
-    /// Transition a load slot to Done, capturing its value with
-    /// store-to-load forwarding from older in-flight stores.
-    fn complete_load_slot(&mut self, now: Cycle, slot: SlotId, values: &ValueStore) {
-        let Some(s) = self.window.get_mut(slot) else {
-            return;
-        };
-        if s.state != SlotState::Issued {
-            return;
-        }
-        let Instr::Load { addr, .. } = s.instr else {
-            s.state = SlotState::Done;
-            return;
-        };
-        match self.forwarded_value(slot, addr, values) {
-            Some(v) => {
-                let s = self.window.get_mut(slot).expect("slot exists");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-            None => {
-                // An older RMW to the same word has not performed yet:
-                // its result is unknown, so retry shortly.
-                self.completions.push(Reverse((now + 1, slot)));
-            }
-        }
-    }
-
-    /// The value a load at `slot` must observe: the youngest older same-
-    /// word store in the window, else the youngest store-buffer entry,
-    /// else committed memory. `None` if it would forward from an
-    /// unperformed RMW (value not yet known).
-    fn forwarded_value(&self, slot: SlotId, addr: Addr, values: &ValueStore) -> Option<u64> {
-        let mut forwarded: Option<Option<u64>> = None;
-        for s in self.window.iter() {
-            if s.id >= slot {
-                break;
-            }
-            match s.instr {
-                Instr::Store { addr: a, value } if a == addr => {
-                    forwarded = Some(Some(value));
-                }
-                Instr::Rmw { addr: a, .. } if a == addr => {
-                    forwarded = Some(None); // unknown until it performs
-                }
-                _ => {}
-            }
-        }
-        if let Some(v) = forwarded {
-            return v;
-        }
-        if let Some(e) = self.store_buffer.iter().rev().find(|e| e.addr == addr) {
-            return Some(e.value);
-        }
-        Some(values.read(addr))
+    /// Complete the load at `slot`, forwarding from older stores in the
+    /// window, then the store buffer, then `memory`.
+    fn complete_load(&mut self, now: Cycle, slot: SlotId, memory: impl Fn(Addr) -> u64) {
+        let sb = &self.store_buffer;
+        let buffered = |a| sb.iter().rev().find(|e| e.addr == a).map(|e| e.value);
+        self.port
+            .complete_load(now, &mut self.window, slot, buffered, memory);
     }
 
     fn retire(&mut self, now: Cycle, values: &mut ValueStore) {
@@ -481,13 +387,13 @@ impl BaselineNode {
                         break;
                     }
                     if !self.line_owned(addr.line()) {
-                        self.want_line(now, addr.line(), true, None);
+                        self.port.want(now, addr.line(), true, None);
                         break;
                     }
                     let old = values.read(addr);
                     let new = op.apply(old);
                     values.write(addr, new);
-                    self.l1.set_state(addr.line(), LineState::Dirty);
+                    self.port.l1.set_state(addr.line(), LineState::Dirty);
                     if self.value_tracing() {
                         let core = self.core;
                         let po = self.next_po();
@@ -521,7 +427,7 @@ impl BaselineNode {
                 }
                 Instr::Io => {
                     // Uncached: wait until the core is quiescent.
-                    if !self.store_buffer.is_empty() || !self.misses.is_empty() {
+                    if !self.store_buffer.is_empty() || self.port.has_misses() {
                         break;
                     }
                     self.finish_slot(head_id);
@@ -609,26 +515,26 @@ impl BaselineNode {
     ) -> bool {
         if self.line_owned(addr.line()) {
             values.write(addr, value);
-            self.l1.set_state(addr.line(), LineState::Dirty);
+            self.port.l1.set_state(addr.line(), LineState::Dirty);
             return true;
         }
-        self.want_line(now, addr.line(), true, None);
+        self.port.want(now, addr.line(), true, None);
         false
     }
 
     fn line_owned(&self, line: LineAddr) -> bool {
         matches!(
-            self.l1.state(line),
+            self.port.l1.state(line),
             Some(LineState::Exclusive) | Some(LineState::Dirty)
         )
     }
 
-    fn drain_store_buffer(&mut self, now: Cycle, _fab: &mut Fabric, values: &mut ValueStore) {
+    fn drain_store_buffer(&mut self, now: Cycle, values: &mut ValueStore) {
         // Head drains when owned; deeper entries get exclusive prefetches.
         while let Some(head) = self.store_buffer.front().cloned() {
             if self.line_owned(head.addr.line()) {
                 values.write(head.addr, head.value);
-                self.l1.set_state(head.addr.line(), LineState::Dirty);
+                self.port.l1.set_state(head.addr.line(), LineState::Dirty);
                 if self.value_tracing() {
                     let core = self.core;
                     self.trace.emit(now, || Event::ValStore {
@@ -642,7 +548,7 @@ impl BaselineNode {
                 }
                 self.store_buffer.pop_front();
             } else {
-                self.want_line(now, head.addr.line(), true, None);
+                self.port.want(now, head.addr.line(), true, None);
                 break;
             }
         }
@@ -656,12 +562,12 @@ impl BaselineNode {
             .collect();
         for line in prefetch {
             if !self.line_owned(line) {
-                self.want_line(now, line, true, None);
+                self.port.want(now, line, true, None);
             }
         }
     }
 
-    fn issue(&mut self, now: Cycle, _fab: &mut Fabric) {
+    fn issue(&mut self, now: Cycle) {
         // RC/SC++: loads issue as soon as they are in the window, stores
         // prefetch ownership immediately. SC: requirement (i) permits only
         // the bounded prefetch lookahead — memory ops beyond the first
@@ -697,25 +603,19 @@ impl BaselineNode {
         for (id, instr) in to_start {
             match instr {
                 Instr::Load { addr, .. } => {
-                    if self.l1.contains(addr.line()) {
-                        self.stats.l1_hits += 1;
-                        self.l1.touch(addr.line());
-                        self.completions
-                            .push(Reverse((now + self.cfg.l1_latency, id)));
-                        if let Some(s) = self.window.get_mut(id) {
-                            s.state = SlotState::Issued;
-                        }
+                    if self.port.l1.contains(addr.line()) {
+                        self.port.hit(now, addr.line(), id);
                     } else {
-                        self.want_line(now, addr.line(), false, Some(id));
-                        if let Some(s) = self.window.get_mut(id) {
-                            s.state = SlotState::Issued;
-                        }
+                        self.port.want(now, addr.line(), false, Some(id));
+                    }
+                    if let Some(s) = self.window.get_mut(id) {
+                        s.state = SlotState::Issued;
                     }
                 }
                 Instr::Store { addr, .. } | Instr::Rmw { addr, .. } => {
                     // Exclusive prefetch; the op itself performs at retire.
                     if !self.line_owned(addr.line()) {
-                        self.want_line(now, addr.line(), true, None);
+                        self.port.want(now, addr.line(), true, None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done; // nothing more to do pre-retire
@@ -726,64 +626,7 @@ impl BaselineNode {
         }
     }
 
-    /// Register interest in `line`; `excl` requires ownership; `waiter` is
-    /// a load slot to complete on arrival.
-    fn want_line(&mut self, now: Cycle, line: LineAddr, excl: bool, waiter: Option<SlotId>) {
-        let entry = self.misses.entry(line).or_insert_with(|| MissEntry {
-            excl,
-            sent: false,
-            sent_at: 0,
-            retry_at: now,
-            waiting_loads: Vec::new(),
-            invalidated: false,
-        });
-        entry.excl |= excl;
-        if let Some(w) = waiter {
-            if !entry.waiting_loads.contains(&w) {
-                entry.waiting_loads.push(w);
-            }
-        }
-    }
-
-    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric) {
-        let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
-        let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
-        if budget == 0 {
-            return;
-        }
-        // Deterministic order: by line address.
-        let mut lines: Vec<LineAddr> = self
-            .misses
-            .iter()
-            .filter(|(_, m)| !m.sent && m.retry_at <= now)
-            .map(|(&l, _)| l)
-            .collect();
-        lines.sort_unstable();
-        for line in lines {
-            if budget == 0 {
-                break;
-            }
-            let src = self.id();
-            let dst = self.dir_node(line);
-            let m = self.misses.get_mut(&line).expect("listed above");
-            let msg = if m.excl {
-                if self.l1.state(line) == Some(LineState::Shared) {
-                    Message::Upgrade { line }
-                } else {
-                    Message::ReadExcl { line }
-                }
-            } else {
-                Message::ReadShared { line }
-            };
-            m.sent = true;
-            m.sent_at = now;
-            self.stats.l1_misses += 1;
-            fab.send(now, src, dst, msg);
-            budget -= 1;
-        }
-    }
-
-    fn fetch(&mut self, _now: Cycle) {
+    fn fetch(&mut self) {
         if self.awaiting.is_some() {
             return;
         }
@@ -853,15 +696,11 @@ impl BaselineNode {
             .oldest()
             .map(|s| format!("{:?}/{:?}", s.instr, s.state));
         format!(
-            "core{} head={head:?} win={} sb={} misses={:?} pend_fetch={:?} awaiting={:?} done={} finished={:?}",
+            "core{} head={head:?} win={} sb={} misses={:?} awaiting={:?} done={} finished={:?}",
             self.core,
             self.window.len(),
             self.store_buffer.len(),
-            self.misses
-                .iter()
-                .map(|(l, m)| format!("{l}:sent={},inv={}", m.sent, m.invalidated))
-                .collect::<Vec<_>>(),
-            self.pending_fetches.keys().collect::<Vec<_>>(),
+            self.port.debug_misses(),
             self.awaiting,
             self.program_done,
             self.stats.finished_at,
@@ -884,94 +723,63 @@ impl BaselineNode {
                 line,
                 exclusive,
                 data,
-            } => self.fill(now, line, exclusive, data, fab, values),
+            } => self.fill(now, line, exclusive, data, fab),
             Message::UpgradeAck { line } => {
-                self.l1.set_state(line, LineState::Exclusive);
-                if let Some(m) = self.misses.remove(&line) {
-                    if m.sent {
-                        self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
-                    }
-                    // Loads merged into the upgraded miss read the (still
-                    // valid, now exclusive) local copy.
-                    for slot in m.waiting_loads {
-                        self.complete_load_slot(now, slot, values);
-                    }
+                self.port.l1.set_state(line, LineState::Exclusive);
+                // Loads merged into the upgraded miss read the (still
+                // valid, now exclusive) local copy.
+                for slot in self.port.filled(now, line) {
+                    self.complete_load(now, slot, |a| values.read(a));
                 }
             }
-            Message::Inv { line } => {
-                let state = self.l1.invalidate(line);
-                let dirty = state == Some(LineState::Dirty);
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.invalidated = true;
-                }
+            Message::Inv { line } | Message::DisplaceSig { line, .. } => {
+                let dirty = self.port.invalidate(line) == Some(LineState::Dirty);
                 self.on_lost_line(line);
                 fab.send(now, self.id(), env.src, Message::InvAck { line, dirty });
             }
             Message::Fetch { line, for_excl } => {
-                if self.misses.get(&line).map(|m| m.sent).unwrap_or(false) {
-                    // Our own fill for this line is still in flight (the
-                    // directory made us owner before our data arrived):
-                    // answer once the fill lands.
-                    self.pending_fetches.insert(line, (env.src, for_excl));
-                } else {
-                    self.surrender_line(now, line, env.src, for_excl, fab);
+                let f = Fetch {
+                    line,
+                    src: env.src,
+                    excl: for_excl,
+                };
+                if !self.port.defer_fetch(f) {
+                    self.surrender(now, f, fab);
                 }
             }
             Message::Nack { line } => {
-                self.stats.nacks += 1;
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.sent = false;
-                    m.retry_at = now + self.cfg.nack_retry;
+                if let Some(f) = self.port.nack(now, line) {
+                    self.surrender(now, f, fab);
                 }
-                // Our request was denied, so no fill is coming: a fetch
-                // deferred behind it must be answered now (we are a false
-                // owner — §4.3.1's graceful case).
-                if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-                    self.surrender_line(now, line, src, for_excl, fab);
-                }
-            }
-            Message::DisplaceSig { line, .. } => {
-                let state = self.l1.invalidate(line);
-                let dirty = state == Some(LineState::Dirty);
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.invalidated = true;
-                }
-                self.on_lost_line(line);
-                fab.send(now, self.id(), env.src, Message::InvAck { line, dirty });
             }
             other => panic!("baseline core received unexpected message {other:?}"),
         }
     }
 
     /// A data response arrived: fill the L1 and wake the waiting slots.
+    /// Loads observe the value the directory served (`data`), not the
+    /// value at arrival time, unless one of our own stores forwards.
     fn fill(
         &mut self,
         now: Cycle,
         line: LineAddr,
         exclusive: bool,
-        data: bulksc_sig::LineData,
+        data: LineData,
         fab: &mut Fabric,
-        values: &mut ValueStore,
     ) {
+        let snapshot = |a: Addr| data[a.line_offset() as usize];
         // A fill whose line was invalidated while the response was in
         // flight is stale by coherence order: do not install it, and
         // replay (SC/SC++) or complete (RC: the load performed at the
         // directory's serve point, which precedes the invalidation).
-        if self
-            .misses
-            .get(&line)
-            .map(|m| m.invalidated)
-            .unwrap_or(false)
-        {
-            if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-                self.surrender_line(now, line, src, for_excl, fab);
+        if self.port.is_stale(line) {
+            if let Some(f) = self.port.take_fetch(line) {
+                self.surrender(now, f, fab);
             }
-            let m = self.misses.remove(&line).expect("checked above");
-            for slot in m.waiting_loads {
+            let (loads, excl) = self.port.drop_miss(line);
+            for slot in loads {
                 match self.model {
-                    BaselineModel::Rc => {
-                        self.complete_load_slot_with_line(now, slot, values, line, &data);
-                    }
+                    BaselineModel::Rc => self.complete_load(now, slot, snapshot),
                     BaselineModel::Sc | BaselineModel::Scpp | BaselineModel::Tso => {
                         if let Some(s) = self.window.get_mut(slot) {
                             if s.state == SlotState::Issued {
@@ -988,7 +796,7 @@ impl BaselineNode {
             // still needs the line at retire/drain. Re-request now, so
             // ownership stays on its way; the directory serializes the
             // retry.
-            let still_needed = m.excl
+            let still_needed = excl
                 && (self.window.iter().any(|s| {
                     matches!(
                         s.instr,
@@ -997,7 +805,7 @@ impl BaselineNode {
                     )
                 }) || self.store_buffer.iter().any(|e| e.addr.line() == line));
             if still_needed {
-                self.want_line(now, line, true, None);
+                self.port.want(now, line, true, None);
             }
             return;
         }
@@ -1006,7 +814,7 @@ impl BaselineNode {
         } else {
             LineState::Shared
         };
-        match self.l1.insert(line, state, |_| false) {
+        match self.port.l1.insert(line, state, |_| false) {
             InsertOutcome::Evicted {
                 line: victim,
                 state: LineState::Dirty,
@@ -1015,7 +823,7 @@ impl BaselineNode {
                 fab.send(
                     now,
                     self.id(),
-                    self.dir_node(victim),
+                    self.port.dir_of(victim),
                     Message::Writeback {
                         line: victim,
                         keep_shared: false,
@@ -1029,133 +837,17 @@ impl BaselineNode {
             }
             _ => {}
         }
-        if let Some(m) = self.misses.remove(&line) {
-            if m.sent {
-                self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
-            }
-            for slot in m.waiting_loads {
-                self.complete_load_slot_with_line(now, slot, values, line, &data);
-            }
-        }
-        if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-            // Grace period: let the head store perform during its tenure.
-            self.deferred_fetches
-                .push((now + self.cfg.l1_latency + 1, line, src, for_excl));
+        for slot in self.port.filled(now, line) {
+            self.complete_load(now, slot, snapshot);
         }
     }
 
-    /// Like [`Self::complete_load_slot`], but loads to `line` observe the
-    /// value snapshot `data` carried by the data response (the value the
-    /// directory served, not the value at arrival time).
-    fn complete_load_slot_with_line(
-        &mut self,
-        now: Cycle,
-        slot: SlotId,
-        values: &ValueStore,
-        line: LineAddr,
-        data: &bulksc_sig::LineData,
-    ) {
-        let Some(s) = self.window.get_mut(slot) else {
-            return;
-        };
-        if s.state != SlotState::Issued {
-            return;
+    /// Give up (or downgrade) a line in response to a directory fetch.
+    fn surrender(&mut self, now: Cycle, f: Fetch, fab: &mut Fabric) {
+        self.port.surrender(now, f, fab);
+        if f.excl {
+            self.on_lost_line(f.line);
         }
-        let Instr::Load { addr, .. } = s.instr else {
-            s.state = SlotState::Done;
-            return;
-        };
-        match self.forwarded_value(slot, addr, values) {
-            Some(v) => {
-                let snapshot = if addr.line() == line {
-                    // Only forwardings from our own in-flight stores may
-                    // override the response payload.
-                    match self.own_store_forward(slot, addr) {
-                        Some(fwd) => fwd,
-                        None => data[addr.line_offset() as usize],
-                    }
-                } else {
-                    v
-                };
-                let s = self.window.get_mut(slot).expect("slot exists");
-                s.state = SlotState::Done;
-                s.value = Some(snapshot);
-            }
-            None => {
-                self.completions.push(Reverse((now + 1, slot)));
-            }
-        }
-    }
-
-    /// The youngest older same-word store (window or store buffer) a load
-    /// must forward from, if any. `None` means read from memory/response.
-    fn own_store_forward(&self, slot: SlotId, addr: Addr) -> Option<u64> {
-        let mut fwd = None;
-        for s in self.window.iter() {
-            if s.id >= slot {
-                break;
-            }
-            if let Instr::Store { addr: a, value } = s.instr {
-                if a == addr {
-                    fwd = Some(value);
-                }
-            }
-        }
-        if fwd.is_some() {
-            return fwd;
-        }
-        self.store_buffer
-            .iter()
-            .rev()
-            .find(|e| e.addr == addr)
-            .map(|e| e.value)
-    }
-
-    /// Answer fetches deferred behind our own in-flight fills.
-    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric) {
-        let due: Vec<(Cycle, LineAddr, NodeId, bool)> = self
-            .deferred_fetches
-            .iter()
-            .filter(|(t, ..)| *t <= now)
-            .copied()
-            .collect();
-        self.deferred_fetches.retain(|(t, ..)| *t > now);
-        for (_, line, src, for_excl) in due {
-            self.surrender_line(now, line, src, for_excl, fab);
-        }
-    }
-
-    /// Give up (or downgrade) `line` in response to a directory fetch.
-    fn surrender_line(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        dst: NodeId,
-        for_excl: bool,
-        fab: &mut Fabric,
-    ) {
-        let state = if for_excl {
-            self.l1.invalidate(line)
-        } else {
-            let s = self.l1.state(line);
-            if s.is_some() {
-                self.l1.set_state(line, LineState::Shared);
-            }
-            s
-        };
-        if for_excl {
-            self.on_lost_line(line);
-        }
-        fab.send(
-            now,
-            self.id(),
-            dst,
-            Message::FetchResp {
-                line,
-                dirty: state == Some(LineState::Dirty),
-                had_line: state.is_some(),
-            },
-        );
     }
 
     /// The line left this cache (invalidation, fetch-excl, displacement):
@@ -1229,12 +921,8 @@ impl BaselineNode {
         self.stats.squashed_instrs += wasted;
         // Drop speculative stores of the squashed epochs.
         self.store_buffer.retain(|e| e.epoch < eid);
-        // Clear waiting-load registrations (slots are gone); keep the
-        // line interests so in-flight data still fills the cache.
-        for m in self.misses.values_mut() {
-            m.waiting_loads.clear();
-        }
-        self.completions.clear();
+        // The slots are gone; in-flight data still fills the cache.
+        self.port.forget_loads();
         self.awaiting = None;
         self.slot_epochs.clear();
         self.epochs.truncate(pos);

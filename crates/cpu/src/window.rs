@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use bulksc_sig::Addr;
 use bulksc_workloads::Instr;
 
 /// Identifies a slot for the lifetime of the window (monotonic, never
@@ -22,6 +23,19 @@ pub enum SlotState {
     Issued,
     /// Complete; for reads, `value` holds the loaded value.
     Done,
+}
+
+/// What an older in-window access forwards to a load (see
+/// [`InstrWindow::forward`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Forward {
+    /// No older in-window store or RMW to this word.
+    None,
+    /// The youngest older same-word store's value.
+    Value(u64),
+    /// The youngest older same-word access is an RMW that has not
+    /// performed yet: the value is unknown until it does.
+    Unknown,
 }
 
 /// One in-flight instruction.
@@ -111,11 +125,6 @@ impl InstrWindow {
         self.slots.front()
     }
 
-    /// Mutable access to the oldest in-flight instruction.
-    pub fn oldest_mut(&mut self) -> Option<&mut Slot> {
-        self.slots.front_mut()
-    }
-
     /// Retire the oldest instruction entirely, returning it.
     ///
     /// # Panics
@@ -124,9 +133,6 @@ impl InstrWindow {
     pub fn pop_oldest(&mut self) -> Slot {
         let slot = self.slots.pop_front().expect("pop from empty window");
         self.occupancy -= slot.remaining as u64; // remaining dynamic instrs
-        if !matches!(slot.instr, Instr::Compute(_)) {
-            // non-compute slots carry remaining == 1
-        }
         slot
     }
 
@@ -146,6 +152,20 @@ impl InstrWindow {
     /// Look up a slot by id.
     pub fn get_mut(&mut self, id: SlotId) -> Option<&mut Slot> {
         self.slots.iter_mut().find(|s| s.id == id)
+    }
+
+    /// What the load at `slot` forwards from the older in-window accesses
+    /// to `addr`: the youngest of them decides.
+    pub fn forward(&self, slot: SlotId, addr: Addr) -> Forward {
+        let mut fwd = Forward::None;
+        for s in self.slots.iter().take_while(|s| s.id < slot) {
+            match s.instr {
+                Instr::Store { addr: a, value } if a == addr => fwd = Forward::Value(value),
+                Instr::Rmw { addr: a, .. } if a == addr => fwd = Forward::Unknown,
+                _ => {}
+            }
+        }
+        fwd
     }
 
     /// Iterate slots oldest-first.
@@ -281,6 +301,25 @@ mod tests {
         assert_eq!(w.occupancy(), 1);
         assert_eq!(w.oldest().unwrap().id, a);
         assert!(w.get_mut(c).is_none());
+    }
+
+    #[test]
+    fn forward_takes_the_youngest_older_same_word_access() {
+        let mut w = InstrWindow::new(20);
+        let (a, b) = (Addr(8), Addr(9));
+        w.push(Instr::Store { addr: a, value: 1 }).unwrap();
+        w.push(Instr::Store { addr: b, value: 2 }).unwrap();
+        let l1 = w.push(load(8)).unwrap();
+        w.push(Instr::Rmw {
+            addr: a,
+            op: bulksc_workloads::RmwOp::Swap(3),
+        })
+        .unwrap();
+        let l2 = w.push(load(8)).unwrap();
+        w.push(Instr::Store { addr: a, value: 4 }).unwrap();
+        assert_eq!(w.forward(l1, a), Forward::Value(1));
+        assert_eq!(w.forward(l2, a), Forward::Unknown, "older RMW unperformed");
+        assert_eq!(w.forward(l1, Addr(10)), Forward::None);
     }
 
     #[test]

@@ -20,10 +20,6 @@ struct Mini {
     now: u64,
 }
 
-fn dir_of(_: bulksc_sig::LineAddr) -> u32 {
-    0
-}
-
 impl Mini {
     fn new(model: BaselineModel, programs: Vec<Box<dyn ThreadProgram>>) -> Self {
         let nodes = programs
@@ -37,7 +33,7 @@ impl Mini {
                     CacheConfig::l1_default(),
                     p,
                     u64::MAX,
-                    dir_of,
+                    1,
                 )
             })
             .collect();
@@ -370,9 +366,10 @@ fn l1_stats_accumulate() {
     ]);
     let mut m = Mini::new(BaselineModel::Rc, vec![p]);
     assert!(m.run(100_000));
+    let p = m.nodes[0].port_stats();
+    assert_eq!(p.l1_misses, 1, "second load hits");
+    assert!(p.l1_hits >= 1);
     let s = m.nodes[0].stats();
-    assert_eq!(s.l1_misses, 1, "second load hits");
-    assert!(s.l1_hits >= 1);
     assert!(s.finished_at.is_some());
     assert_eq!(s.retired, 2);
 }

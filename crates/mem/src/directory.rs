@@ -189,11 +189,14 @@ impl Directory {
         &self.store
     }
 
-    /// One-line diagnostic snapshot (for debugging stuck systems).
+    /// One-line diagnostic snapshot (for debugging stuck systems),
+    /// pending transactions in line order.
     pub fn debug_state(&self) -> String {
+        let mut pending: Vec<_> = self.pending.iter().collect();
+        pending.sort_unstable_by_key(|&(l, _)| *l);
         format!(
             "dir pending={:?} commits={}",
-            self.pending
+            pending
                 .iter()
                 .map(|(l, tx)| format!("{l}:{:?}req{}acks{}", tx.kind, tx.requester, tx.acks_left))
                 .collect::<Vec<_>>(),

@@ -17,6 +17,13 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
 
+# The benchmark package is a workspace of its own that reaches the
+# simulator crates by path, so nothing above compiles it: build and test
+# it here, so that a crates/ API change that breaks it fails CI. Its drift
+# test runs every workload at smoke size and writes only under the
+# ignored benchmark/out/.
+run cargo test --manifest-path benchmark/Cargo.toml --offline -q
+
 # The regression layer, named explicitly so a failure is unmissable in
 # the log: golden figures must match their committed fixtures
 # (re-bless intentional changes with BULKSC_BLESS=1), and every artifact
