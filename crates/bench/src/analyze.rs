@@ -1708,7 +1708,7 @@ mod tests {
             .find(|s| s.name == "bsc8")
             .unwrap();
         let r = crate::perf::run_scenario(&cell, 800, 0, 1);
-        let doc = crate::perf::perf_json(&[r], "chrome-test", 800, 0, 1).to_string();
+        let doc = crate::perf::perf_json(&[r], &[], "chrome-test", 800, 0, 1).to_string();
         let chrome = crate::perf::prof_chrome(&doc, "mem").expect("prof chrome renders");
         assert_chrome_sane(&chrome);
     }

@@ -12,8 +12,7 @@
 //!                          [--limit N] [--stats]
 //! bulksc-analyze convert   <in.jsonl|in.btf> <out>
 //! bulksc-analyze synth-trace <N> [--cores C] [--words W] [--format jsonl|btf]
-//! bulksc-analyze prof      <perf.json> [--chrome <out.json>] [--max-trace-overhead <x>]
-//!                          [--max-xray-overhead <x>]
+//! bulksc-analyze prof      <perf.json> [--chrome <out.json>] [--max-ratio <a>/<b>=<x>]...
 //! bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]
 //! bulksc-analyze metrics   <name.metrics.jsonl>...
 //! bulksc-analyze trend     <BENCH_label.json>...
@@ -56,9 +55,10 @@
 //!   oracle at sizes that never fit in memory.
 //! * `prof` renders a `bulksc-perf` artifact's per-phase host-time
 //!   breakdown; `--chrome` also writes it as a Chrome trace
-//!   (flame-chart of where host time went), and `--max-trace-overhead`
-//!   fails if the tracing slowdown (bsc8 / bsc8_trace KIPS) exceeds the
-//!   given factor.
+//!   (flame-chart of where host time went), and each `--max-ratio a/b=x`
+//!   fails if scenario `a`'s KIPS over scenario `b`'s, as the median of
+//!   the interleaved pairs `bulksc-perf` measured for that ratio, exceeds
+//!   `x`.
 //! * `perf-diff` compares two `bulksc-perf` artifacts scenario-by-
 //!   scenario and fails on any median-KIPS drop beyond the threshold
 //!   (default 10%) — the host-throughput regression gate for CI.
@@ -115,7 +115,7 @@ fn usage() -> ExitCode {
          \x20      bulksc-analyze convert <in.jsonl|in.btf> <out>\n\
          \x20      bulksc-analyze synth-trace <N> [--cores C] [--words W] [--format jsonl|btf]\n\
          \x20      bulksc-analyze prof <perf.json> [--chrome <out.json>] \
-         [--max-trace-overhead <x>] [--max-xray-overhead <x>]\n\
+         [--max-ratio <a>/<b>=<x>]...\n\
          \x20      bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]\n\
          \x20      bulksc-analyze metrics <name.metrics.jsonl>...\n\
          \x20      bulksc-analyze trend <BENCH_label.json>...\n\
@@ -706,19 +706,14 @@ fn main() -> ExitCode {
         ("prof", rest) if !rest.is_empty() => {
             let path = &rest[0];
             let mut chrome_out: Option<String> = None;
-            let mut max_overhead: Option<f64> = None;
-            let mut max_xray_overhead: Option<f64> = None;
+            let mut bounds = Vec::new();
             let mut it = rest[1..].iter();
             while let Some(flag) = it.next() {
                 match (flag.as_str(), it.next()) {
                     ("--chrome", Some(p)) => chrome_out = Some(p.clone()),
-                    ("--max-trace-overhead", Some(v)) => match v.parse::<f64>() {
-                        Ok(x) if x > 0.0 => max_overhead = Some(x),
-                        _ => return usage(),
-                    },
-                    ("--max-xray-overhead", Some(v)) => match v.parse::<f64>() {
-                        Ok(x) if x > 0.0 => max_xray_overhead = Some(x),
-                        _ => return usage(),
+                    ("--max-ratio", Some(v)) => match perf::parse_ratio_bound(v) {
+                        Some(b) => bounds.push(b),
+                        None => return usage(),
                     },
                     _ => return usage(),
                 }
@@ -748,17 +743,19 @@ fn main() -> ExitCode {
                 }
                 println!("wrote {out}");
             }
-            if let Some(bound) = max_overhead {
-                match perf::trace_overhead(&text, path) {
-                    Ok(ratio) => {
+            let mut exceeded = false;
+            for (num, den, bound) in bounds {
+                match perf::kips_ratio(&text, path, &num, &den) {
+                    Ok((ratio, pairs)) => {
                         println!(
-                            "tracing overhead (bsc8 / bsc8_trace): {ratio:.2}x (bound {bound:.2}x)"
+                            "{num}/{den}: {ratio:.2}x (median of {pairs} interleaved pairs, \
+                             bound {bound:.2}x)"
                         );
                         if ratio > bound {
                             eprintln!(
-                                "bulksc-analyze: tracing overhead {ratio:.2}x exceeds bound {bound:.2}x"
+                                "bulksc-analyze: {num}/{den} {ratio:.2}x exceeds bound {bound:.2}x"
                             );
-                            return ExitCode::from(1);
+                            exceeded = true;
                         }
                     }
                     Err(e) => {
@@ -767,26 +764,11 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            if let Some(bound) = max_xray_overhead {
-                match perf::xray_overhead(&text, path) {
-                    Ok(ratio) => {
-                        println!(
-                            "xray overhead (bsc8_trace / bsc8_xray): {ratio:.2}x (bound {bound:.2}x)"
-                        );
-                        if ratio > bound {
-                            eprintln!(
-                                "bulksc-analyze: xray overhead {ratio:.2}x exceeds bound {bound:.2}x"
-                            );
-                            return ExitCode::from(1);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
+            if exceeded {
+                ExitCode::from(1)
+            } else {
+                ExitCode::SUCCESS
             }
-            ExitCode::SUCCESS
         }
         ("metrics", paths) if !paths.is_empty() => {
             for path in paths {

@@ -14,11 +14,16 @@
 //! `--fast` is the CI smoke setting: small budget, 2 reps. `--jobs N`
 //! runs scenarios on N host worker threads (reps stay serial within each
 //! scenario; concurrent scenarios share host cores, so prefer `--jobs 1`
-//! for undisturbed absolute numbers). Exit code 0 on success, 2 on usage
-//! errors.
+//! for undisturbed absolute numbers). After the suite, the gated KIPS
+//! ratios (`perf::GATED_RATIOS`) are measured on this thread alone from
+//! interleaved single-rep pairs and written under `ratios`, where
+//! `bulksc-analyze prof --max-ratio` reads them. Exit code 0 on success,
+//! 2 on usage errors.
 
 use bulksc_bench::heartbeat::Heartbeat;
-use bulksc_bench::perf::{matrix, perf_json, prof_report_text, render_summary, run_suite};
+use bulksc_bench::perf::{
+    matrix, measure_gated_ratios, perf_json, prof_report_text, render_summary, run_suite,
+};
 use bulksc_bench::{budget_from_env, perf, pool};
 
 fn fail_usage(msg: &str) -> ! {
@@ -91,20 +96,25 @@ fn main() {
     );
     let heartbeat = Heartbeat::maybe_start("perf");
     let results = run_suite(&cells, budget, warmup, reps, jobs);
+    let ratios = measure_gated_ratios(&cells, budget);
     if let Some(hb) = heartbeat {
         hb.finish();
     }
 
     println!("\n{}", render_summary(&results));
-    let doc = perf_json(&results, &label, budget, warmup, reps);
+    let doc = perf_json(&results, &ratios, &label, budget, warmup, reps);
     let text = doc.to_string();
     match prof_report_text(&text, "<memory>") {
         Ok(report) => println!("{report}"),
         Err(e) => eprintln!("bulksc-perf: internal: {e}"),
     }
-    match perf::trace_overhead(&text, "<memory>") {
-        Ok(ratio) => println!("tracing overhead (bsc8 / bsc8_trace): {ratio:.2}x"),
-        Err(e) => eprintln!("bulksc-perf: {e}"),
+    for r in &ratios {
+        println!(
+            "{}: {:.2}x (median of {} interleaved pairs)",
+            r.name(),
+            r.median(),
+            r.pairs.len()
+        );
     }
 
     if let Some(dir) = std::path::Path::new(&out).parent() {

@@ -13,7 +13,9 @@
 //!
 //! Host timings are *not* deterministic — only the simulated side is.
 //! [`perf_diff`] therefore gates on relative KIPS drops with a threshold,
-//! never on exact values.
+//! never on exact values, and the throughput ratios CI bounds
+//! ([`GATED_RATIOS`]) are measured from interleaved pairs of runs
+//! ([`measure_ratio`]) rather than from two cells' medians.
 
 use bulksc::{Model, SimReport, System, SystemConfig};
 use bulksc_check::ValueTrace;
@@ -144,11 +146,7 @@ pub fn matrix() -> Vec<Scenario> {
         ),
         // Same traced run certified through the windowed streaming
         // oracle: bsc8_oracle / bsc8_oracle_stream isolates what bounded
-        // memory costs (or saves) against the batch checker. Last on
-        // purpose: the nine cells above keep their historical queue order
-        // (and thus their contention pairing under a width-2 smoke
-        // pool), so the tight overhead gates see the same interleaving
-        // they were calibrated against.
+        // memory costs (or saves) against the batch checker.
         {
             let mut m = cell(
                 "bsc8_oracle_stream",
@@ -388,6 +386,7 @@ pub fn run_suite(
 /// The `results/perf.json` document.
 pub fn perf_json(
     results: &[ScenarioResult],
+    ratios: &[RatioResult],
     label: &str,
     budget: u64,
     warmup: u32,
@@ -442,6 +441,19 @@ pub fn perf_json(
         arr.push(sj);
     }
     doc.push("scenarios", Json::Arr(arr));
+    let ratios = ratios
+        .iter()
+        .map(|r| {
+            let mut rj = Json::obj([("name", r.name().into())]);
+            rj.push("median", Json::F64(r.median()));
+            rj.push(
+                "pairs",
+                Json::Arr(r.pairs.iter().map(|&x| Json::F64(x)).collect()),
+            );
+            rj
+        })
+        .collect();
+    doc.push("ratios", Json::Arr(ratios));
     doc
 }
 
@@ -713,44 +725,112 @@ pub fn prof_chrome(text: &str, origin: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// The tracing tax: `bsc8` median KIPS over `bsc8_trace` median KIPS
-/// (>1 means tracing slows the simulator down by that factor).
-pub fn trace_overhead(text: &str, origin: &str) -> Result<f64, String> {
-    let doc = load_perf(text, origin)?;
-    let kips = scenario_kips(&doc);
-    let get = |name: &str| -> Result<f64, String> {
-        kips.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, k)| *k)
-            .ok_or_else(|| format!("{origin}: no scenario {name:?} to compute tracing overhead"))
-    };
-    let base = get("bsc8")?;
-    let traced = get("bsc8_trace")?;
-    if traced <= 0.0 {
-        return Err(format!("{origin}: bsc8_trace has no measured throughput"));
-    }
-    Ok(base / traced)
+/// The scenario pairs whose KIPS ratio CI bounds, as (numerator,
+/// denominator): the tracing tax, and the xray tax (both cells trace; only
+/// the second computes conflict attribution, so the ratio is the
+/// attribution cost alone).
+pub const GATED_RATIOS: [(&str, &str); 2] = [("bsc8", "bsc8_trace"), ("bsc8_trace", "bsc8_xray")];
+
+/// Interleaved pairs measured for each gated ratio.
+pub const RATIO_PAIRS: u32 = 9;
+
+/// A KIPS ratio measured from interleaved pairs of single-rep runs.
+pub struct RatioResult {
+    /// Numerator scenario.
+    pub num: &'static str,
+    /// Denominator scenario.
+    pub den: &'static str,
+    /// `num` KIPS over `den` KIPS, one per pair, in run order.
+    pub pairs: Vec<f64>,
 }
 
-/// The xray tax: `bsc8_trace` median KIPS over `bsc8_xray` median KIPS.
-/// Both cells trace; only the second computes conflict attribution, so
-/// the ratio is the attribution cost alone (the CI gate holds it under
-/// 10%).
-pub fn xray_overhead(text: &str, origin: &str) -> Result<f64, String> {
-    let doc = load_perf(text, origin)?;
-    let kips = scenario_kips(&doc);
-    let get = |name: &str| -> Result<f64, String> {
-        kips.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, k)| *k)
-            .ok_or_else(|| format!("{origin}: no scenario {name:?} to compute xray overhead"))
-    };
-    let traced = get("bsc8_trace")?;
-    let xrayed = get("bsc8_xray")?;
-    if xrayed <= 0.0 {
-        return Err(format!("{origin}: bsc8_xray has no measured throughput"));
+impl RatioResult {
+    /// `num/den`, the name `--max-ratio` matches.
+    pub fn name(&self) -> String {
+        format!("{}/{}", self.num, self.den)
     }
-    Ok(traced / xrayed)
+
+    /// Median of the per-pair ratios (the gated value).
+    pub fn median(&self) -> f64 {
+        median(&self.pairs)
+    }
+}
+
+/// Measure `num` KIPS over `den` KIPS as `pairs` back-to-back single-rep
+/// pairs on this thread, alternating which cell runs first. Host speed
+/// drifts over seconds to minutes, so the two runs of a pair see nearly
+/// the same host, and the median of per-pair ratios shrugs off a slow
+/// stretch that skews a ratio of two cells' medians.
+pub fn measure_ratio(num: &Scenario, den: &Scenario, budget: u64, pairs: u32) -> RatioResult {
+    let kips = |s: &Scenario| run_scenario(s, budget, 0, 1).reps[0].kips;
+    let pairs = (0..pairs)
+        .map(|i| {
+            if i % 2 == 0 {
+                let a = kips(num);
+                a / kips(den)
+            } else {
+                let b = kips(den);
+                kips(num) / b
+            }
+        })
+        .collect();
+    RatioResult {
+        num: num.name,
+        den: den.name,
+        pairs,
+    }
+}
+
+/// Measure every [`GATED_RATIOS`] pair of `cells`, [`RATIO_PAIRS`] pairs
+/// each.
+///
+/// # Panics
+///
+/// Panics if `cells` lacks a gated scenario.
+pub fn measure_gated_ratios(cells: &[Scenario], budget: u64) -> Vec<RatioResult> {
+    let cell = |name: &str| {
+        cells
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("gated scenario {name} is not in the matrix"))
+    };
+    GATED_RATIOS
+        .iter()
+        .map(|&(num, den)| measure_ratio(cell(num), cell(den), budget, RATIO_PAIRS))
+        .collect()
+}
+
+/// Parse a `--max-ratio` bound `NUM/DEN=X` into its scenario names and a
+/// positive bound.
+pub fn parse_ratio_bound(spec: &str) -> Option<(String, String, f64)> {
+    let (pair, bound) = spec.split_once('=')?;
+    let (num, den) = pair.split_once('/')?;
+    let bound: f64 = bound.parse().ok()?;
+    (!num.is_empty() && !den.is_empty() && bound > 0.0).then(|| (num.into(), den.into(), bound))
+}
+
+/// The median of the interleaved pairs `bulksc-perf` measured for `num`
+/// KIPS over `den` KIPS, with the number of pairs.
+pub fn kips_ratio(text: &str, origin: &str, num: &str, den: &str) -> Result<(f64, usize), String> {
+    let doc = load_perf(text, origin)?;
+    let name = format!("{num}/{den}");
+    let ratios = doc.get("ratios").and_then(Json::as_arr).unwrap_or(&[]);
+    let r = ratios
+        .iter()
+        .find(|r| r.get("name").and_then(Json::as_str) == Some(&name))
+        .ok_or_else(|| {
+            let have: Vec<&str> = ratios
+                .iter()
+                .filter_map(|r| r.get("name").and_then(Json::as_str))
+                .collect();
+            format!("{origin}: no measured ratio {name} (measured: {have:?})")
+        })?;
+    let median = r
+        .get("median")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{origin}: ratio {name} has no median"))?;
+    let pairs = r.get("pairs").and_then(Json::as_arr).map_or(0, |p| p.len());
+    Ok((median, pairs))
 }
 
 /// Append this suite's summary to a `BENCH_<label>.json` trajectory
@@ -887,7 +967,7 @@ mod tests {
     #[test]
     fn perf_json_round_trips_and_loads() {
         let r = tiny_result("bsc8");
-        let doc = perf_json(&[r], "test", 1_000, 0, 2);
+        let doc = perf_json(&[r], &[], "test", 1_000, 0, 2);
         let text = doc.to_string();
         let loaded = load_perf(&text, "mem").expect("loads back");
         let kips = scenario_kips(&loaded);
@@ -980,26 +1060,66 @@ mod tests {
         assert_eq!(d.unpaired.len(), 2);
     }
 
+    /// A perf doc carrying one measured ratio per (num, den, pairs).
+    fn with_ratios(ratios: &[(&'static str, &'static str, &[f64])]) -> String {
+        let ratios: Vec<RatioResult> = ratios
+            .iter()
+            .map(|&(num, den, pairs)| RatioResult {
+                num,
+                den,
+                pairs: pairs.to_vec(),
+            })
+            .collect();
+        perf_json(&[], &ratios, "synthetic", 1_000, 0, 1).to_string()
+    }
+
     #[test]
     fn trace_overhead_is_the_base_over_traced_ratio() {
-        let doc = synthetic(&[("bsc8", 100.0), ("bsc8_trace", 50.0)]);
-        let ratio = trace_overhead(&doc, "mem").unwrap();
-        assert!((ratio - 2.0).abs() < 1e-9);
-        let missing = synthetic(&[("bsc8", 100.0)]);
-        assert!(trace_overhead(&missing, "mem")
-            .unwrap_err()
-            .contains("bsc8_trace"));
+        let doc = with_ratios(&[("bsc8", "bsc8_trace", &[2.2, 1.8, 2.0])]);
+        let (ratio, pairs) = kips_ratio(&doc, "mem", "bsc8", "bsc8_trace").unwrap();
+        assert!((ratio - 2.0).abs() < 1e-9, "the median of the pairs");
+        assert_eq!(pairs, 3);
+        let e = kips_ratio(&doc, "mem", "bsc8_trace", "bsc8").unwrap_err();
+        assert!(
+            e.contains("bsc8_trace/bsc8") && e.contains("bsc8/bsc8_trace"),
+            "{e}"
+        );
     }
 
     #[test]
     fn xray_overhead_is_the_traced_over_xray_ratio() {
-        let doc = synthetic(&[("bsc8_trace", 90.0), ("bsc8_xray", 80.0)]);
-        let ratio = xray_overhead(&doc, "mem").unwrap();
-        assert!((ratio - 90.0 / 80.0).abs() < 1e-9);
-        let missing = synthetic(&[("bsc8_trace", 90.0)]);
-        assert!(xray_overhead(&missing, "mem")
-            .unwrap_err()
-            .contains("bsc8_xray"));
+        let doc = with_ratios(&[
+            ("bsc8", "bsc8_trace", &[2.0]),
+            ("bsc8_trace", "bsc8_xray", &[1.02, 0.98, 1.12, 1.01]),
+        ]);
+        let (num, den, bound) = parse_ratio_bound("bsc8_trace/bsc8_xray=1.10").unwrap();
+        assert_eq!(
+            (num.as_str(), den.as_str(), bound),
+            ("bsc8_trace", "bsc8_xray", 1.10)
+        );
+        let (ratio, pairs) = kips_ratio(&doc, "mem", &num, &den).unwrap();
+        assert!((ratio - 1.01).abs() < 1e-9, "lower middle of an even count");
+        assert_eq!(pairs, 4);
+        for bad in ["bsc8/bsc8_trace", "bsc8=3", "/bsc8=3", "bsc8/x=0", "a/b=x"] {
+            assert!(parse_ratio_bound(bad).is_none(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn gated_ratios_are_measured_pair_by_pair() {
+        let m = matrix();
+        let cell = |name| m.iter().find(|s| s.name == name).unwrap();
+        let r = measure_ratio(cell("bsc8"), cell("bsc8_trace"), 1_000, 3);
+        assert_eq!(r.name(), "bsc8/bsc8_trace");
+        assert_eq!(r.pairs.len(), 3);
+        assert!(r.pairs.iter().all(|&x| x > 0.0 && x.is_finite()));
+        for (num, den) in GATED_RATIOS {
+            assert!(m.iter().any(|s| s.name == num) && m.iter().any(|s| s.name == den));
+        }
+        let text = perf_json(&[], &[r], "t", 1_000, 0, 1).to_string();
+        let (ratio, pairs) = kips_ratio(&text, "mem", "bsc8", "bsc8_trace").unwrap();
+        assert!(ratio > 0.0);
+        assert_eq!(pairs, 3);
     }
 
     #[test]
@@ -1040,7 +1160,7 @@ mod tests {
     #[test]
     fn prof_outputs_render_from_an_artifact() {
         let r = tiny_result("bsc8");
-        let text = perf_json(&[r], "test", 1_000, 0, 2).to_string();
+        let text = perf_json(&[r], &[], "test", 1_000, 0, 2).to_string();
         let report = prof_report_text(&text, "mem").unwrap();
         assert!(
             report.contains("bsc8") && report.contains("step_loop"),

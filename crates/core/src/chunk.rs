@@ -129,8 +129,8 @@ impl Chunk {
         wc.intersects_exact(&self.r) || wc.intersects_exact(&self.w)
     }
 
-    /// True if the chunk is closed, fully retired, and all its lines have
-    /// arrived: it may request commit.
+    /// True if the chunk is closed and all its lines have arrived: it may
+    /// request commit once no slot of it is left in the window.
     pub fn ready_to_commit(&self) -> bool {
         self.state == ChunkState::Closed && self.pending_lines.is_empty()
     }

@@ -27,7 +27,7 @@
 //! * Forward progress (§3.3): consecutive squashes first shrink the chunk
 //!   exponentially, then fall back to pre-arbitration.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bulksc_cpu::{
     CoreConfig, Fetch, InstrWindow, MemPort, PortStats, SlotId, SlotState, ValueStore,
@@ -120,7 +120,6 @@ pub struct BulkNode {
     awaiting: Option<SlotId>,
     feed: Option<u64>,
     stash: Option<Instr>,
-    slot_chunks: HashMap<SlotId, u64>,
 
     port: MemPort,
 
@@ -187,7 +186,6 @@ impl BulkNode {
             awaiting: None,
             feed: None,
             stash: None,
-            slot_chunks: HashMap::new(),
             port: MemPort::new(core, cfg, l1, num_dirs),
             chunks: VecDeque::new(),
             next_seq: 0,
@@ -291,29 +289,14 @@ impl BulkNode {
             .filter(|c| c.state == ChunkState::Open)
     }
 
-    fn chunk_of_slot(&mut self, id: SlotId) -> Option<&mut Chunk> {
-        let seq = *self.slot_chunks.get(&id)?;
-        self.chunks.iter_mut().find(|c| c.tag.seq == seq)
-    }
-
-    /// The chunk sequence number a slot was fetched into. Every slot is
-    /// tagged at fetch time; an untagged slot in the retire/issue path
-    /// means chunk accounting was corrupted.
-    fn chunk_seq_of(&self, now: Cycle, slot: SlotId, ctx: &str) -> u64 {
-        *self.slot_chunks.get(&slot).unwrap_or_else(|| {
+    /// The chunk sequence number a slot was fetched into: its window tag.
+    fn chunk_seq_of(&self, now: Cycle, slot: SlotId) -> u64 {
+        self.window.get(slot).map(|s| s.tag).unwrap_or_else(|| {
             panic!(
-                "core {}: cycle {now}: slot {slot} has no chunk tag ({ctx})",
+                "core {}: cycle {now}: issued slot {slot} is not in the window",
                 self.core
             )
         })
-    }
-
-    /// True if `line` is speculatively written by any active chunk (the
-    /// BDM's displacement veto and dirty-non-speculative test).
-    fn spec_written(&self, line: LineAddr) -> bool {
-        self.chunks
-            .iter()
-            .any(|c| c.w.contains_exact(line) || c.wpriv.contains_exact(line))
     }
 
     // ------------------------------------------------------------------
@@ -336,7 +319,7 @@ impl BulkNode {
         self.retire(now, values, fab);
         self.issue(now);
         self.port.send_misses(now, fab);
-        self.fetch(now, fab);
+        self.fetch(now);
         self.check_finished(now);
     }
 
@@ -372,12 +355,13 @@ impl BulkNode {
             let head_state = head.state;
             let head_remaining = head.remaining;
             let head_value = head.value;
+            let head_seq = head.tag;
             match head_instr {
                 Instr::Compute(_) => {
                     let n = budget.min(head_remaining);
                     self.window.drain_oldest_compute(n);
                     budget -= n;
-                    self.note_retired(head_id, n as u64);
+                    self.note_retired(head_seq, n as u64);
                     let core = self.core;
                     let drained = self.window.oldest().unwrap_or_else(|| {
                         panic!(
@@ -391,7 +375,7 @@ impl BulkNode {
                 }
                 Instr::Fence => {
                     // §3.3: no fences, no reordering constraints.
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
@@ -409,7 +393,7 @@ impl BulkNode {
                                 addr.line()
                             )
                         });
-                        self.buffer_access(now, head_id, |seq, po| Event::ValLoad {
+                        self.buffer_access(head_seq, |seq, po| Event::ValLoad {
                             core,
                             seq,
                             po,
@@ -422,18 +406,18 @@ impl BulkNode {
                         self.feed = v;
                         self.awaiting = None;
                     }
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
                 Instr::Store { addr, value } => {
                     // Wait-free store retirement (§6).
-                    if !self.perform_spec_store(now, head_id, addr, value, fab) {
+                    if !self.perform_spec_store(now, head_seq, addr, value, fab) {
                         break; // set-overflow self-squash happened
                     }
                     if self.trace.enabled() {
                         let core = self.core;
-                        self.buffer_access(now, head_id, |seq, po| Event::ValStore {
+                        self.buffer_access(head_seq, |seq, po| Event::ValStore {
                             core,
                             seq,
                             po,
@@ -442,7 +426,7 @@ impl BulkNode {
                             retired_at: now,
                         });
                     }
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
@@ -457,12 +441,12 @@ impl BulkNode {
                     }
                     let old = self.resolved_value(addr, values);
                     let new = op.apply(old);
-                    if !self.perform_spec_store(now, head_id, addr, new, fab) {
+                    if !self.perform_spec_store(now, head_seq, addr, new, fab) {
                         break;
                     }
                     if self.trace.enabled() {
                         let core = self.core;
-                        self.buffer_access(now, head_id, |seq, po| Event::ValRmw {
+                        self.buffer_access(head_seq, |seq, po| Event::ValRmw {
                             core,
                             seq,
                             po,
@@ -474,20 +458,19 @@ impl BulkNode {
                     }
                     self.feed = Some(old);
                     self.awaiting = None;
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
                 Instr::Io => {
                     // §4.1.3: stall until every older chunk has fully
                     // committed, perform, then a fresh chunk starts.
-                    let own_seq = self.chunk_seq_of(now, head_id, "I/O retire");
-                    let front_is_mine = self.chunks.front().map(|c| c.tag.seq) == Some(own_seq);
+                    let front_is_mine = self.chunks.front().map(|c| c.tag.seq) == Some(head_seq);
                     if !front_is_mine || !self.committing.is_empty() {
                         break;
                     }
                     self.stats.io_ops += 1;
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
@@ -495,21 +478,20 @@ impl BulkNode {
         }
     }
 
-    /// Buffer a value-trace event into the slot's chunk, assigning the
-    /// next per-core program-order index. Callers check
-    /// `trace.enabled()` first so untraced runs pay nothing.
-    fn buffer_access(&mut self, now: Cycle, slot: SlotId, make: impl FnOnce(u64, u64) -> Event) {
+    /// Buffer a value-trace event into chunk `seq`, assigning the next
+    /// per-core program-order index. Callers check `trace.enabled()`
+    /// first so untraced runs pay nothing.
+    fn buffer_access(&mut self, seq: u64, make: impl FnOnce(u64, u64) -> Event) {
         let po = self.po_next;
         self.po_next += 1;
-        let seq = self.chunk_seq_of(now, slot, "value-trace buffering");
         if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
             c.accesses.push(make(seq, po));
         }
     }
 
-    fn note_retired(&mut self, slot: SlotId, n: u64) {
+    fn note_retired(&mut self, seq: u64, n: u64) {
         self.stats.retired += n;
-        if let Some(c) = self.chunk_of_slot(slot) {
+        if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
             c.retired += n;
         }
     }
@@ -517,7 +499,6 @@ impl BulkNode {
     fn finish_slot(&mut self, id: SlotId) {
         let slot = self.window.pop_oldest();
         debug_assert_eq!(slot.id, id);
-        self.slot_chunks.remove(&id);
     }
 
     /// A store retires speculatively: route it to W or Wpriv, buffer the
@@ -526,17 +507,16 @@ impl BulkNode {
     fn perform_spec_store(
         &mut self,
         now: Cycle,
-        slot: SlotId,
+        seq: u64,
         addr: Addr,
         value: u64,
         fab: &mut Fabric,
     ) -> bool {
         let line = addr.line();
-        let seq = self.chunk_seq_of(now, slot, "speculative store retire");
         let is_static_priv =
             self.bulk.private == PrivateMode::Static && self.map.is_static_private(addr);
         let dirty_nonspec =
-            self.port.l1.state(line) == Some(LineState::Dirty) && !self.spec_written(line);
+            self.port.l1.state(line) == Some(LineState::Dirty) && !spec_written(&self.chunks, line);
 
         // Make sure the line is present or on its way (§6: must arrive
         // before the chunk commits).
@@ -609,24 +589,8 @@ impl BulkNode {
     }
 
     fn issue(&mut self, now: Cycle) {
-        let mut to_start: Vec<(SlotId, Instr)> = Vec::new();
-        let mut depth = 0u64;
-        for slot in self.window.iter() {
-            depth += slot.remaining.max(1) as u64;
-            if depth > self.cfg.issue_window as u64 {
-                break;
-            }
-            if slot.state == SlotState::Waiting {
-                match slot.instr {
-                    Instr::Load { .. } | Instr::Store { .. } | Instr::Rmw { .. } => {
-                        to_start.push((slot.id, slot.instr));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (id, instr) in to_start {
-            let seq = self.chunk_seq_of(now, id, "issue");
+        for (id, instr) in self.window.issue(self.cfg.issue_window as u64, usize::MAX) {
+            let seq = self.chunk_seq_of(now, id);
             match instr {
                 Instr::Load { addr, .. } => {
                     self.record_read(seq, addr);
@@ -636,9 +600,6 @@ impl BulkNode {
                     } else {
                         self.port.want(now, addr.line(), false, Some(id));
                     }
-                    if let Some(s) = self.window.get_mut(id) {
-                        s.state = SlotState::Issued;
-                    }
                 }
                 Instr::Rmw { addr, .. } => {
                     // The read side joins R; the line is prefetched; the
@@ -647,18 +608,10 @@ impl BulkNode {
                     if !self.port.l1.contains(addr.line()) {
                         self.port.want(now, addr.line(), false, None);
                     }
-                    if let Some(s) = self.window.get_mut(id) {
-                        s.state = SlotState::Done;
-                    }
                 }
-                Instr::Store { addr, .. } => {
-                    // Prefetch the line; the store performs at the head.
-                    if !self.port.l1.contains(addr.line()) {
-                        self.port.want(now, addr.line(), false, None);
-                    }
-                    if let Some(s) = self.window.get_mut(id) {
-                        s.state = SlotState::Done;
-                    }
+                // Prefetch the line; the store performs at the head.
+                Instr::Store { addr, .. } if !self.port.l1.contains(addr.line()) => {
+                    self.port.want(now, addr.line(), false, None);
                 }
                 _ => {}
             }
@@ -677,7 +630,7 @@ impl BulkNode {
         }
     }
 
-    fn fetch(&mut self, now: Cycle, fab: &mut Fabric) {
+    fn fetch(&mut self, now: Cycle) {
         if self.awaiting.is_some() {
             return;
         }
@@ -731,37 +684,37 @@ impl BulkNode {
             // chunk so the store lands in the next one (§4.1.2).
             if let Instr::Store { addr, .. } = instr {
                 let line = addr.line();
-                let veto_set = self.spec_veto();
                 if self.fetched_into_chunk > 0
                     && !self.port.l1.contains(line)
-                    && self.port.l1.would_overflow(line, |l| veto_set.contains(&l))
+                    && self
+                        .port
+                        .l1
+                        .would_overflow(line, |l| spec_written(&self.chunks, l))
                 {
                     self.close_open_chunk();
                     self.stash = Some(instr);
                     continue;
                 }
             }
-            match self.window.push(instr) {
+            let core = self.core;
+            let seq = self
+                .open_chunk_mut()
+                .unwrap_or_else(|| {
+                    panic!(
+                        "core {core}: cycle {now}: no open chunk to receive a fetched \
+                         instruction (chunks_per_core misconfigured?)"
+                    )
+                })
+                .tag
+                .seq;
+            match self.window.push(instr, seq) {
                 Some(id) => {
-                    let core = self.core;
-                    let seq = self
-                        .open_chunk_mut()
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "core {core}: cycle {now}: no open chunk to receive \
-                                 fetched slot {id} (chunks_per_core misconfigured?)"
-                            )
-                        })
-                        .tag
-                        .seq;
-                    self.slot_chunks.insert(id, seq);
                     self.fetched_into_chunk += instr.dynamic_count();
                     if matches!(instr, Instr::Io) {
                         self.close_open_chunk();
                     }
                     if instr.consumes_value() {
                         self.awaiting = Some(id);
-                        let _ = (now, &fab);
                         return;
                     }
                 }
@@ -781,17 +734,6 @@ impl BulkNode {
         }
     }
 
-    /// The lines no displacement may touch: speculatively-written lines of
-    /// all active chunks.
-    fn spec_veto(&self) -> HashSet<LineAddr> {
-        let mut set = HashSet::new();
-        for c in &self.chunks {
-            set.extend(c.w.exact().iter());
-            set.extend(c.wpriv.exact().iter());
-        }
-        set
-    }
-
     // ------------------------------------------------------------------
     // Commit.
     // ------------------------------------------------------------------
@@ -803,15 +745,12 @@ impl BulkNode {
         let Some(front) = self.chunks.front() else {
             return;
         };
-        if front.state != ChunkState::Closed || !front.pending_lines.is_empty() {
-            return;
-        }
-        // Fully retired? No slot of this chunk may remain in the window.
-        let seq = front.tag.seq;
-        if self.slot_chunks.values().any(|&s| s == seq) {
-            return;
-        }
+        // Fully retired? No slot of this chunk may remain in the window;
+        // the oldest slot carries the smallest tag.
         let tag = front.tag;
+        if !front.ready_to_commit() || self.window.oldest().is_some_and(|s| s.tag == tag.seq) {
+            return;
+        }
         if self.bulk.commit_without_arbitration {
             // TEST-ONLY fault (see `BulkConfig`): self-grant the commit.
             // No arbiter serialization, no W-signature broadcast — other
@@ -1041,22 +980,7 @@ impl BulkNode {
 
         // Drop the squashed chunks' slots: they form a program-order
         // suffix of the window.
-        let slot_chunks = &self.slot_chunks;
-        let mut wasted = self.window.squash_newest_while(|id| {
-            slot_chunks
-                .get(&id)
-                .map(|&s| s >= first_seq)
-                .unwrap_or(false)
-        });
-        self.slot_chunks.retain(|_, &mut s| s < first_seq);
-        debug_assert!(
-            !self.window.iter().any(|s| self
-                .slot_chunks
-                .get(&s.id)
-                .map(|&c| c >= first_seq)
-                .unwrap_or(false)),
-            "squashed slots must form a window suffix"
-        );
+        let mut wasted = self.window.squash_newest_while(|s| s.tag >= first_seq);
 
         // Discard the squashed chunks and their speculative cache state.
         let squashed: Vec<Chunk> = self.chunks.drain(idx..).collect();
@@ -1219,7 +1143,9 @@ impl BulkNode {
         //    we are their registered owner).
         for set in w.decode_sets(self.port.l1.num_sets()) {
             for line in self.port.l1.lines_in_set(set) {
-                if w.contains(line) && !self.priv_buffer.contains(line) && !self.spec_written(line)
+                if w.contains(line)
+                    && !self.priv_buffer.contains(line)
+                    && !spec_written(&self.chunks, line)
                 {
                     self.port.l1.invalidate(line);
                     self.note_lost_clean_line(line);
@@ -1398,8 +1324,11 @@ impl BulkNode {
         } else {
             LineState::Shared
         };
-        let veto_set = self.spec_veto();
-        match self.port.l1.insert(line, state, |l| veto_set.contains(&l)) {
+        match self
+            .port
+            .l1
+            .insert(line, state, |l| spec_written(&self.chunks, l))
+        {
             InsertOutcome::Evicted {
                 line: victim,
                 state: vstate,
@@ -1519,4 +1448,12 @@ impl BulkNode {
             self.stats.finished_at,
         )
     }
+}
+
+/// True if `line` is speculatively written by any of `chunks` (the BDM's
+/// displacement veto and dirty-non-speculative test).
+fn spec_written(chunks: &VecDeque<Chunk>, line: LineAddr) -> bool {
+    chunks
+        .iter()
+        .any(|c| c.w.contains_exact(line) || c.wpriv.contains_exact(line))
 }

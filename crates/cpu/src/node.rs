@@ -29,7 +29,7 @@
 //!
 //! One node = one core + L1 + its protocol endpoint on the fabric.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState};
 use bulksc_net::{Cycle, Envelope, Fabric, Message, NodeId};
@@ -117,8 +117,6 @@ pub struct BaselineNode {
     /// Instruction fetched from the program but not yet admitted into the
     /// window (the window was full).
     stash: Option<Instr>,
-    /// Epoch id assigned to newly fetched slots.
-    slot_epochs: HashMap<SlotId, u64>,
 
     port: MemPort,
     store_buffer: VecDeque<SbEntry>,
@@ -165,7 +163,6 @@ impl BaselineNode {
             awaiting: None,
             feed: None,
             stash: None,
-            slot_epochs: HashMap::new(),
             port: MemPort::new(core, cfg, l1, num_dirs),
             store_buffer: VecDeque::new(),
             last_mem_retire: 0,
@@ -441,7 +438,6 @@ impl BaselineNode {
     fn finish_slot(&mut self, id: SlotId) {
         let slot = self.window.pop_oldest();
         debug_assert_eq!(slot.id, id);
-        self.slot_epochs.remove(&id);
     }
 
     fn note_retired(&mut self, n: u64) {
@@ -454,13 +450,14 @@ impl BaselineNode {
             // every slot retired (in-order retirement ⇒ no slot of it or
             // anything older remains) and all its stores drained. Keeping
             // safety tied to the store buffer, not to full quiescence,
-            // matches the SHiQ's bounded speculation window.
+            // matches the SHiQ's bounded speculation window. Slots are
+            // tagged with their epoch, oldest first.
             let oldest_speculative_store = self
                 .store_buffer
                 .front()
                 .map(|e| e.epoch)
                 .unwrap_or(u64::MAX);
-            let oldest_in_window = self.slot_epochs.values().min().copied().unwrap_or(u64::MAX);
+            let oldest_in_window = self.window.oldest().map_or(u64::MAX, |s| s.tag);
             let mut popped = false;
             while self.epochs.len() > 1 {
                 let front_id = self.epochs.front().expect("non-empty").id;
@@ -573,34 +570,11 @@ impl BaselineNode {
         // the bounded prefetch lookahead — memory ops beyond the first
         // `sc_prefetch_depth` in program order stay unissued, which is
         // what bounds SC's memory-level parallelism below RC's.
-        let depth_limit = match self.model {
+        let mem_limit = match self.model {
             BaselineModel::Sc => self.cfg.sc_prefetch_depth as usize,
             _ => usize::MAX,
         };
-        let mut to_start: Vec<(SlotId, Instr)> = Vec::new();
-        let mut mem_seen = 0usize;
-        let mut depth = 0u64;
-        for slot in self.window.iter() {
-            depth += slot.remaining.max(1) as u64;
-            if depth > self.cfg.issue_window as u64 {
-                break;
-            }
-            let is_mem = matches!(
-                slot.instr,
-                Instr::Load { .. } | Instr::Store { .. } | Instr::Rmw { .. }
-            );
-            if !is_mem {
-                continue;
-            }
-            if mem_seen >= depth_limit {
-                break;
-            }
-            mem_seen += 1;
-            if slot.state == SlotState::Waiting {
-                to_start.push((slot.id, slot.instr));
-            }
-        }
-        for (id, instr) in to_start {
+        for (id, instr) in self.window.issue(self.cfg.issue_window as u64, mem_limit) {
             match instr {
                 Instr::Load { addr, .. } => {
                     if self.port.l1.contains(addr.line()) {
@@ -608,18 +582,12 @@ impl BaselineNode {
                     } else {
                         self.port.want(now, addr.line(), false, Some(id));
                     }
-                    if let Some(s) = self.window.get_mut(id) {
-                        s.state = SlotState::Issued;
-                    }
                 }
-                Instr::Store { addr, .. } | Instr::Rmw { addr, .. } => {
-                    // Exclusive prefetch; the op itself performs at retire.
-                    if !self.line_owned(addr.line()) {
-                        self.port.want(now, addr.line(), true, None);
-                    }
-                    if let Some(s) = self.window.get_mut(id) {
-                        s.state = SlotState::Done; // nothing more to do pre-retire
-                    }
+                // Exclusive prefetch; the op itself performs at retire.
+                Instr::Store { addr, .. } | Instr::Rmw { addr, .. }
+                    if !self.line_owned(addr.line()) =>
+                {
+                    self.port.want(now, addr.line(), true, None);
                 }
                 _ => {}
             }
@@ -661,10 +629,9 @@ impl BaselineNode {
                     }
                 }
             };
-            match self.window.push(instr) {
+            match self.window.push(instr, self.current_epoch) {
                 Some(id) => {
                     self.epoch_fetched += instr.dynamic_count();
-                    self.slot_epochs.insert(id, self.current_epoch);
                     if instr.consumes_value() {
                         self.awaiting = Some(id);
                         return;
@@ -781,12 +748,8 @@ impl BaselineNode {
                 match self.model {
                     BaselineModel::Rc => self.complete_load(now, slot, snapshot),
                     BaselineModel::Sc | BaselineModel::Scpp | BaselineModel::Tso => {
-                        if let Some(s) = self.window.get_mut(slot) {
-                            if s.state == SlotState::Issued {
-                                s.state = SlotState::Waiting;
-                                s.value = None;
-                                self.stats.load_reissues += 1;
-                            }
+                        if self.window.reissue(slot) {
+                            self.stats.load_reissues += 1;
                         }
                     }
                 }
@@ -859,17 +822,7 @@ impl BaselineNode {
                 // Revalidate speculatively completed loads: re-issue.
                 // TSO needs this too — loads must appear to perform in
                 // program order among themselves (R→R is ppo).
-                let mut hit = false;
-                for s in self.window.iter_mut() {
-                    if let Instr::Load { addr, .. } = s.instr {
-                        if addr.line() == line && s.state == SlotState::Done {
-                            s.state = SlotState::Waiting;
-                            s.value = None;
-                            hit = true;
-                        }
-                    }
-                }
-                if hit {
+                if self.window.reissue_loads(line) {
                     self.stats.load_reissues += 1;
                 }
             }
@@ -924,7 +877,6 @@ impl BaselineNode {
         // The slots are gone; in-flight data still fills the cache.
         self.port.forget_loads();
         self.awaiting = None;
-        self.slot_epochs.clear();
         self.epochs.truncate(pos);
         self.open_epoch();
     }

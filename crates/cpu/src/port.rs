@@ -19,7 +19,7 @@ use bulksc_stats::Histogram;
 use bulksc_workloads::Instr;
 
 use crate::config::CoreConfig;
-use crate::window::{Forward, InstrWindow, SlotId, SlotState};
+use crate::window::{Forward, InstrWindow, Slot, SlotId, SlotState};
 
 /// L1 and miss counters of one core.
 #[derive(Clone, Debug, Default)]
@@ -76,6 +76,8 @@ pub struct MemPort {
     num_dirs: u32,
     /// Outstanding misses; iteration order is the send order.
     misses: BTreeMap<LineAddr, Miss>,
+    /// Misses whose request is in flight: the busy MSHRs.
+    in_flight: u32,
     /// Loads that hit, by completion cycle.
     completions: BinaryHeap<Reverse<(Cycle, SlotId)>>,
     /// Fetches to answer once their fill's grace period is over.
@@ -92,6 +94,7 @@ impl MemPort {
             cfg,
             num_dirs,
             misses: BTreeMap::new(),
+            in_flight: 0,
             completions: BinaryHeap::new(),
             deferred_fetches: Vec::new(),
             stats: PortStats::default(),
@@ -137,8 +140,15 @@ impl MemPort {
     /// free. A read asks for `ReadShared`; a miss that needs ownership
     /// asks to `Upgrade` a Shared copy, else for `ReadExcl`.
     pub fn send_misses(&mut self, now: Cycle, fab: &mut Fabric) {
-        let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
-        let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
+        debug_assert_eq!(
+            self.in_flight as usize,
+            self.misses.values().filter(|m| m.sent).count(),
+            "in-flight count drifted from the miss table"
+        );
+        if self.in_flight >= self.cfg.mshrs || self.in_flight as usize == self.misses.len() {
+            return;
+        }
+        let mut budget = self.cfg.mshrs - self.in_flight;
         for (&line, m) in self.misses.iter_mut() {
             if budget == 0 {
                 break;
@@ -155,6 +165,7 @@ impl MemPort {
             };
             m.sent = true;
             m.sent_at = now;
+            self.in_flight += 1;
             self.stats.l1_misses += 1;
             fab.send(now, self.core, home(line, self.num_dirs), msg);
             budget -= 1;
@@ -194,15 +205,13 @@ impl MemPort {
         buffered: impl Fn(Addr) -> Option<u64>,
         memory: impl Fn(Addr) -> u64,
     ) {
-        let addr = match window.get_mut(slot) {
-            Some(s) if s.state == SlotState::Issued => match s.instr {
-                Instr::Load { addr, .. } => addr,
-                _ => {
-                    s.state = SlotState::Done;
-                    return;
-                }
-            },
-            _ => return,
+        let Some(&Slot {
+            state: SlotState::Issued,
+            instr: Instr::Load { addr, .. },
+            ..
+        }) = window.get(slot)
+        else {
+            return;
         };
         let value = match window.forward(slot, addr) {
             Forward::Value(v) => v,
@@ -212,9 +221,7 @@ impl MemPort {
             }
             Forward::None => buffered(addr).unwrap_or_else(|| memory(addr)),
         };
-        let s = window.get_mut(slot).expect("looked up above");
-        s.state = SlotState::Done;
-        s.value = Some(value);
+        window.complete(slot, value);
     }
 
     /// Drop every waiting and completing load (their slots were
@@ -244,6 +251,7 @@ impl MemPort {
     pub fn nack(&mut self, now: Cycle, line: LineAddr) -> Option<Fetch> {
         self.stats.nacks += 1;
         let m = self.misses.get_mut(&line)?;
+        self.in_flight -= m.sent as u32;
         m.sent = false;
         m.retry_at = now + self.cfg.nack_retry;
         m.fetch.take()
@@ -257,6 +265,9 @@ impl MemPort {
     /// The parked fetches whose grace period is over at `now`.
     pub fn due_fetches(&mut self, now: Cycle) -> Vec<Fetch> {
         let mut due = Vec::new();
+        if self.deferred_fetches.is_empty() {
+            return due;
+        }
         self.deferred_fetches.retain(|&(t, f)| {
             if t <= now {
                 due.push(f);
@@ -292,15 +303,17 @@ impl MemPort {
     /// Forget `line`'s miss without a latency sample, returning its
     /// waiting loads and whether it wanted ownership.
     pub fn drop_miss(&mut self, line: LineAddr) -> (Vec<SlotId>, bool) {
-        self.misses
-            .remove(&line)
-            .map(|m| (m.loads, m.excl))
-            .unwrap_or_default()
+        let Some(m) = self.misses.remove(&line) else {
+            return Default::default();
+        };
+        self.in_flight -= m.sent as u32;
+        (m.loads, m.excl)
     }
 
     /// Re-send `line`'s request next cycle (its fill was stale).
     pub fn retry_miss(&mut self, now: Cycle, line: LineAddr) {
         if let Some(m) = self.misses.get_mut(&line) {
+            self.in_flight -= m.sent as u32;
             m.sent = false;
             m.invalidated = false;
             m.retry_at = now + 1;
@@ -316,6 +329,7 @@ impl MemPort {
             return Vec::new();
         };
         if m.sent {
+            self.in_flight -= 1;
             self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
         }
         if let Some(f) = m.fetch {

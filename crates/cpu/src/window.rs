@@ -4,10 +4,17 @@
 //! order. Capacity is counted in *dynamic* instructions, so a
 //! `Compute(50)` batch occupies 50 entries — that keeps the window
 //! pressure realistic while letting programs emit computation in batches.
+//!
+//! The window owns every slot-state change: [`InstrWindow::issue`] moves
+//! memory operations out of `Waiting`, [`InstrWindow::complete`] finishes
+//! a load, and [`InstrWindow::reissue`] / [`InstrWindow::reissue_loads`]
+//! send loads back. Because nothing else can return a slot to `Waiting`,
+//! the issue scan resumes where it last stopped instead of rewalking the
+//! window on every cycle.
 
 use std::collections::VecDeque;
 
-use bulksc_sig::Addr;
+use bulksc_sig::{Addr, LineAddr};
 use bulksc_workloads::Instr;
 
 /// Identifies a slot for the lifetime of the window (monotonic, never
@@ -52,6 +59,21 @@ pub struct Slot {
     /// Dynamic instructions left to retire (compute batches drain over
     /// multiple cycles).
     pub remaining: u32,
+    /// The model's tag, fixed at fetch: the BulkSC chunk or the SC++
+    /// epoch the slot belongs to. Tags never decrease along the window,
+    /// so the oldest slot carries the smallest.
+    pub tag: u64,
+}
+
+/// How far the issue scan has looked: the oldest `slots` slots, which
+/// fill `depth` issue-window entries (a slot counts `max(remaining, 1)`)
+/// and hold `mem` memory operations. None of them is a `Waiting` memory
+/// operation, so the next scan starts after them.
+#[derive(Clone, Copy, Debug, Default)]
+struct Scan {
+    slots: usize,
+    depth: u64,
+    mem: usize,
 }
 
 /// Program-ordered window of in-flight instructions.
@@ -63,7 +85,7 @@ pub struct Slot {
 /// use bulksc_workloads::Instr;
 ///
 /// let mut w = InstrWindow::new(8);
-/// let id = w.push(Instr::Compute(3)).unwrap();
+/// let id = w.push(Instr::Compute(3), 0).unwrap();
 /// assert_eq!(w.occupancy(), 3);
 /// assert_eq!(w.oldest().unwrap().id, id);
 /// ```
@@ -73,6 +95,7 @@ pub struct InstrWindow {
     next_id: SlotId,
     capacity: u32,
     occupancy: u64,
+    scan: Scan,
 }
 
 impl InstrWindow {
@@ -83,6 +106,7 @@ impl InstrWindow {
             next_id: 0,
             capacity,
             occupancy: 0,
+            scan: Scan::default(),
         }
     }
 
@@ -98,11 +122,16 @@ impl InstrWindow {
         self.occupancy + instr.dynamic_count() <= self.capacity as u64 || self.slots.is_empty()
     }
 
-    /// Append an instruction in program order; `None` if there is no room.
-    pub fn push(&mut self, instr: Instr) -> Option<SlotId> {
+    /// Append an instruction in program order with the model's `tag`;
+    /// `None` if there is no room.
+    pub fn push(&mut self, instr: Instr, tag: u64) -> Option<SlotId> {
         if !self.has_room(&instr) {
             return None;
         }
+        debug_assert!(
+            self.slots.back().is_none_or(|s| s.tag <= tag),
+            "slot tags must not decrease along the window"
+        );
         let id = self.next_id;
         self.next_id += 1;
         self.occupancy += instr.dynamic_count();
@@ -116,6 +145,7 @@ impl InstrWindow {
             state: SlotState::Waiting,
             value: None,
             remaining,
+            tag,
         });
         Some(id)
     }
@@ -133,6 +163,11 @@ impl InstrWindow {
     pub fn pop_oldest(&mut self) -> Slot {
         let slot = self.slots.pop_front().expect("pop from empty window");
         self.occupancy -= slot.remaining as u64; // remaining dynamic instrs
+        if self.scan.slots > 0 {
+            self.scan.slots -= 1;
+            self.scan.depth -= slot.remaining.max(1) as u64;
+            self.scan.mem -= slot.instr.addr().is_some() as usize;
+        }
         slot
     }
 
@@ -145,13 +180,106 @@ impl InstrWindow {
     pub fn drain_oldest_compute(&mut self, n: u32) {
         let slot = self.slots.front_mut().expect("no oldest slot");
         assert!(slot.remaining >= n, "draining more than remains");
+        if self.scan.slots > 0 {
+            self.scan.depth -= (slot.remaining.max(1) - (slot.remaining - n).max(1)) as u64;
+        }
         slot.remaining -= n;
         self.occupancy -= n as u64;
     }
 
+    /// Index of the slot `id` (ids grow along the window).
+    fn position(&self, id: SlotId) -> Option<usize> {
+        let i = self.slots.partition_point(|s| s.id < id);
+        (self.slots.get(i)?.id == id).then_some(i)
+    }
+
     /// Look up a slot by id.
-    pub fn get_mut(&mut self, id: SlotId) -> Option<&mut Slot> {
-        self.slots.iter_mut().find(|s| s.id == id)
+    pub fn get(&self, id: SlotId) -> Option<&Slot> {
+        self.slots.get(self.position(id)?)
+    }
+
+    /// Issue the `Waiting` memory operations that lie within the first
+    /// `issue_window` entries (a slot takes `max(remaining, 1)`) and among
+    /// the first `mem_limit` memory operations, oldest first: a load
+    /// becomes `Issued`, a store or RMW `Done` (it performs at the head).
+    /// Returns them for the caller's port actions.
+    ///
+    /// The scan resumes where the previous call stopped, so every call
+    /// must pass the same limits.
+    pub fn issue(&mut self, issue_window: u64, mem_limit: usize) -> Vec<(SlotId, Instr)> {
+        let mut issued = Vec::new();
+        let Scan {
+            mut slots,
+            mut depth,
+            mut mem,
+        } = self.scan;
+        for s in self.slots.range_mut(slots..) {
+            let next = depth + s.remaining.max(1) as u64;
+            if next > issue_window {
+                break;
+            }
+            if s.instr.addr().is_some() {
+                if mem >= mem_limit {
+                    break;
+                }
+                mem += 1;
+                if s.state == SlotState::Waiting {
+                    s.state = match s.instr {
+                        Instr::Load { .. } => SlotState::Issued,
+                        _ => SlotState::Done,
+                    };
+                    issued.push((s.id, s.instr));
+                }
+            }
+            depth = next;
+            slots += 1;
+        }
+        self.scan = Scan { slots, depth, mem };
+        issued
+    }
+
+    /// The load at `id` performed and observed `value`.
+    pub fn complete(&mut self, id: SlotId, value: u64) {
+        if let Some(i) = self.position(id) {
+            let s = &mut self.slots[i];
+            s.state = SlotState::Done;
+            s.value = Some(value);
+        }
+    }
+
+    /// Send the in-flight load at `id` back to `Waiting` (its fill was
+    /// stale). Returns false, changing nothing, unless it was `Issued`.
+    pub fn reissue(&mut self, id: SlotId) -> bool {
+        let Some(i) = self.position(id) else {
+            return false;
+        };
+        let s = &mut self.slots[i];
+        if s.state != SlotState::Issued {
+            return false;
+        }
+        s.state = SlotState::Waiting;
+        s.value = None;
+        self.scan = Scan::default();
+        true
+    }
+
+    /// Send every completed load of `line` back to `Waiting` (the line
+    /// left the cache before they retired). Returns true if there was one.
+    pub fn reissue_loads(&mut self, line: LineAddr) -> bool {
+        let mut hit = false;
+        for s in self.slots.iter_mut() {
+            if let Instr::Load { addr, .. } = s.instr {
+                if addr.line() == line && s.state == SlotState::Done {
+                    s.state = SlotState::Waiting;
+                    s.value = None;
+                    hit = true;
+                }
+            }
+        }
+        if hit {
+            self.scan = Scan::default();
+        }
+        hit
     }
 
     /// What the load at `slot` forwards from the older in-window accesses
@@ -173,33 +301,30 @@ impl InstrWindow {
         self.slots.iter()
     }
 
-    /// Iterate slots mutably, oldest-first.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
-        self.slots.iter_mut()
-    }
-
     /// Drop every in-flight instruction (window squash), returning how
     /// many dynamic instructions were discarded.
     pub fn squash_all(&mut self) -> u64 {
         let dropped = self.occupancy;
         self.slots.clear();
         self.occupancy = 0;
+        self.scan = Scan::default();
         dropped
     }
 
-    /// Drop the newest slots while `drop(id)` holds (a program-order
+    /// Drop the newest slots while `drop(slot)` holds (a program-order
     /// suffix squash, as when one chunk of several is discarded).
     /// Returns the dynamic instructions discarded.
-    pub fn squash_newest_while(&mut self, drop: impl Fn(SlotId) -> bool) -> u64 {
+    pub fn squash_newest_while(&mut self, drop: impl Fn(&Slot) -> bool) -> u64 {
         let mut dropped = 0u64;
         while let Some(back) = self.slots.back() {
-            if !drop(back.id) {
+            if !drop(back) {
                 break;
             }
             let slot = self.slots.pop_back().expect("checked");
             dropped += slot.remaining as u64;
         }
         self.occupancy -= dropped;
+        self.scan = Scan::default();
         dropped
     }
 
@@ -218,6 +343,7 @@ impl InstrWindow {
 mod tests {
     use super::*;
     use bulksc_sig::Addr;
+    use bulksc_stats::SplitMix64;
 
     fn load(a: u64) -> Instr {
         Instr::Load {
@@ -229,27 +355,27 @@ mod tests {
     #[test]
     fn capacity_counts_dynamic_instructions() {
         let mut w = InstrWindow::new(10);
-        assert!(w.push(Instr::Compute(8)).is_some());
-        assert!(w.push(load(0)).is_some());
-        assert!(w.push(load(1)).is_some());
+        assert!(w.push(Instr::Compute(8), 0).is_some());
+        assert!(w.push(load(0), 0).is_some());
+        assert!(w.push(load(1), 0).is_some());
         assert_eq!(w.occupancy(), 10);
-        assert!(w.push(load(2)).is_none(), "window full");
+        assert!(w.push(load(2), 0).is_none(), "window full");
         assert_eq!(w.len(), 3);
     }
 
     #[test]
     fn oversized_batch_admitted_when_empty() {
         let mut w = InstrWindow::new(10);
-        assert!(w.push(Instr::Compute(50)).is_some());
+        assert!(w.push(Instr::Compute(50), 0).is_some());
         assert_eq!(w.occupancy(), 50);
-        assert!(w.push(load(0)).is_none());
+        assert!(w.push(load(0), 0).is_none());
     }
 
     #[test]
     fn pop_restores_capacity() {
         let mut w = InstrWindow::new(4);
-        w.push(load(0)).unwrap();
-        w.push(load(1)).unwrap();
+        w.push(load(0), 0).unwrap();
+        w.push(load(1), 0).unwrap();
         let s = w.pop_oldest();
         assert_eq!(s.instr, load(0));
         assert_eq!(w.occupancy(), 1);
@@ -259,7 +385,7 @@ mod tests {
     #[test]
     fn compute_drains_incrementally() {
         let mut w = InstrWindow::new(10);
-        w.push(Instr::Compute(7)).unwrap();
+        w.push(Instr::Compute(7), 0).unwrap();
         w.drain_oldest_compute(5);
         assert_eq!(w.occupancy(), 2);
         assert_eq!(w.oldest().unwrap().remaining, 2);
@@ -273,50 +399,55 @@ mod tests {
     #[should_panic(expected = "draining more than remains")]
     fn overdrain_panics() {
         let mut w = InstrWindow::new(10);
-        w.push(Instr::Compute(2)).unwrap();
+        w.push(Instr::Compute(2), 0).unwrap();
         w.drain_oldest_compute(3);
     }
 
     #[test]
     fn ids_are_stable_and_lookup_works() {
         let mut w = InstrWindow::new(10);
-        let a = w.push(load(0)).unwrap();
-        let b = w.push(load(1)).unwrap();
+        let a = w.push(load(0), 0).unwrap();
+        let b = w.push(load(1), 0).unwrap();
         assert_ne!(a, b);
-        w.get_mut(b).unwrap().state = SlotState::Issued;
-        assert_eq!(w.get_mut(b).unwrap().state, SlotState::Issued);
-        assert_eq!(w.get_mut(a).unwrap().state, SlotState::Waiting);
+        assert_eq!(w.issue(10, usize::MAX), [(a, load(0)), (b, load(1))]);
+        w.complete(b, 7);
+        assert_eq!(w.get(b).unwrap().state, SlotState::Done);
+        assert_eq!(w.get(b).unwrap().value, Some(7));
+        assert_eq!(w.get(a).unwrap().state, SlotState::Issued);
         w.pop_oldest();
-        assert!(w.get_mut(a).is_none(), "retired slots are gone");
+        assert!(w.get(a).is_none(), "retired slots are gone");
     }
 
     #[test]
     fn squash_suffix_drops_only_newest() {
         let mut w = InstrWindow::new(20);
-        let a = w.push(load(0)).unwrap();
-        let b = w.push(Instr::Compute(5)).unwrap();
-        let c = w.push(load(1)).unwrap();
-        let dropped = w.squash_newest_while(|id| id >= b);
+        let a = w.push(load(0), 0).unwrap();
+        let b = w.push(Instr::Compute(5), 0).unwrap();
+        let c = w.push(load(1), 0).unwrap();
+        let dropped = w.squash_newest_while(|s| s.id >= b);
         assert_eq!(dropped, 6);
         assert_eq!(w.occupancy(), 1);
         assert_eq!(w.oldest().unwrap().id, a);
-        assert!(w.get_mut(c).is_none());
+        assert!(w.get(c).is_none());
     }
 
     #[test]
     fn forward_takes_the_youngest_older_same_word_access() {
         let mut w = InstrWindow::new(20);
         let (a, b) = (Addr(8), Addr(9));
-        w.push(Instr::Store { addr: a, value: 1 }).unwrap();
-        w.push(Instr::Store { addr: b, value: 2 }).unwrap();
-        let l1 = w.push(load(8)).unwrap();
-        w.push(Instr::Rmw {
-            addr: a,
-            op: bulksc_workloads::RmwOp::Swap(3),
-        })
+        w.push(Instr::Store { addr: a, value: 1 }, 0).unwrap();
+        w.push(Instr::Store { addr: b, value: 2 }, 0).unwrap();
+        let l1 = w.push(load(8), 0).unwrap();
+        w.push(
+            Instr::Rmw {
+                addr: a,
+                op: bulksc_workloads::RmwOp::Swap(3),
+            },
+            0,
+        )
         .unwrap();
-        let l2 = w.push(load(8)).unwrap();
-        w.push(Instr::Store { addr: a, value: 4 }).unwrap();
+        let l2 = w.push(load(8), 0).unwrap();
+        w.push(Instr::Store { addr: a, value: 4 }, 0).unwrap();
         assert_eq!(w.forward(l1, a), Forward::Value(1));
         assert_eq!(w.forward(l2, a), Forward::Unknown, "older RMW unperformed");
         assert_eq!(w.forward(l1, Addr(10)), Forward::None);
@@ -325,10 +456,141 @@ mod tests {
     #[test]
     fn squash_drops_everything() {
         let mut w = InstrWindow::new(20);
-        w.push(Instr::Compute(5)).unwrap();
-        w.push(load(0)).unwrap();
+        w.push(Instr::Compute(5), 0).unwrap();
+        w.push(load(0), 0).unwrap();
         assert_eq!(w.squash_all(), 6);
         assert!(w.is_empty());
         assert_eq!(w.occupancy(), 0);
+    }
+
+    #[test]
+    fn reissued_loads_issue_again_and_tags_stay_with_their_slots() {
+        let mut w = InstrWindow::new(20);
+        let a = w.push(load(0), 3).unwrap();
+        let st = w
+            .push(
+                Instr::Store {
+                    addr: Addr(8),
+                    value: 1,
+                },
+                3,
+            )
+            .unwrap();
+        let b = w.push(load(8), 4).unwrap();
+        assert_eq!(w.issue(20, usize::MAX).len(), 3);
+        assert!(w.issue(20, usize::MAX).is_empty(), "nothing is waiting");
+        assert!(w.reissue(a), "an issued load goes back");
+        assert!(!w.reissue(st), "a store is never in flight");
+        w.complete(b, 5);
+        assert!(w.reissue_loads(Addr(8).line()));
+        assert!(!w.reissue_loads(Addr(8).line()), "already waiting");
+        assert_eq!(w.issue(20, usize::MAX), [(a, load(0)), (b, load(8))]);
+        assert_eq!(w.get(b).unwrap().value, None);
+        assert_eq!(w.squash_newest_while(|s| s.tag >= 4), 1);
+        assert_eq!(w.oldest().unwrap().tag, 3);
+    }
+
+    /// The issue scan as a rewalk of the whole window from the head on
+    /// every call, with the state changes the cursor scan makes itself:
+    /// the reference [`InstrWindow::issue`] must match.
+    fn rescan(w: &mut InstrWindow, issue_window: u64, mem_limit: usize) -> Vec<(SlotId, Instr)> {
+        let mut to_start: Vec<(SlotId, Instr)> = Vec::new();
+        let mut mem_seen = 0usize;
+        let mut depth = 0u64;
+        for slot in w.slots.iter() {
+            depth += slot.remaining.max(1) as u64;
+            if depth > issue_window {
+                break;
+            }
+            let is_mem = matches!(
+                slot.instr,
+                Instr::Load { .. } | Instr::Store { .. } | Instr::Rmw { .. }
+            );
+            if !is_mem {
+                continue;
+            }
+            if mem_seen >= mem_limit {
+                break;
+            }
+            mem_seen += 1;
+            if slot.state == SlotState::Waiting {
+                to_start.push((slot.id, slot.instr));
+            }
+        }
+        for &(id, instr) in &to_start {
+            let s = w.slots.iter_mut().find(|s| s.id == id).unwrap();
+            s.state = match instr {
+                Instr::Load { .. } => SlotState::Issued,
+                _ => SlotState::Done,
+            };
+        }
+        to_start
+    }
+
+    fn states(w: &InstrWindow) -> Vec<(SlotId, SlotState, Option<u64>, u32)> {
+        w.slots
+            .iter()
+            .map(|s| (s.id, s.state, s.value, s.remaining))
+            .collect()
+    }
+
+    #[test]
+    fn resumed_issue_scan_matches_a_full_rescan() {
+        const SCAN_DEPTH: u64 = 20;
+        for mem_limit in [6, usize::MAX] {
+            for case in 0..400u64 {
+                let mut rng = SplitMix64::new(case);
+                let mut w = InstrWindow::new(40);
+                let mut tag = 0u64;
+                for step in 0..300 {
+                    let ctx = format!("limit {mem_limit}, case {case}, step {step}");
+                    match rng.gen_range(0..12) {
+                        0..=3 => {
+                            tag += rng.gen_range(0..2);
+                            let addr = Addr(rng.gen_range(0..16));
+                            let instr = match rng.gen_range(0..3) {
+                                0 => Instr::Compute(rng.gen_range(0..6) as u32),
+                                1 => Instr::Store { addr, value: step },
+                                _ => load(addr.0),
+                            };
+                            let _ = w.push(instr, tag);
+                        }
+                        4 | 5 => {
+                            let Some(head) = w.oldest() else { continue };
+                            let r = head.remaining;
+                            if matches!(head.instr, Instr::Compute(_))
+                                && r > 0
+                                && rng.gen_range(0..2) == 0
+                            {
+                                w.drain_oldest_compute(rng.gen_range(1..r as u64 + 1) as u32);
+                            } else {
+                                w.pop_oldest();
+                            }
+                        }
+                        6 => {
+                            let cut = rng.gen_range(0..tag + 2);
+                            w.squash_newest_while(|s| s.tag >= cut);
+                        }
+                        7 | 8 => {
+                            let id = rng.gen_range(0..w.next_id + 1);
+                            if rng.gen_range(0..2) == 0 {
+                                w.reissue(id);
+                            } else if w.get(id).is_some_and(|s| s.state == SlotState::Issued) {
+                                w.complete(id, step);
+                            }
+                        }
+                        9 => {
+                            w.reissue_loads(Addr(rng.gen_range(0..16)).line());
+                        }
+                        _ => {
+                            let mut reference = w.clone();
+                            let want = rescan(&mut reference, SCAN_DEPTH, mem_limit);
+                            assert_eq!(w.issue(SCAN_DEPTH, mem_limit), want, "{ctx}");
+                            assert_eq!(states(&w), states(&reference), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
