@@ -13,10 +13,10 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use bulksc_cpu::Checkpoint;
 use bulksc_net::ChunkTag;
 use bulksc_sig::{Addr, LineAddr, SigMode, SignatureConfig, TrackedSig};
 use bulksc_trace::Event;
-use bulksc_workloads::{Instr, ThreadProgram};
 
 /// Lifecycle of a chunk. Chunks leave the core's active list when the
 /// commit is granted (their signatures are cleared at that point, §4.1.1),
@@ -49,12 +49,7 @@ pub struct Chunk {
     /// Order of first-writes (for deterministic commit application).
     pub store_order: Vec<(Addr, u64)>,
     /// Program checkpoint taken when the chunk opened.
-    pub checkpoint: Box<dyn ThreadProgram>,
-    /// Value pending delivery to the program at checkpoint time (a
-    /// consuming load that retired just before the chunk opened).
-    pub checkpoint_feed: Option<u64>,
-    /// Instruction fetched but not yet windowed at checkpoint time.
-    pub checkpoint_stash: Option<Instr>,
+    pub checkpoint: Checkpoint,
     /// Lines this chunk touched that have not yet arrived in the L1;
     /// the chunk cannot request commit until this is empty (§6: the line
     /// has to be received before the chunk commits).
@@ -83,7 +78,7 @@ impl Chunk {
         tag: ChunkTag,
         sig: &SignatureConfig,
         mode: SigMode,
-        checkpoint: Box<dyn ThreadProgram>,
+        checkpoint: Checkpoint,
     ) -> Self {
         Chunk {
             tag,
@@ -94,8 +89,6 @@ impl Chunk {
             stores: BTreeMap::new(),
             store_order: Vec::new(),
             checkpoint,
-            checkpoint_feed: None,
-            checkpoint_stash: None,
             pending_lines: HashSet::new(),
             retired: 0,
             read_displacements: 0,
@@ -221,6 +214,7 @@ impl PrivateBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bulksc_cpu::FrontEnd;
     use bulksc_workloads::ScriptProgram;
 
     fn chunk(tag_seq: u64) -> Chunk {
@@ -231,7 +225,7 @@ mod tests {
             },
             &SignatureConfig::default(),
             SigMode::Bloom,
-            Box::new(ScriptProgram::new(vec![])),
+            FrontEnd::new(Box::new(ScriptProgram::new(vec![])), 0).checkpoint(),
         )
     }
 

@@ -30,7 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use bulksc_cpu::{
-    CoreConfig, Fetch, InstrWindow, MemPort, PortStats, SlotId, SlotState, ValueStore,
+    CoreConfig, Fetch, FrontEnd, InstrWindow, MemPort, PortStats, SlotId, SlotState, ValueStore,
 };
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState};
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
@@ -112,15 +112,8 @@ pub struct BulkNode {
     num_dirs: u32,
     map: AddressMap,
 
-    program: Box<dyn ThreadProgram>,
-    program_done: bool,
-    budget: u64,
-
+    front: FrontEnd,
     window: InstrWindow,
-    awaiting: Option<SlotId>,
-    feed: Option<u64>,
-    stash: Option<Instr>,
-
     port: MemPort,
 
     /// Active chunks, oldest first; the back one may be open.
@@ -179,13 +172,8 @@ impl BulkNode {
             bulk,
             num_dirs,
             map,
-            program,
-            program_done: false,
-            budget,
+            front: FrontEnd::new(program, budget),
             window: InstrWindow::new(cfg.window_size),
-            awaiting: None,
-            feed: None,
-            stash: None,
             port: MemPort::new(core, cfg, l1, num_dirs),
             chunks: VecDeque::new(),
             next_seq: 0,
@@ -229,7 +217,7 @@ impl BulkNode {
 
     /// The thread program (for observations after a run).
     pub fn program(&self) -> &dyn ThreadProgram {
-        self.program.as_ref()
+        self.front.program()
     }
 
     /// True once the program has ended and every chunk has committed.
@@ -272,13 +260,8 @@ impl BulkNode {
             tag,
             &self.bulk.sig,
             self.bulk.sig_mode,
-            self.program.clone_box(),
+            self.front.checkpoint(),
         );
-        // The checkpoint must capture everything the restored execution
-        // needs: a value awaiting delivery and a fetched-but-unwindowed
-        // instruction are architectural state too.
-        chunk.checkpoint_feed = self.feed;
-        chunk.checkpoint_stash = self.stash;
         chunk.t_start = now;
         self.chunks.push_back(chunk);
     }
@@ -370,29 +353,25 @@ impl BulkNode {
                         )
                     });
                     if drained.remaining == 0 {
-                        self.finish_slot(head_id);
+                        self.window.pop_oldest();
                     }
+                    continue;
                 }
-                Instr::Fence => {
-                    // §3.3: no fences, no reordering constraints.
-                    self.note_retired(head_seq, 1);
-                    self.finish_slot(head_id);
-                    budget -= 1;
-                }
+                // §3.3: no fences, no reordering constraints.
+                Instr::Fence => {}
                 Instr::Load { addr, consume } => {
                     if head_state != SlotState::Done {
                         break;
                     }
-                    let v = head_value;
+                    let core = self.core;
+                    let value = head_value.unwrap_or_else(|| {
+                        panic!(
+                            "core {core}: cycle {now}: load slot {head_id} at \
+                             {} retired Done but carries no value",
+                            addr.line()
+                        )
+                    });
                     if self.trace.enabled() {
-                        let core = self.core;
-                        let value = v.unwrap_or_else(|| {
-                            panic!(
-                                "core {core}: cycle {now}: load slot {head_id} at \
-                                 {} retired Done but carries no value",
-                                addr.line()
-                            )
-                        });
                         self.buffer_access(head_seq, |seq, po| Event::ValLoad {
                             core,
                             seq,
@@ -403,12 +382,8 @@ impl BulkNode {
                         });
                     }
                     if consume {
-                        self.feed = v;
-                        self.awaiting = None;
+                        self.front.deliver(value);
                     }
-                    self.note_retired(head_seq, 1);
-                    self.finish_slot(head_id);
-                    budget -= 1;
                 }
                 Instr::Store { addr, value } => {
                     // Wait-free store retirement (§6).
@@ -426,9 +401,6 @@ impl BulkNode {
                             retired_at: now,
                         });
                     }
-                    self.note_retired(head_seq, 1);
-                    self.finish_slot(head_id);
-                    budget -= 1;
                 }
                 Instr::Rmw { addr, op } => {
                     // Atomicity comes from the chunk (§3.3); the RMW just
@@ -456,11 +428,7 @@ impl BulkNode {
                             retired_at: now,
                         });
                     }
-                    self.feed = Some(old);
-                    self.awaiting = None;
-                    self.note_retired(head_seq, 1);
-                    self.finish_slot(head_id);
-                    budget -= 1;
+                    self.front.deliver(old);
                 }
                 Instr::Io => {
                     // §4.1.3: stall until every older chunk has fully
@@ -470,11 +438,11 @@ impl BulkNode {
                         break;
                     }
                     self.stats.io_ops += 1;
-                    self.note_retired(head_seq, 1);
-                    self.finish_slot(head_id);
-                    budget -= 1;
                 }
             }
+            self.note_retired(head_seq, 1);
+            self.window.pop_oldest();
+            budget -= 1;
         }
     }
 
@@ -494,11 +462,6 @@ impl BulkNode {
         if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
             c.retired += n;
         }
-    }
-
-    fn finish_slot(&mut self, id: SlotId) {
-        let slot = self.window.pop_oldest();
-        debug_assert_eq!(slot.id, id);
     }
 
     /// A store retires speculatively: route it to W or Wpriv, buffer the
@@ -631,18 +594,14 @@ impl BulkNode {
     }
 
     fn fetch(&mut self, now: Cycle) {
-        if self.awaiting.is_some() {
-            return;
-        }
-        if self.prearb_waiting && !self.prearb_granted {
+        if self.front.stalled() || (self.prearb_waiting && !self.prearb_granted) {
             return;
         }
         for _ in 0..self.cfg.fetch_width {
-            if self.program_done && self.stash.is_none() {
-                return;
-            }
-            if self.stats.retired + self.window.occupancy() >= self.budget {
-                self.program_done = true;
+            if !self
+                .front
+                .fetching(self.stats.retired + self.window.occupancy())
+            {
                 self.close_open_chunk();
                 return;
             }
@@ -659,24 +618,14 @@ impl BulkNode {
                 }
                 self.open_chunk(now);
             }
-            let instr = match self.stash.take() {
-                Some(i) => i,
-                None => {
-                    let feed = self.feed.take();
-                    match self.program.next(feed) {
-                        Some(i) => i,
-                        None => {
-                            self.program_done = true;
-                            self.close_open_chunk();
-                            return;
-                        }
-                    }
-                }
+            let Some(instr) = self.front.take() else {
+                self.close_open_chunk();
+                return;
             };
             // I/O runs in a chunk of its own (§4.1.3).
             if matches!(instr, Instr::Io) && self.fetched_into_chunk > 0 {
                 self.close_open_chunk();
-                self.stash = Some(instr);
+                self.front.hold(instr);
                 continue;
             }
             // Preventive set-overflow boundary: if this store's line would
@@ -692,7 +641,7 @@ impl BulkNode {
                         .would_overflow(line, |l| spec_written(&self.chunks, l))
                 {
                     self.close_open_chunk();
-                    self.stash = Some(instr);
+                    self.front.hold(instr);
                     continue;
                 }
             }
@@ -707,21 +656,15 @@ impl BulkNode {
                 })
                 .tag
                 .seq;
-            match self.window.push(instr, seq) {
-                Some(id) => {
-                    self.fetched_into_chunk += instr.dynamic_count();
-                    if matches!(instr, Instr::Io) {
-                        self.close_open_chunk();
-                    }
-                    if instr.consumes_value() {
-                        self.awaiting = Some(id);
-                        return;
-                    }
-                }
-                None => {
-                    self.stash = Some(instr);
-                    return;
-                }
+            if self.front.admit(&mut self.window, instr, seq).is_none() {
+                return;
+            }
+            self.fetched_into_chunk += instr.dynamic_count();
+            if matches!(instr, Instr::Io) {
+                self.close_open_chunk();
+            }
+            if self.front.stalled() {
+                return;
             }
         }
     }
@@ -742,36 +685,28 @@ impl BulkNode {
         if now < self.commit_retry_at {
             return;
         }
-        let Some(front) = self.chunks.front() else {
-            return;
-        };
         // Fully retired? No slot of this chunk may remain in the window;
         // the oldest slot carries the smallest tag.
-        let tag = front.tag;
-        if !front.ready_to_commit() || self.window.oldest().is_some_and(|s| s.tag == tag.seq) {
+        let oldest_seq = self.window.oldest().map(|s| s.tag);
+        let Some(front) = self.chunks.front_mut() else {
             return;
+        };
+        let tag = front.tag;
+        if !front.ready_to_commit() || oldest_seq == Some(tag.seq) {
+            return;
+        }
+        front.state = ChunkState::Arbitrating;
+        if front.t_first_request.is_none() {
+            front.t_first_request = Some(now);
+            self.stats
+                .lat_execute
+                .record(now.saturating_sub(front.t_start));
         }
         if self.bulk.commit_without_arbitration {
             // TEST-ONLY fault (see `BulkConfig`): self-grant the commit.
             // No arbiter serialization, no W-signature broadcast — other
             // cores' conflicting chunks are never disambiguated, which is
             // exactly the reordering bug the SC oracle must catch.
-            {
-                let front = self.chunks.front_mut().unwrap_or_else(|| {
-                    panic!(
-                        "core {}: cycle {now}: chunk {}.{} disappeared between the \
-                         commit check and the arbitration-free self-grant",
-                        tag.core, tag.core, tag.seq
-                    )
-                });
-                front.state = ChunkState::Arbitrating;
-                if front.t_first_request.is_none() {
-                    front.t_first_request = Some(now);
-                    self.stats
-                        .lat_execute
-                        .record(now.saturating_sub(front.t_start));
-                }
-            }
             self.commit_resp(now, tag, true, values, fab);
             // No CommitComplete will ever arrive for a commit the
             // directory never saw; drop the tracking entry so the run
@@ -794,22 +729,6 @@ impl BulkNode {
         } else {
             (NodeId::Arbiter(0), Some(r))
         };
-        {
-            let front = self.chunks.front_mut().unwrap_or_else(|| {
-                panic!(
-                    "core {}: cycle {now}: chunk {}.{} disappeared while its commit \
-                     request was being composed",
-                    tag.core, tag.core, tag.seq
-                )
-            });
-            front.state = ChunkState::Arbitrating;
-            if front.t_first_request.is_none() {
-                front.t_first_request = Some(now);
-                self.stats
-                    .lat_execute
-                    .record(now.saturating_sub(front.t_start));
-            }
-        }
         self.trace.emit(now, || Event::CommitRequest {
             core: tag.core,
             seq: tag.seq,
@@ -836,25 +755,16 @@ impl BulkNode {
         values: &mut ValueStore,
         fab: &mut Fabric,
     ) {
-        let Some(front) = self.chunks.front() else {
+        let Some(front) = self.chunks.front_mut() else {
             return;
         };
         if front.tag != chunk || front.state != ChunkState::Arbitrating {
             return; // stale response (e.g. chunk was squashed meanwhile)
         }
         if !ok {
+            front.state = ChunkState::Closed;
             self.stats.commit_denials += 1;
             self.charge_loss(now, "arb_denial");
-            self.chunks
-                .front_mut()
-                .unwrap_or_else(|| {
-                    panic!(
-                        "core {}: cycle {now}: chunk {}.{} disappeared while its \
-                         commit denial was being recorded",
-                        chunk.core, chunk.core, chunk.seq
-                    )
-                })
-                .state = ChunkState::Closed;
             self.commit_retry_at = now + self.bulk.commit_retry;
             return;
         }
@@ -908,12 +818,7 @@ impl BulkNode {
             }
         }
         // §5.2: the buffer entries of this chunk are no longer needed.
-        for line in front.wpriv.exact().iter() {
-            let still_needed = self.chunks.iter().any(|c| c.wpriv.contains_exact(line));
-            if !still_needed {
-                self.priv_buffer.remove(line);
-            }
-        }
+        self.release_priv(&front);
         self.stats.chunks_committed += 1;
         self.stats.chunk_instrs.record(front.retired);
         self.trace.emit(now, || Event::ChunkCommit {
@@ -970,13 +875,7 @@ impl BulkNode {
         debug_assert!(idx < self.chunks.len());
         self.charge_loss(now, loss_label);
         let first_seq = self.chunks[idx].tag.seq;
-        // Restore the program (and its pending feed/stash) as of the
-        // squashed chunk's start.
-        self.program = self.chunks[idx].checkpoint.clone_box();
-        self.feed = self.chunks[idx].checkpoint_feed;
-        self.stash = self.chunks[idx].checkpoint_stash;
-        self.program_done = false;
-        self.awaiting = None;
+        self.front.restore(&self.chunks[idx].checkpoint);
 
         // Drop the squashed chunks' slots: they form a program-order
         // suffix of the window.
@@ -994,12 +893,7 @@ impl BulkNode {
             for line in c.w.exact().iter() {
                 self.port.l1.invalidate(line);
             }
-            for line in c.wpriv.exact().iter() {
-                let still_needed = self.chunks.iter().any(|k| k.wpriv.contains_exact(line));
-                if !still_needed {
-                    self.priv_buffer.remove(line);
-                }
-            }
+            self.release_priv(c);
         }
         self.stats.squashes += 1;
         self.stats.squashed_instrs += wasted;
@@ -1024,6 +918,16 @@ impl BulkNode {
             fab.send(now, self.id(), NodeId::Arbiter(0), Message::PreArbReq);
         }
         self.fetched_into_chunk = 0;
+    }
+
+    /// Drop the Private Buffer entries of `chunk`'s private writes that no
+    /// live chunk still needs (its commit was granted, or it squashed).
+    fn release_priv(&mut self, chunk: &Chunk) {
+        for line in chunk.wpriv.exact().iter() {
+            if !self.chunks.iter().any(|c| c.wpriv.contains_exact(line)) {
+                self.priv_buffer.remove(line);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1106,37 +1010,9 @@ impl BulkNode {
         fab: &mut Fabric,
     ) {
         debug_assert_ne!(chunk.core, self.core, "own W never comes back");
-        // 1. Disambiguate: the oldest colliding chunk and all younger ones
-        //    squash (CReq1's in-order rule).
-        let victim = self.chunks.iter().position(|c| c.collides_with(w));
-        if let Some(idx) = victim {
-            let exact = self
-                .chunks
-                .iter()
-                .skip(idx)
-                .any(|c| c.collides_exactly_with(w));
-            let cause = if exact {
-                self.stats.true_squashes += 1;
-                SquashCause::TrueSharing
-            } else {
-                self.stats.alias_squashes += 1;
-                SquashCause::Alias
-            };
-            // Which signature detected the conflict: the victim's R (a
-            // read this chunk did) or its W (a write-write collision).
-            let label = if w.intersects(&self.chunks[idx].r) {
-                "r_sig_conflict"
-            } else {
-                "w_sig_conflict"
-            };
-            // The committing chunk whose W arrived is the aggressor; its
-            // tag rode along with the invalidation.
-            let attr = self
-                .bulk
-                .xray
-                .then(|| self.conflict_attr(idx, w, "wsig", Some(chunk)));
-            self.squash_from(idx, cause, label, attr, fab, now);
-        }
+        // 1. Disambiguate. The committing chunk whose W arrived is the
+        //    aggressor; its tag rode along with the invalidation.
+        self.disambiguate(now, w, "wsig", Some(chunk), fab);
         // 2. Bulk invalidation: δ-expand the signature over the L1 and
         //    invalidate members. Lines whose pre-image the Private Buffer
         //    retains stay (the commit cannot really have written them —
@@ -1161,6 +1037,59 @@ impl BulkNode {
         self.port.invalidate_in_flight(|line| w.contains(line));
         if needs_ack {
             fab.send(now, self.id(), src, Message::WSigInvAck { chunk });
+        }
+    }
+
+    /// Bulk disambiguation against an incoming signature (§4.3): the
+    /// oldest colliding chunk and all younger ones squash (CReq1's
+    /// in-order rule). `site` and `aggressor` feed the xray attribution.
+    /// Signature-based disambiguation of either kind can alias, so a
+    /// collision no exact shadow confirms is charged to aliasing.
+    fn disambiguate(
+        &mut self,
+        now: Cycle,
+        sig: &TrackedSig,
+        site: &'static str,
+        aggressor: Option<ChunkTag>,
+        fab: &mut Fabric,
+    ) {
+        let Some(idx) = self.chunks.iter().position(|c| c.collides_with(sig)) else {
+            return;
+        };
+        let exact = self
+            .chunks
+            .iter()
+            .skip(idx)
+            .any(|c| c.collides_exactly_with(sig));
+        let cause = if exact {
+            self.stats.true_squashes += 1;
+            SquashCause::TrueSharing
+        } else {
+            self.stats.alias_squashes += 1;
+            SquashCause::Alias
+        };
+        // Which signature detected the conflict: the victim's R (a read
+        // this chunk did) or its W (a write-write collision).
+        let label = if sig.intersects(&self.chunks[idx].r) {
+            "r_sig_conflict"
+        } else {
+            "w_sig_conflict"
+        };
+        let attr = self
+            .bulk
+            .xray
+            .then(|| self.conflict_attr(idx, sig, site, aggressor));
+        self.squash_from(idx, cause, label, attr, fab, now);
+    }
+
+    /// `line`'s pre-image left the Private Buffer: every chunk that wrote
+    /// it privately must announce the write at commit, so it goes (back)
+    /// into W (§5.2).
+    fn announce_write(&mut self, line: LineAddr) {
+        for c in self.chunks.iter_mut() {
+            if c.wpriv.contains_exact(line) {
+                c.w.insert(line);
+            }
         }
     }
 
@@ -1214,45 +1143,14 @@ impl BulkNode {
     ) {
         // §4.3.3: bulk disambiguation with our R and W signatures; may
         // squash. A committing chunk that already cleared its signatures
-        // is naturally unaffected.
-        let victim = self.chunks.iter().position(|c| c.collides_with(sig));
-        if let Some(idx) = victim {
-            // Displacement disambiguation is signature-based (§4.3.3), so
-            // its false positives are aliasing costs too.
-            let exact = self
-                .chunks
-                .iter()
-                .skip(idx)
-                .any(|c| c.collides_exactly_with(sig));
-            let cause = if exact {
-                self.stats.true_squashes += 1;
-                SquashCause::TrueSharing
-            } else {
-                self.stats.alias_squashes += 1;
-                SquashCause::Alias
-            };
-            let label = if sig.intersects(&self.chunks[idx].r) {
-                "r_sig_conflict"
-            } else {
-                "w_sig_conflict"
-            };
-            // A directory-displacement sweep has no committing chunk to
-            // blame; the witnesses still localize the conflict.
-            let attr = self
-                .bulk
-                .xray
-                .then(|| self.conflict_attr(idx, sig, "displacement", None));
-            self.squash_from(idx, cause, label, attr, fab, now);
-        }
+        // is naturally unaffected. A directory-displacement sweep has no
+        // committing chunk to blame; the witnesses still localize the
+        // conflict.
+        self.disambiguate(now, sig, "displacement", None, fab);
         let state = self.port.invalidate(line);
         if self.priv_buffer.remove(line) {
-            // The displaced line's pre-image leaves the buffer; make sure
-            // the eventual commit announces the write.
-            for c in self.chunks.iter_mut() {
-                if c.wpriv.contains_exact(line) {
-                    c.w.insert(line);
-                }
-            }
+            // The displaced line's pre-image leaves the buffer.
+            self.announce_write(line);
         }
         fab.send(
             now,
@@ -1278,11 +1176,7 @@ impl BulkNode {
                 core: self.core,
                 line: line.0,
             });
-            for c in self.chunks.iter_mut() {
-                if c.wpriv.contains_exact(line) {
-                    c.w.insert(line);
-                }
-            }
+            self.announce_write(line);
             self.port.l1.set_state(line, LineState::Shared);
             fab.send(
                 now,
@@ -1400,11 +1294,7 @@ impl BulkNode {
             return;
         }
         // Drop a trailing empty chunk so budget-exact runs can finish.
-        if self.program_done
-            && self.stash.is_none()
-            && self.window.is_empty()
-            && self.chunks.len() == 1
-        {
+        if self.front.drained() && self.window.is_empty() && self.chunks.len() == 1 {
             let only = self.chunks.front().unwrap_or_else(|| {
                 panic!(
                     "core {}: cycle {now}: the final chunk disappeared while being \
@@ -1421,8 +1311,7 @@ impl BulkNode {
                 self.chunks.clear();
             }
         }
-        if self.program_done
-            && self.stash.is_none()
+        if self.front.drained()
             && self.window.is_empty()
             && self.chunks.is_empty()
             && self.committing.is_empty()
@@ -1434,7 +1323,7 @@ impl BulkNode {
     /// One-line diagnostic snapshot.
     pub fn debug_state(&self) -> String {
         format!(
-            "bulk core{} head={:?} win={} chunks={:?} committing={} misses={:?} pending_front={:?} prearb={}/{} done={} finished={:?}",
+            "bulk core{} head={:?} win={} chunks={:?} committing={} misses={:?} pending_front={:?} prearb={}/{} stalled={} drained={} finished={:?}",
             self.core,
             self.window.oldest().map(|s| format!("{:?}/{:?}", s.instr, s.state)),
             self.window.len(),
@@ -1444,7 +1333,8 @@ impl BulkNode {
             self.chunks.front().map(|c| c.pending_lines.len()),
             self.prearb_waiting,
             self.prearb_granted,
-            self.program_done,
+            self.front.stalled(),
+            self.front.drained(),
             self.stats.finished_at,
         )
     }

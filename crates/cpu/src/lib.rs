@@ -19,12 +19,14 @@
 //! building blocks.
 
 pub mod config;
+pub mod front;
 pub mod node;
 pub mod port;
 pub mod window;
 
 pub use bulksc_mem::ValueStore;
 pub use config::CoreConfig;
+pub use front::{Checkpoint, FrontEnd};
 pub use node::{BaselineModel, BaselineNode, CoreStats};
 pub use port::{Fetch, MemPort, PortStats};
 pub use window::{InstrWindow, Slot, SlotId, SlotState};

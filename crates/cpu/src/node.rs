@@ -38,6 +38,7 @@ use bulksc_trace::{Event, TraceHandle};
 use bulksc_workloads::{Instr, ThreadProgram};
 
 use crate::config::CoreConfig;
+use crate::front::{Checkpoint, FrontEnd};
 use crate::port::{Fetch, MemPort, PortStats};
 use crate::window::{InstrWindow, SlotId, SlotState};
 use bulksc_mem::ValueStore;
@@ -88,10 +89,7 @@ struct SbEntry {
 
 struct Epoch {
     id: u64,
-    checkpoint: Box<dyn ThreadProgram>,
-    /// Pending feed/stash at checkpoint time (architectural state).
-    checkpoint_feed: Option<u64>,
-    checkpoint_stash: Option<Instr>,
+    checkpoint: Checkpoint,
     reads: HashSet<LineAddr>,
     writes: HashSet<LineAddr>,
     /// Dynamic instructions retired within this epoch.
@@ -104,20 +102,8 @@ pub struct BaselineNode {
     model: BaselineModel,
     cfg: CoreConfig,
 
-    program: Box<dyn ThreadProgram>,
-    program_done: bool,
-    /// Retire-count budget: the node stops fetching once reached.
-    budget: u64,
-
+    front: FrontEnd,
     window: InstrWindow,
-    /// Slot whose result the program is waiting on (fetch stalled).
-    awaiting: Option<SlotId>,
-    /// Value to feed the program on the next fetch.
-    feed: Option<u64>,
-    /// Instruction fetched from the program but not yet admitted into the
-    /// window (the window was full).
-    stash: Option<Instr>,
-
     port: MemPort,
     store_buffer: VecDeque<SbEntry>,
 
@@ -156,13 +142,8 @@ impl BaselineNode {
             core,
             model,
             cfg,
-            program,
-            program_done: false,
-            budget,
+            front: FrontEnd::new(program, budget),
             window: InstrWindow::new(cfg.window_size),
-            awaiting: None,
-            feed: None,
-            stash: None,
             port: MemPort::new(core, cfg, l1, num_dirs),
             store_buffer: VecDeque::new(),
             last_mem_retire: 0,
@@ -220,7 +201,7 @@ impl BaselineNode {
 
     /// The thread program (for reading observations after a run).
     pub fn program(&self) -> &dyn ThreadProgram {
-        self.program.as_ref()
+        self.front.program()
     }
 
     /// True once the program has ended and all its effects have drained.
@@ -233,9 +214,7 @@ impl BaselineNode {
         self.epoch_fetched = 0;
         self.epochs.push_back(Epoch {
             id: self.current_epoch,
-            checkpoint: self.program.clone_box(),
-            checkpoint_feed: self.feed,
-            checkpoint_stash: self.stash,
+            checkpoint: self.front.checkpoint(),
             reads: HashSet::new(),
             writes: HashSet::new(),
             retired: 0,
@@ -283,99 +262,73 @@ impl BaselineNode {
             let Some(head) = self.window.oldest() else {
                 break;
             };
-            let head_id = head.id;
-            let head_instr = head.instr;
-            let head_state = head.state;
+            let (head_instr, head_state, head_value) = (head.instr, head.state, head.value);
             match head_instr {
                 Instr::Compute(_) => {
-                    let n = budget.min(self.window.oldest().expect("head").remaining);
+                    let remaining = head.remaining;
+                    let n = budget.min(remaining);
                     self.window.drain_oldest_compute(n);
                     budget -= n;
                     self.note_retired(n as u64);
-                    if self.window.oldest().expect("head").remaining == 0 {
-                        self.finish_slot(head_id);
+                    if n == remaining {
+                        self.window.pop_oldest();
                     }
+                    continue;
                 }
                 Instr::Load { addr, consume } => {
-                    if head_state != SlotState::Done {
+                    if head_state != SlotState::Done || !self.may_perform_mem(now) {
                         break;
                     }
-                    if !self.may_perform_mem(now) {
-                        break;
-                    }
-                    let v = self.window.oldest().expect("head").value;
-                    if self.value_tracing() {
-                        let core = self.core;
-                        let po = self.next_po();
-                        let value = v.expect("completed load carries its value");
-                        self.trace.emit(now, || Event::ValLoad {
-                            core,
-                            seq: 0,
-                            po,
-                            addr: addr.0,
-                            value,
-                            retired_at: now,
-                        });
-                    }
+                    let value = head_value.expect("completed load carries its value");
+                    self.trace_val(now, |core, po| Event::ValLoad {
+                        core,
+                        seq: 0,
+                        po,
+                        addr: addr.0,
+                        value,
+                        retired_at: now,
+                    });
                     if consume {
-                        self.feed = v;
-                        self.awaiting = None;
+                        self.front.deliver(value);
                     }
                     self.record_epoch_access(addr.line(), false);
                     self.note_mem_retire(now);
-                    self.finish_slot(head_id);
-                    self.note_retired(1);
-                    budget -= 1;
+                }
+                Instr::Store { addr, value } if self.model == BaselineModel::Sc => {
+                    // Perform strictly at the head: needs ownership.
+                    if !self.may_perform_mem(now)
+                        || !self.try_perform_store(now, addr, value, values)
+                    {
+                        break;
+                    }
+                    self.trace_val(now, |core, po| Event::ValStore {
+                        core,
+                        seq: 0,
+                        po,
+                        addr: addr.0,
+                        value,
+                        retired_at: now,
+                    });
+                    self.note_mem_retire(now);
                 }
                 Instr::Store { addr, value } => {
-                    match self.model {
-                        BaselineModel::Sc => {
-                            if !self.may_perform_mem(now) {
-                                break;
-                            }
-                            // Perform strictly at the head: needs ownership.
-                            if !self.try_perform_store(now, addr, value, values) {
-                                break;
-                            }
-                            if self.value_tracing() {
-                                let core = self.core;
-                                let po = self.next_po();
-                                self.trace.emit(now, || Event::ValStore {
-                                    core,
-                                    seq: 0,
-                                    po,
-                                    addr: addr.0,
-                                    value,
-                                    retired_at: now,
-                                });
-                            }
-                            self.note_mem_retire(now);
-                            self.finish_slot(head_id);
-                            self.note_retired(1);
-                            budget -= 1;
-                        }
-                        BaselineModel::Rc | BaselineModel::Scpp | BaselineModel::Tso => {
-                            if self.store_buffer.len() >= self.cfg.store_buffer as usize {
-                                break;
-                            }
-                            let po = if self.value_tracing() {
-                                self.next_po()
-                            } else {
-                                0
-                            };
-                            self.store_buffer.push_back(SbEntry {
-                                addr,
-                                value,
-                                epoch: self.current_epoch,
-                                po,
-                                retired_at: now,
-                            });
-                            self.record_epoch_access(addr.line(), true);
-                            self.finish_slot(head_id);
-                            self.note_retired(1);
-                            budget -= 1;
-                        }
+                    // RC, SC++ and TSO retire stores into the buffer.
+                    if self.store_buffer.len() >= self.cfg.store_buffer as usize {
+                        break;
                     }
+                    let po = if self.value_tracing() {
+                        self.next_po()
+                    } else {
+                        0
+                    };
+                    self.store_buffer.push_back(SbEntry {
+                        addr,
+                        value,
+                        epoch: self.current_epoch,
+                        po,
+                        retired_at: now,
+                    });
+                    self.record_epoch_access(addr.line(), true);
                 }
                 Instr::Rmw { addr, op } => {
                     // Atomics perform at the head with an empty store
@@ -391,25 +344,17 @@ impl BaselineNode {
                     let new = op.apply(old);
                     values.write(addr, new);
                     self.port.l1.set_state(addr.line(), LineState::Dirty);
-                    if self.value_tracing() {
-                        let core = self.core;
-                        let po = self.next_po();
-                        self.trace.emit(now, || Event::ValRmw {
-                            core,
-                            seq: 0,
-                            po,
-                            addr: addr.0,
-                            old,
-                            new,
-                            retired_at: now,
-                        });
-                    }
+                    self.trace_val(now, |core, po| Event::ValRmw {
+                        core,
+                        seq: 0,
+                        po,
+                        addr: addr.0,
+                        old,
+                        new,
+                        retired_at: now,
+                    });
                     self.record_epoch_access(addr.line(), true);
-                    self.feed = Some(old);
-                    self.awaiting = None;
-                    self.finish_slot(head_id);
-                    self.note_retired(1);
-                    budget -= 1;
+                    self.front.deliver(old);
                 }
                 Instr::Fence => {
                     // SC is already strict; RC/SC++ speculate across
@@ -418,26 +363,30 @@ impl BaselineNode {
                     if self.model == BaselineModel::Tso && !self.store_buffer.is_empty() {
                         break;
                     }
-                    self.finish_slot(head_id);
-                    self.note_retired(1);
-                    budget -= 1;
                 }
                 Instr::Io => {
                     // Uncached: wait until the core is quiescent.
                     if !self.store_buffer.is_empty() || self.port.has_misses() {
                         break;
                     }
-                    self.finish_slot(head_id);
-                    self.note_retired(1);
-                    budget -= 1;
                 }
             }
+            // Pop before counting: SC++'s safety check reads the new head.
+            self.window.pop_oldest();
+            self.note_retired(1);
+            budget -= 1;
         }
     }
 
-    fn finish_slot(&mut self, id: SlotId) {
-        let slot = self.window.pop_oldest();
-        debug_assert_eq!(slot.id, id);
+    /// Value-trace an access retiring at `now`: `make` gets the core and
+    /// the next program-order index. Does nothing unless value tracing is
+    /// on.
+    fn trace_val(&mut self, now: Cycle, make: impl FnOnce(u32, u64) -> Event) {
+        if self.value_tracing() {
+            let core = self.core;
+            let po = self.next_po();
+            self.trace.emit(now, || make(core, po));
+        }
     }
 
     fn note_retired(&mut self, n: u64) {
@@ -595,16 +544,14 @@ impl BaselineNode {
     }
 
     fn fetch(&mut self) {
-        if self.awaiting.is_some() {
+        if self.front.stalled() {
             return;
         }
         for _ in 0..self.cfg.fetch_width {
-            if self.program_done && self.stash.is_none() {
-                return;
-            }
-            if self.stats.retired + self.window.occupancy() >= self.budget {
-                // Budget reached: stop fetching; in-flight work drains.
-                self.program_done = true;
+            if !self
+                .front
+                .fetching(self.stats.retired + self.window.occupancy())
+            {
                 return;
             }
             // SC++ epoch boundary at fetch time. Consecutive squashes
@@ -613,42 +560,26 @@ impl BaselineNode {
             if self.model == BaselineModel::Scpp && self.epoch_fetched >= self.epoch_len() {
                 self.open_epoch();
             }
-            // Fetching consumes the program's next instruction before we
-            // know whether the window has room, so a rejected instruction
-            // is stashed and retried first on the next fetch.
-            let instr = match self.stash.take() {
-                Some(i) => i,
-                None => {
-                    let feed = self.feed.take();
-                    match self.program.next(feed) {
-                        Some(i) => i,
-                        None => {
-                            self.program_done = true;
-                            return;
-                        }
-                    }
-                }
+            let Some(instr) = self.front.take() else {
+                return;
             };
-            match self.window.push(instr, self.current_epoch) {
-                Some(id) => {
-                    self.epoch_fetched += instr.dynamic_count();
-                    if instr.consumes_value() {
-                        self.awaiting = Some(id);
-                        return;
-                    }
-                }
-                None => {
-                    self.stash = Some(instr);
-                    return;
-                }
+            if self
+                .front
+                .admit(&mut self.window, instr, self.current_epoch)
+                .is_none()
+            {
+                return;
+            }
+            self.epoch_fetched += instr.dynamic_count();
+            if self.front.stalled() {
+                return;
             }
         }
     }
 
     fn check_finished(&mut self, now: Cycle) {
         if self.stats.finished_at.is_none()
-            && self.program_done
-            && self.stash.is_none()
+            && self.front.drained()
             && self.window.is_empty()
             && self.store_buffer.is_empty()
         {
@@ -663,13 +594,13 @@ impl BaselineNode {
             .oldest()
             .map(|s| format!("{:?}/{:?}", s.instr, s.state));
         format!(
-            "core{} head={head:?} win={} sb={} misses={:?} awaiting={:?} done={} finished={:?}",
+            "core{} head={head:?} win={} sb={} misses={:?} stalled={} drained={} finished={:?}",
             self.core,
             self.window.len(),
             self.store_buffer.len(),
             self.port.debug_misses(),
-            self.awaiting,
-            self.program_done,
+            self.front.stalled(),
+            self.front.drained(),
             self.stats.finished_at,
         )
     }
@@ -854,12 +785,7 @@ impl BaselineNode {
             .iter()
             .position(|e| e.id == eid)
             .expect("squash target exists");
-        // Restore the program (and pending feed/stash) to the epoch's
-        // start.
-        self.program = self.epochs[pos].checkpoint.clone_box();
-        self.feed = self.epochs[pos].checkpoint_feed;
-        self.stash = self.epochs[pos].checkpoint_stash;
-        self.program_done = false;
+        self.front.restore(&self.epochs[pos].checkpoint);
         // Count wasted work: everything retired in the squashed epochs
         // plus everything still in the window.
         let mut wasted = self.window.squash_all();
@@ -876,7 +802,6 @@ impl BaselineNode {
         self.store_buffer.retain(|e| e.epoch < eid);
         // The slots are gone; in-flight data still fills the cache.
         self.port.forget_loads();
-        self.awaiting = None;
         self.epochs.truncate(pos);
         self.open_epoch();
     }
