@@ -215,23 +215,36 @@ fn synthetic_apps_run_on_all_configs() {
 
 #[test]
 fn baselines_run_through_the_system_wrapper() {
-    for m in [
-        BaselineModel::Sc,
-        BaselineModel::Tso,
-        BaselineModel::Rc,
-        BaselineModel::Scpp,
+    // (app, program seed, budget per core, cycle cap). Ocean at seed 6
+    // squashes under SC++ at this budget: every core must still retire
+    // its whole budget, which fails if a squash takes back work it never
+    // re-executes (or rolls back a core that already finished).
+    for (name, seed, budget, max_cycles) in [
+        ("lu", 7, 4_000, 30_000_000),
+        ("ocean", 6, 25_000, 40 * 25_000),
     ] {
-        let app = by_name("lu").unwrap();
-        let mut cfg = SystemConfig::cmp8(Model::Baseline(m));
-        cfg.budget = 4_000;
-        let programs: Vec<Box<dyn ThreadProgram>> = (0..8)
-            .map(|t| Box::new(SyntheticApp::new(app, t, 8, 7)) as Box<dyn ThreadProgram>)
-            .collect();
-        let mut sys = System::new(cfg, programs);
-        run_or_dump(&mut sys, 30_000_000, &format!("{m:?}"));
-        let r = SimReport::collect(&sys);
-        assert!(r.retired >= 8 * 4_000, "{m:?}");
-        assert!(r.cycles > 0);
+        for m in [
+            BaselineModel::Sc,
+            BaselineModel::Tso,
+            BaselineModel::Rc,
+            BaselineModel::Scpp,
+        ] {
+            let app = by_name(name).unwrap();
+            let mut cfg = SystemConfig::cmp8(Model::Baseline(m));
+            cfg.budget = budget;
+            let programs: Vec<Box<dyn ThreadProgram>> = (0..8)
+                .map(|t| Box::new(SyntheticApp::new(app, t, 8, seed)) as Box<dyn ThreadProgram>)
+                .collect();
+            let mut sys = System::new(cfg, programs);
+            run_or_dump(&mut sys, max_cycles, &format!("{name} {m:?}"));
+            for (i, node) in sys.nodes().iter().enumerate() {
+                let retired = node.baseline_stats().expect("baseline core").retired;
+                assert!(retired >= budget, "{name} {m:?} core {i} retired {retired}");
+            }
+            let r = SimReport::collect(&sys);
+            assert!(r.retired >= 8 * budget, "{name} {m:?}");
+            assert!(r.cycles > 0);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The baseline core node: an out-of-order core model with its private L1,
 //! implementing the three consistency baselines the paper compares BulkSC
-//! against (§7.1):
+//! against (§7.1), plus TSO:
 //!
 //! * **SC** — sequential consistency with the two classic optimizations of
 //!   Gharachorloo et al.: hardware prefetching for reads (loads issue into
@@ -96,7 +96,7 @@ struct Epoch {
     retired: u64,
 }
 
-/// A baseline (SC / RC / SC++) core with its private L1.
+/// A baseline (SC / TSO / RC / SC++) core with its private L1.
 pub struct BaselineNode {
     core: u32,
     model: BaselineModel,
@@ -263,13 +263,17 @@ impl BaselineNode {
                 break;
             };
             let (head_instr, head_state, head_value) = (head.instr, head.state, head.value);
+            // The retiring slot's epoch (SC++; 0 for the other models):
+            // its work, accesses and stores belong there, not to the
+            // newest epoch, which fetch may already have opened.
+            let epoch = head.tag;
             match head_instr {
                 Instr::Compute(_) => {
                     let remaining = head.remaining;
                     let n = budget.min(remaining);
                     self.window.drain_oldest_compute(n);
                     budget -= n;
-                    self.note_retired(n as u64);
+                    self.note_retired(epoch, n as u64);
                     if n == remaining {
                         self.window.pop_oldest();
                     }
@@ -291,7 +295,7 @@ impl BaselineNode {
                     if consume {
                         self.front.deliver(value);
                     }
-                    self.record_epoch_access(addr.line(), false);
+                    self.record_epoch_access(epoch, addr.line(), false);
                     self.note_mem_retire(now);
                 }
                 Instr::Store { addr, value } if self.model == BaselineModel::Sc => {
@@ -324,11 +328,11 @@ impl BaselineNode {
                     self.store_buffer.push_back(SbEntry {
                         addr,
                         value,
-                        epoch: self.current_epoch,
+                        epoch,
                         po,
                         retired_at: now,
                     });
-                    self.record_epoch_access(addr.line(), true);
+                    self.record_epoch_access(epoch, addr.line(), true);
                 }
                 Instr::Rmw { addr, op } => {
                     // Atomics perform at the head with an empty store
@@ -353,7 +357,7 @@ impl BaselineNode {
                         new,
                         retired_at: now,
                     });
-                    self.record_epoch_access(addr.line(), true);
+                    self.record_epoch_access(epoch, addr.line(), true);
                     self.front.deliver(old);
                 }
                 Instr::Fence => {
@@ -373,7 +377,7 @@ impl BaselineNode {
             }
             // Pop before counting: SC++'s safety check reads the new head.
             self.window.pop_oldest();
-            self.note_retired(1);
+            self.note_retired(epoch, 1);
             budget -= 1;
         }
     }
@@ -389,9 +393,15 @@ impl BaselineNode {
         }
     }
 
-    fn note_retired(&mut self, n: u64) {
+    /// The live SC++ epoch `id`, if any (always `None` for the other
+    /// models).
+    fn epoch_mut(&mut self, id: u64) -> Option<&mut Epoch> {
+        self.epochs.iter_mut().find(|e| e.id == id)
+    }
+
+    fn note_retired(&mut self, epoch: u64, n: u64) {
         self.stats.retired += n;
-        if let Some(e) = self.epochs.back_mut() {
+        if let Some(e) = self.epoch_mut(epoch) {
             e.retired += n;
         }
         if self.model == BaselineModel::Scpp && self.epochs.len() > 1 {
@@ -423,11 +433,8 @@ impl BaselineNode {
         }
     }
 
-    fn record_epoch_access(&mut self, line: LineAddr, write: bool) {
-        if self.model != BaselineModel::Scpp {
-            return;
-        }
-        if let Some(e) = self.epochs.back_mut() {
+    fn record_epoch_access(&mut self, epoch: u64, line: LineAddr, write: bool) {
+        if let Some(e) = self.epoch_mut(epoch) {
             if write {
                 e.writes.insert(line);
             } else {
@@ -584,6 +591,8 @@ impl BaselineNode {
             && self.store_buffer.is_empty()
         {
             self.stats.finished_at = Some(now);
+            // All its work is architectural: nothing is left to roll back.
+            self.epochs.clear();
         }
     }
 
@@ -785,6 +794,13 @@ impl BaselineNode {
             .iter()
             .position(|e| e.id == eid)
             .expect("squash target exists");
+        // The target touched the line at retire, and retirement is in
+        // order, so every older epoch has left the window.
+        debug_assert!(
+            self.window.oldest().is_none_or(|s| s.tag >= eid),
+            "core {}: squash to epoch {eid} with an older epoch's slot in the window",
+            self.core
+        );
         self.front.restore(&self.epochs[pos].checkpoint);
         // Count wasted work: everything retired in the squashed epochs
         // plus everything still in the window.

@@ -313,44 +313,61 @@ fn tso_exhibits_store_buffering_unless_fenced() {
 #[test]
 fn scpp_squashes_on_remote_conflicts_but_stays_live() {
     // Core 0 repeatedly writes a line core 1 keeps reading: core 1 (SC++)
-    // must absorb invalidation-induced squashes and still finish.
-    let t0 = script(
-        (0..50)
-            .flat_map(|i| {
-                vec![
-                    ScriptOp::Op(Instr::Store {
-                        addr: Addr(100),
-                        value: i,
-                    }),
-                    ScriptOp::Op(Instr::Compute(30)),
-                ]
-            })
-            .collect(),
-    );
-    let t1 = script(
-        (0..50)
-            .flat_map(|_| {
-                vec![
-                    ScriptOp::Op(Instr::Load {
-                        addr: Addr(100),
-                        consume: false,
-                    }),
-                    ScriptOp::Op(Instr::Load {
-                        addr: Addr(164),
-                        consume: false,
-                    }),
-                    ScriptOp::Op(Instr::Compute(25)),
-                ]
-            })
-            .collect(),
-    );
-    let mut m = Mini::new(BaselineModel::Scpp, vec![t0, t1]);
-    assert!(m.run(2_000_000), "SC++ livelocked under conflicts");
-    let squashes: u64 = m.nodes.iter().map(|n| n.stats().squashes).sum();
-    assert!(
-        squashes > 0,
-        "expected at least one SC++ squash in this pattern"
-    );
+    // must absorb invalidation-induced squashes and still finish. Under
+    // every model each core retires exactly its program: 50 × (store +
+    // 30 compute) and 50 × (2 loads + 25 compute). A squash that credits
+    // work to the wrong epoch subtracts instructions that never re-run.
+    let programs = || {
+        let t0 = script(
+            (0..50)
+                .flat_map(|i| {
+                    vec![
+                        ScriptOp::Op(Instr::Store {
+                            addr: Addr(100),
+                            value: i,
+                        }),
+                        ScriptOp::Op(Instr::Compute(30)),
+                    ]
+                })
+                .collect(),
+        );
+        let t1 = script(
+            (0..50)
+                .flat_map(|_| {
+                    vec![
+                        ScriptOp::Op(Instr::Load {
+                            addr: Addr(100),
+                            consume: false,
+                        }),
+                        ScriptOp::Op(Instr::Load {
+                            addr: Addr(164),
+                            consume: false,
+                        }),
+                        ScriptOp::Op(Instr::Compute(25)),
+                    ]
+                })
+                .collect(),
+        );
+        vec![t0, t1]
+    };
+    for model in [
+        BaselineModel::Sc,
+        BaselineModel::Tso,
+        BaselineModel::Rc,
+        BaselineModel::Scpp,
+    ] {
+        let mut m = Mini::new(model, programs());
+        assert!(m.run(2_000_000), "{model:?} livelocked under conflicts");
+        let retired: Vec<u64> = m.nodes.iter().map(|n| n.stats().retired).collect();
+        assert_eq!(retired, vec![1550, 1350], "{model:?}");
+        if model == BaselineModel::Scpp {
+            let squashes: u64 = m.nodes.iter().map(|n| n.stats().squashes).sum();
+            assert!(
+                squashes > 0,
+                "expected at least one SC++ squash in this pattern"
+            );
+        }
+    }
 }
 
 #[test]

@@ -214,7 +214,7 @@ fn squashed_instructions_include_scpp_epoch_squashes() {
     let mut sys = System::new(cfg, programs);
     assert!(sys.run(u64::MAX / 4));
     let report = SimReport::collect(&sys);
-    assert_eq!(report.squashed_instrs, 1191, "SC++ radix squashes at 3000");
+    assert_eq!(report.squashed_instrs, 2285, "SC++ radix squashes at 3000");
     assert_eq!(
         sys.metrics().counter(Counter::InstrsSquashed),
         report.squashed_instrs
