@@ -22,7 +22,7 @@ use crate::node::{BulkNode, BulkStats};
 /// them, heap-allocated once per run — boxing would buy nothing.)
 #[allow(clippy::large_enum_variant)]
 pub enum CoreNode {
-    /// SC / RC / SC++ (from `bulksc-cpu`).
+    /// SC / TSO / RC / SC++ (from `bulksc-cpu`).
     Baseline(BaselineNode),
     /// The BulkSC checkpointed core.
     Bulk(BulkNode),

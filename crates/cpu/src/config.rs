@@ -20,7 +20,7 @@ pub struct CoreConfig {
     pub l1_latency: Cycle,
     /// Maximum outstanding L1 misses (MSHRs).
     pub mshrs: u32,
-    /// Store-buffer entries (RC and SC++).
+    /// Store-buffer entries (RC, TSO and SC++).
     pub store_buffer: u32,
     /// Cycles to wait before retrying a Nacked request.
     pub nack_retry: Cycle,

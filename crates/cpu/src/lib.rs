@@ -6,17 +6,19 @@
 //! the directory protocol of [`bulksc_mem`] over the fabric of
 //! [`bulksc_net`].
 //!
-//! Three complete baseline consistency implementations live here (the
-//! models BulkSC is evaluated against in §7):
+//! Four complete baseline consistency implementations live here (the
+//! models BulkSC is evaluated against in §7, plus TSO):
 //!
 //! * SC with read prefetching, exclusive write prefetching, and R10000-
 //!   style speculative-load revalidation;
 //! * RC with a draining store buffer and speculation across fences;
+//! * TSO with a FIFO store buffer, store-to-load forwarding, and fences
+//!   and atomics that drain the buffer;
 //! * SC++, modelled at epoch granularity with checkpoint rollback.
 //!
 //! The BulkSC core itself lives in the `bulksc` crate; it shares this
-//! crate's [`window`], memory [`port`], [`ValueStore`], and [`CoreConfig`]
-//! building blocks.
+//! crate's [`window`], memory [`port`], fetch [`front`] end and its
+//! [`Checkpoint`], [`ValueStore`], and [`CoreConfig`] building blocks.
 
 pub mod config;
 pub mod front;

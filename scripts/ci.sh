@@ -30,6 +30,19 @@ run cargo test --manifest-path benchmark/Cargo.toml --offline -q
 # must be byte-identical at any --jobs width.
 run cargo test -q --offline --test golden_figures --test pool_determinism
 
+# Committed-table gate: the six result tables must regenerate
+# byte-identical at their default budget (25,000 instructions per core).
+# The goldens above run at 2,000 per core, where SC++ never squashes, so
+# this is the only step that reads the committed SC++ column. After an
+# intentional change, regenerate results/ with scripts/repro.sh and say
+# why in CHANGES.md.
+echo "==> six result tables at the default budget == results/*.txt"
+for bin in fig9 fig10 fig11 table3 table4 ablations; do
+  env -u BULKSC_BUDGET "./target/release/$bin" --jobs 2 > "results/$bin.ci.txt"
+  run cmp "results/$bin.txt" "results/$bin.ci.txt"
+  rm -f "results/$bin.ci.txt"
+done
+
 # Analyze smoke test: trace a short run, then make sure the analysis
 # tooling accepts the artifacts this tree produces. `timeline` exits
 # nonzero if any chunk_start never reached a commit, squash, or abandon;
