@@ -189,12 +189,14 @@ mod tests {
         assert_eq!(f.take(), None);
         assert!(f.drained());
         assert_eq!(f.program().observations(), vec![42]);
+        assert!(f.admit(&mut window, load, 0).is_some() && f.stalled());
 
         f.restore(&cp);
         assert!(!f.drained() && !f.stalled());
         assert!(f.program().observations().is_empty());
         assert_eq!(f.take(), Some(Instr::Fence));
         assert_eq!(f.take(), Some(Instr::Compute(3)));
+        assert!(!f.drained(), "the restored program has not ended yet");
         assert_eq!(f.program().observations(), vec![42]);
     }
 

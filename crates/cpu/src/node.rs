@@ -263,9 +263,9 @@ impl BaselineNode {
                 break;
             };
             let (head_instr, head_state, head_value) = (head.instr, head.state, head.value);
-            // The retiring slot's epoch (SC++; 0 for the other models):
-            // its work, accesses and stores belong there, not to the
-            // newest epoch, which fetch may already have opened.
+            // The retiring slot's epoch (SC++; 0 for the other models).
+            // Fetch may already have opened newer epochs, so the slot's
+            // work, accesses and stores are credited by this tag.
             let epoch = head.tag;
             match head_instr {
                 Instr::Compute(_) => {
