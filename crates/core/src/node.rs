@@ -286,14 +286,18 @@ impl BulkNode {
     // Per-cycle work.
     // ------------------------------------------------------------------
 
-    /// Advance this core by one cycle.
-    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
+    /// Advance this core by one cycle. Returns the cycle it must tick at
+    /// next unless a message reaches it first: the next cycle if this tick
+    /// changed anything, else the earliest timer it waits on (see
+    /// [`MemPort::next_timer`]), else `Cycle::MAX`.
+    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
+        let before = self.activity(fab);
         for f in self.port.due_fetches(now) {
             self.surrender(now, f, fab);
         }
         if self.finished() {
-            return;
+            return self.port.next_fetch();
         }
         while let Some(slot) = self.port.next_completion(now) {
             self.complete_load(now, slot, |a| values.read(a));
@@ -304,6 +308,46 @@ impl BulkNode {
         self.port.send_misses(now, fab);
         self.fetch(now);
         self.check_finished(now);
+        if self.activity(fab) != before {
+            return now + 1;
+        }
+        // The commit-retry gate of `maybe_request_commit`.
+        let commit_retry = if self.commit_retry_at > now {
+            self.commit_retry_at
+        } else {
+            Cycle::MAX
+        };
+        self.port.next_timer(now).min(commit_retry)
+    }
+
+    /// Everything a tick may change that a later tick reads: the change
+    /// counts of the window, the port and the front end, the messages
+    /// sent, and this node's own fields. `tick` compares it before and
+    /// after; a field a tick writes lives in one of the three components
+    /// or appears here.
+    fn activity(&self, fab: &Fabric) -> impl PartialEq {
+        (
+            (
+                self.window.changes(),
+                self.port.changes(),
+                self.front.changes(),
+                fab.traffic().messages(),
+            ),
+            (
+                self.stats.retired,
+                self.stats.finished_at,
+                self.po_next,
+                self.next_seq,
+                self.fetched_into_chunk,
+            ),
+            (
+                self.chunks.len(),
+                self.chunks.front().map(|c| c.state),
+                self.chunks.back().map(|c| c.state),
+                self.committing.len(),
+                self.priv_buffer.len(),
+            ),
+        )
     }
 
     /// The value a load must observe: the youngest speculative store of
@@ -387,9 +431,7 @@ impl BulkNode {
                 }
                 Instr::Store { addr, value } => {
                     // Wait-free store retirement (§6).
-                    if !self.perform_spec_store(now, head_seq, addr, value, fab) {
-                        break; // set-overflow self-squash happened
-                    }
+                    self.perform_spec_store(now, head_seq, addr, value, fab);
                     if self.trace.enabled() {
                         let core = self.core;
                         self.buffer_access(head_seq, |seq, po| Event::ValStore {
@@ -413,9 +455,7 @@ impl BulkNode {
                     }
                     let old = self.resolved_value(addr, values);
                     let new = op.apply(old);
-                    if !self.perform_spec_store(now, head_seq, addr, new, fab) {
-                        break;
-                    }
+                    self.perform_spec_store(now, head_seq, addr, new, fab);
                     if self.trace.enabled() {
                         let core = self.core;
                         self.buffer_access(head_seq, |seq, po| Event::ValRmw {
@@ -466,7 +506,6 @@ impl BulkNode {
 
     /// A store retires speculatively: route it to W or Wpriv, buffer the
     /// value, and make sure the line is (or will be) in the cache.
-    /// Returns false if a cache-set overflow forced a self-squash.
     fn perform_spec_store(
         &mut self,
         now: Cycle,
@@ -474,7 +513,7 @@ impl BulkNode {
         addr: Addr,
         value: u64,
         fab: &mut Fabric,
-    ) -> bool {
+    ) {
         let line = addr.line();
         let is_static_priv =
             self.bulk.private == PrivateMode::Static && self.map.is_static_private(addr);
@@ -548,7 +587,6 @@ impl BulkNode {
             chunk.w.insert(line);
         }
         chunk.push_store(addr, value);
-        true
     }
 
     fn issue(&mut self, now: Cycle) {

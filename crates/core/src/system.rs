@@ -29,7 +29,9 @@ pub enum CoreNode {
 }
 
 impl CoreNode {
-    fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
+    /// Tick the core; returns the cycle it must tick at next unless a
+    /// message reaches it first.
+    fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         match self {
             CoreNode::Baseline(n) => n.tick(now, fab, values),
             CoreNode::Bulk(n) => n.tick(now, fab, values),
@@ -103,6 +105,9 @@ pub struct System {
     now: Cycle,
     trace: TraceHandle,
     sampler: Option<IntervalSeries>,
+    /// Per core, the cycle its last tick asked to run at next
+    /// (`Cycle::MAX`: only a message wakes it). A delivery sets it to now.
+    wake: Vec<Cycle>,
 }
 
 impl System {
@@ -185,6 +190,7 @@ impl System {
 
         System {
             fabric: Fabric::new(cfg.fabric),
+            wake: vec![0; nodes.len()],
             nodes,
             dirs,
             arbiters,
@@ -335,8 +341,22 @@ impl System {
         self.nodes.iter().all(|n| n.finished()) && self.fabric.is_idle()
     }
 
-    /// Advance one cycle: deliver due messages, then tick every core.
+    /// Advance one cycle: deliver due messages, then tick each core that
+    /// received one or whose wake cycle has come. A core whose last tick
+    /// changed nothing waits only on its timers and its messages, so
+    /// skipping it until then leaves every simulated byte as it was.
     pub fn step(&mut self) {
+        self.advance(false);
+    }
+
+    /// [`System::step`], ticking every core whatever its wake cycle: the
+    /// reference the wakeups are tested against.
+    #[doc(hidden)]
+    pub fn step_every_core(&mut self) {
+        self.advance(true);
+    }
+
+    fn advance(&mut self, every_core: bool) {
         let due = self.fabric.deliver_due(self.now);
         for env in due {
             self.trace.emit(self.now, || Event::NetDeliver {
@@ -346,6 +366,7 @@ impl System {
             });
             match env.dst {
                 NodeId::Core(c) => {
+                    self.wake[c as usize] = self.now;
                     self.nodes[c as usize].handle(self.now, env, &mut self.fabric, &mut self.values)
                 }
                 NodeId::Dir(d) => {
@@ -361,8 +382,10 @@ impl System {
                     .handle(self.now, env, &mut self.fabric),
             }
         }
-        for n in &mut self.nodes {
-            n.tick(self.now, &mut self.fabric, &mut self.values);
+        for (n, wake) in self.nodes.iter_mut().zip(&mut self.wake) {
+            if every_core || *wake <= self.now {
+                *wake = n.tick(self.now, &mut self.fabric, &mut self.values);
+            }
         }
         self.drive_sampler();
         self.now += 1;
@@ -463,9 +486,13 @@ impl System {
     /// stuck runs).
     pub fn debug_state(&self) -> String {
         let mut s = String::new();
-        for n in &self.nodes {
+        for (n, &wake) in self.nodes.iter().zip(&self.wake) {
             s.push_str(&n.debug_state());
-            s.push('\n');
+            if wake == Cycle::MAX {
+                s.push_str(" wake=message\n");
+            } else {
+                s.push_str(&format!(" wake={wake}\n"));
+            }
         }
         for d in &self.dirs {
             s.push_str(&d.debug_state());
@@ -532,6 +559,10 @@ mod tests {
             assert!(
                 dump.contains("sent=true"),
                 "{name}: no orphaned miss:\n{dump}"
+            );
+            assert!(
+                dump.contains(" wake=message"),
+                "{name}: no core waits only for a message:\n{dump}"
             );
         }
     }

@@ -54,6 +54,7 @@ pub struct FrontEnd {
     done: bool,
     /// Retire-count budget: fetching stops once it is reached.
     budget: u64,
+    changes: u64,
 }
 
 impl FrontEnd {
@@ -67,7 +68,18 @@ impl FrontEnd {
             waiting_on: None,
             done: false,
             budget,
+            changes: 0,
         }
+    }
+
+    /// How many times the fetch state has changed: equal counts before and
+    /// after some calls mean they changed nothing. Taking the held
+    /// instruction and putting it back (`hold`, or an `admit` into a full
+    /// window) counts nothing, since the instruction only passed through
+    /// the caller's hands; callers admit or hold every instruction they
+    /// take.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// The thread program (for reading observations after a run).
@@ -90,6 +102,7 @@ impl FrontEnd {
     pub fn deliver(&mut self, value: u64) {
         self.owed = Some(value);
         self.waiting_on = None;
+        self.changes += 1;
     }
 
     /// True if fetch may go on, given the `issued` dynamic instructions
@@ -100,6 +113,7 @@ impl FrontEnd {
             return false;
         }
         if issued >= self.budget {
+            self.changes += !self.done as u64;
             self.done = true;
             return false;
         }
@@ -115,6 +129,7 @@ impl FrontEnd {
         }
         let instr = self.program.next(self.owed.take());
         self.done |= instr.is_none();
+        self.changes += 1;
         instr
     }
 
@@ -131,7 +146,10 @@ impl FrontEnd {
         let id = window.push(instr, tag);
         match id {
             None => self.held = Some(instr),
-            Some(id) if instr.consumes_value() => self.waiting_on = Some(id),
+            Some(id) if instr.consumes_value() => {
+                self.waiting_on = Some(id);
+                self.changes += 1;
+            }
             Some(_) => {}
         }
         id
@@ -157,6 +175,7 @@ impl FrontEnd {
         self.held = cp.held;
         self.done = false;
         self.waiting_on = None;
+        self.changes += 1;
     }
 }
 

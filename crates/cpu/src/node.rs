@@ -225,16 +225,20 @@ impl BaselineNode {
     // Per-cycle work.
     // ------------------------------------------------------------------
 
-    /// Advance this core by one cycle.
-    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
+    /// Advance this core by one cycle. Returns the cycle it must tick at
+    /// next unless a message reaches it first: the next cycle if this tick
+    /// changed anything, else the earliest timer it waits on (see
+    /// [`MemPort::next_timer`]), else `Cycle::MAX`.
+    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
+        let before = self.activity(fab);
         // Protocol obligations outlive the program: a finished core must
         // still answer fetches deferred behind its last fills.
         for f in self.port.due_fetches(now) {
             self.surrender(now, f, fab);
         }
         if self.finished() {
-            return;
+            return self.port.next_fetch();
         }
         while let Some(slot) = self.port.next_completion(now) {
             self.complete_load(now, slot, |a| values.read(a));
@@ -245,6 +249,46 @@ impl BaselineNode {
         self.port.send_misses(now, fab);
         self.fetch();
         self.check_finished(now);
+        if self.activity(fab) != before {
+            return now + 1;
+        }
+        // SC's memory-perform gate (`may_perform_mem`).
+        let gate = self.last_mem_retire + self.cfg.l1_latency;
+        let sc_gate = if self.model == BaselineModel::Sc && gate > now {
+            gate
+        } else {
+            Cycle::MAX
+        };
+        self.port.next_timer(now).min(sc_gate)
+    }
+
+    /// Everything a tick may change that a later tick reads: the change
+    /// counts of the window, the port and the front end, the messages
+    /// sent, and this node's own fields. `tick` compares it before and
+    /// after; a field a tick writes lives in one of the three components
+    /// or appears here.
+    fn activity(&self, fab: &Fabric) -> impl PartialEq {
+        (
+            (
+                self.window.changes(),
+                self.port.changes(),
+                self.front.changes(),
+                fab.traffic().messages(),
+            ),
+            (
+                self.stats.retired,
+                self.stats.finished_at,
+                self.store_buffer.len(),
+                self.last_mem_retire,
+                self.po_next,
+            ),
+            (
+                self.epochs.len(),
+                self.current_epoch,
+                self.epoch_fetched,
+                self.epoch_squash_streak,
+            ),
+        )
     }
 
     /// Complete the load at `slot`, forwarding from older stores in the

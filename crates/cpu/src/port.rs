@@ -8,6 +8,10 @@
 //! stays with each model — SC/TSO load replay, SC++ epoch squash, RC
 //! completion from the response snapshot, BulkSC re-request — so every
 //! method returns what the model must act on.
+//!
+//! The port also owns the core's timers ([`MemPort::next_timer`]) and
+//! counts its own changes ([`MemPort::changes`]), so a core that ticked
+//! without changing anything can sleep until a timer or a message.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -83,6 +87,7 @@ pub struct MemPort {
     /// Fetches to answer once their fill's grace period is over.
     deferred_fetches: Vec<(Cycle, Fetch)>,
     stats: PortStats,
+    changes: u64,
 }
 
 impl MemPort {
@@ -98,7 +103,60 @@ impl MemPort {
             completions: BinaryHeap::new(),
             deferred_fetches: Vec::new(),
             stats: PortStats::default(),
+            changes: 0,
         }
+    }
+
+    /// How many times the port or its L1 has changed: equal counts before
+    /// and after some calls mean they changed no miss, completion, parked
+    /// fetch or line. Counters in [`PortStats`] do not count.
+    pub fn changes(&self) -> u64 {
+        self.changes + self.l1.changes()
+    }
+
+    /// The earliest cycle after `now` at which one of the port's timers
+    /// falls due, or `Cycle::MAX` if none is pending. Together with two
+    /// gates the models keep, these are every comparison against `now` on
+    /// a core's tick path:
+    ///
+    /// * the completion heap of [`MemPort::next_completion`]: loads that
+    ///   [`MemPort::hit`], and the `now + 1` retry of a load waiting behind
+    ///   an unperformed RMW in [`MemPort::complete_load`];
+    /// * the parked fetches of [`MemPort::due_fetches`] (see
+    ///   [`MemPort::next_fetch`]), parked by [`MemPort::filled`];
+    /// * the `retry_at` of unsent misses in [`MemPort::send_misses`] (a
+    ///   Nack retry or a stale-fill retry). They count only while an MSHR
+    ///   is free: a busy MSHR frees only on a message;
+    /// * the BulkSC core's `commit_retry_at`, which gates a commit request
+    ///   after a denial;
+    /// * the SC baseline's memory-perform gate, `l1_latency` cycles after
+    ///   the last memory operation retired.
+    pub fn next_timer(&self, now: Cycle) -> Cycle {
+        let completion = self
+            .completions
+            .peek()
+            .map_or(Cycle::MAX, |&Reverse((t, _))| t);
+        let retry = if self.in_flight < self.cfg.mshrs {
+            self.misses
+                .values()
+                .filter(|m| !m.sent && m.retry_at > now)
+                .map(|m| m.retry_at)
+                .min()
+                .unwrap_or(Cycle::MAX)
+        } else {
+            Cycle::MAX
+        };
+        completion.min(self.next_fetch()).min(retry)
+    }
+
+    /// The cycle the earliest parked fetch falls due, or `Cycle::MAX`: a
+    /// finished core's only timer.
+    pub fn next_fetch(&self) -> Cycle {
+        self.deferred_fetches
+            .iter()
+            .map(|&(t, _)| t)
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// L1 and miss counters.
@@ -118,20 +176,29 @@ impl MemPort {
 
     /// Register interest in `line`: `excl` requires ownership, `waiter`
     /// is a load to complete when the line arrives.
+    /// Registering an interest already held changes nothing.
     pub fn want(&mut self, now: Cycle, line: LineAddr, excl: bool, waiter: Option<SlotId>) {
-        let m = self.misses.entry(line).or_insert_with(|| Miss {
-            excl,
-            sent: false,
-            sent_at: 0,
-            retry_at: now,
-            loads: Vec::new(),
-            invalidated: false,
-            fetch: None,
+        let changes = &mut self.changes;
+        let m = self.misses.entry(line).or_insert_with(|| {
+            *changes += 1;
+            Miss {
+                excl,
+                sent: false,
+                sent_at: 0,
+                retry_at: now,
+                loads: Vec::new(),
+                invalidated: false,
+                fetch: None,
+            }
         });
-        m.excl |= excl;
+        if excl && !m.excl {
+            m.excl = true;
+            *changes += 1;
+        }
         if let Some(w) = waiter {
             if !m.loads.contains(&w) {
                 m.loads.push(w);
+                *changes += 1;
             }
         }
     }
@@ -166,6 +233,7 @@ impl MemPort {
             m.sent = true;
             m.sent_at = now;
             self.in_flight += 1;
+            self.changes += 1;
             self.stats.l1_misses += 1;
             fab.send(now, self.core, home(line, self.num_dirs), msg);
             budget -= 1;
@@ -181,6 +249,7 @@ impl MemPort {
         }
         self.completions
             .push(Reverse((now + self.cfg.l1_latency, slot)));
+        self.changes += 1;
     }
 
     /// The next load whose completion is due at `now`, if any.
@@ -190,6 +259,7 @@ impl MemPort {
             return None;
         }
         self.completions.pop();
+        self.changes += 1;
         Some(slot)
     }
 
@@ -217,6 +287,7 @@ impl MemPort {
             Forward::Value(v) => v,
             Forward::Unknown => {
                 self.completions.push(Reverse((now + 1, slot)));
+                self.changes += 1;
                 return;
             }
             Forward::None => buffered(addr).unwrap_or_else(|| memory(addr)),
@@ -231,6 +302,7 @@ impl MemPort {
             m.loads.clear();
         }
         self.completions.clear();
+        self.changes += 1;
     }
 
     /// Park `f` behind our own in-flight request for its line. Returns
@@ -239,6 +311,7 @@ impl MemPort {
         match self.misses.get_mut(&f.line) {
             Some(m) if m.sent => {
                 m.fetch = Some(f);
+                self.changes += 1;
                 true
             }
             _ => false,
@@ -254,12 +327,15 @@ impl MemPort {
         self.in_flight -= m.sent as u32;
         m.sent = false;
         m.retry_at = now + self.cfg.nack_retry;
+        self.changes += 1;
         m.fetch.take()
     }
 
     /// Unpark the fetch waiting on `line`'s miss, if any.
     pub fn take_fetch(&mut self, line: LineAddr) -> Option<Fetch> {
-        self.misses.get_mut(&line)?.fetch.take()
+        let f = self.misses.get_mut(&line)?.fetch.take();
+        self.changes += f.is_some() as u64;
+        f
     }
 
     /// The parked fetches whose grace period is over at `now`.
@@ -274,6 +350,7 @@ impl MemPort {
             }
             t > now
         });
+        self.changes += !due.is_empty() as u64;
         due
     }
 
@@ -281,6 +358,7 @@ impl MemPort {
     /// old state, and mark a fill for it as stale.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineState> {
         if let Some(m) = self.misses.get_mut(&line) {
+            self.changes += !m.invalidated as u64;
             m.invalidated = true;
         }
         self.l1.invalidate(line)
@@ -290,6 +368,7 @@ impl MemPort {
     pub fn invalidate_in_flight(&mut self, hit: impl Fn(LineAddr) -> bool) {
         for (&line, m) in self.misses.iter_mut() {
             if m.sent && hit(line) {
+                self.changes += !m.invalidated as u64;
                 m.invalidated = true;
             }
         }
@@ -307,6 +386,7 @@ impl MemPort {
             return Default::default();
         };
         self.in_flight -= m.sent as u32;
+        self.changes += 1;
         (m.loads, m.excl)
     }
 
@@ -317,6 +397,7 @@ impl MemPort {
             m.sent = false;
             m.invalidated = false;
             m.retry_at = now + 1;
+            self.changes += 1;
         }
     }
 
@@ -328,6 +409,7 @@ impl MemPort {
         let Some(m) = self.misses.remove(&line) else {
             return Vec::new();
         };
+        self.changes += 1;
         if m.sent {
             self.in_flight -= 1;
             self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
@@ -504,6 +586,59 @@ mod tests {
         assert!(!p.is_stale(L2), "L2 was still waiting for an MSHR");
         p.retry_miss(3, L1);
         assert!(!p.is_stale(L1));
+    }
+
+    #[test]
+    fn next_timer_is_the_earliest_completion_parked_fetch_or_unsent_retry() {
+        let (mut p, mut fab) = (port(2), fabric());
+        let cfg = CoreConfig::default();
+        assert_eq!(p.next_timer(0), Cycle::MAX, "nothing pending");
+        p.want(0, L1, false, None);
+        p.want(0, L2, false, None);
+        p.send_misses(0, &mut fab);
+        assert_eq!(
+            p.next_timer(0),
+            Cycle::MAX,
+            "in-flight misses wait on messages"
+        );
+
+        // A Nack frees an MSHR and arms the retry.
+        p.nack(10, L1);
+        let retry = 10 + cfg.nack_retry;
+        assert_eq!(p.next_timer(10), retry);
+        // A fill answers its parked fetch after the grace period.
+        assert!(p.defer_fetch(fetch(L2)));
+        p.filled(12, L2);
+        let fetch_due = 12 + cfg.l1_latency + 1;
+        assert_eq!((p.next_fetch(), p.next_timer(12)), (fetch_due, fetch_due));
+        // A hit completes one L1 latency later, before the fetch.
+        p.hit(12, L3, 7);
+        assert_eq!(p.next_timer(12), 12 + cfg.l1_latency);
+        assert_eq!(p.next_completion(12 + cfg.l1_latency), Some(7));
+        assert_eq!(p.next_timer(12 + cfg.l1_latency), fetch_due);
+        assert_eq!(p.due_fetches(fetch_due), [fetch(L2)]);
+        assert_eq!(p.next_timer(fetch_due), retry);
+
+        // While every MSHR is busy the unsent retry cannot fire.
+        p.want(fetch_due, L2, false, None);
+        p.want(fetch_due, L3, false, None);
+        p.send_misses(fetch_due, &mut fab);
+        assert_eq!(sent(&mut fab).len(), 4, "L1, L2, then L2 and L3");
+        assert_eq!(p.next_timer(fetch_due), Cycle::MAX);
+        p.nack(fetch_due + 1, L3);
+        assert_eq!(p.next_timer(fetch_due + 1), retry);
+    }
+
+    #[test]
+    fn repeating_an_interest_changes_nothing() {
+        let mut p = port(8);
+        p.want(0, L1, false, Some(3));
+        let before = p.changes();
+        p.want(5, L1, false, Some(3));
+        p.want(5, L1, false, None);
+        assert_eq!(p.changes(), before, "the same interest again");
+        p.want(5, L1, true, None);
+        assert_ne!(p.changes(), before, "ownership is new");
     }
 
     #[test]

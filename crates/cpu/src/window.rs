@@ -11,6 +11,11 @@
 //! send loads back. Because nothing else can return a slot to `Waiting`,
 //! the issue scan resumes where it last stopped instead of rewalking the
 //! window on every cycle.
+//!
+//! The window also counts its in-window stores and RMWs per word-hash
+//! bucket, so [`InstrWindow::forward`] answers a load no older write can
+//! hit without walking the window, and it counts its own mutations
+//! ([`InstrWindow::changes`]) so a core can tell an idle tick.
 
 use std::collections::VecDeque;
 
@@ -65,6 +70,23 @@ pub struct Slot {
     pub tag: u64,
 }
 
+/// Word-hash buckets of the store/RMW counts behind [`InstrWindow::forward`].
+const WRITE_BUCKETS: usize = 256;
+
+/// The bucket of word `addr` (Fibonacci hashing: the top byte of the
+/// product, so strided addresses spread).
+fn write_bucket(addr: Addr) -> usize {
+    (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
+}
+
+/// The word a store or RMW writes.
+fn written_word(instr: &Instr) -> Option<Addr> {
+    match *instr {
+        Instr::Store { addr, .. } | Instr::Rmw { addr, .. } => Some(addr),
+        _ => None,
+    }
+}
+
 /// How far the issue scan has looked: the oldest `slots` slots, which
 /// fill `depth` issue-window entries (a slot counts `max(remaining, 1)`)
 /// and hold `mem` memory operations. None of them is a `Waiting` memory
@@ -96,18 +118,48 @@ pub struct InstrWindow {
     capacity: u32,
     occupancy: u64,
     scan: Scan,
+    /// In-window stores and RMWs per [`write_bucket`]. A store takes one
+    /// dynamic instruction, so the capacity bounds every count.
+    writes: [u16; WRITE_BUCKETS],
+    changes: u64,
 }
 
 impl InstrWindow {
     /// An empty window holding up to `capacity` dynamic instructions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds `u16::MAX` (the per-bucket store
+    /// counts would overflow).
     pub fn new(capacity: u32) -> Self {
+        assert!(
+            capacity <= u16::MAX as u32,
+            "window capacity {capacity} exceeds {}",
+            u16::MAX
+        );
         InstrWindow {
             slots: VecDeque::new(),
             next_id: 0,
             capacity,
             occupancy: 0,
             scan: Scan::default(),
+            writes: [0; WRITE_BUCKETS],
+            changes: 0,
         }
+    }
+
+    /// How many times the window has changed: equal counts before and
+    /// after some calls mean they changed nothing. Every method that
+    /// alters a slot, the slot set or the ids counts itself; an `issue`
+    /// that issues nothing does not, since resuming its scan from a later
+    /// point returns what a rescan would.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    /// The write-bucket count `instr` belongs to, if it is a store or RMW.
+    fn write_count(&mut self, instr: &Instr) -> Option<&mut u16> {
+        Some(&mut self.writes[write_bucket(written_word(instr)?)])
     }
 
     /// Dynamic instructions currently in flight.
@@ -139,6 +191,9 @@ impl InstrWindow {
             Instr::Compute(n) => n,
             _ => 1,
         };
+        if let Some(n) = self.write_count(&instr) {
+            *n += 1;
+        }
         self.slots.push_back(Slot {
             id,
             instr,
@@ -147,6 +202,7 @@ impl InstrWindow {
             remaining,
             tag,
         });
+        self.changes += 1;
         Some(id)
     }
 
@@ -168,6 +224,10 @@ impl InstrWindow {
             self.scan.depth -= slot.remaining.max(1) as u64;
             self.scan.mem -= slot.instr.addr().is_some() as usize;
         }
+        if let Some(n) = self.write_count(&slot.instr) {
+            *n -= 1;
+        }
+        self.changes += 1;
         slot
     }
 
@@ -185,10 +245,17 @@ impl InstrWindow {
         }
         slot.remaining -= n;
         self.occupancy -= n as u64;
+        self.changes += 1;
     }
 
-    /// Index of the slot `id` (ids grow along the window).
+    /// Index of the slot `id`. Ids grow along the window, gap-free until a
+    /// suffix squash, so index `id - oldest id` is tried before a binary
+    /// search.
     fn position(&self, id: SlotId) -> Option<usize> {
+        let guess = id.checked_sub(self.slots.front()?.id)? as usize;
+        if self.slots.get(guess).is_some_and(|s| s.id == id) {
+            return Some(guess);
+        }
         let i = self.slots.partition_point(|s| s.id < id);
         (self.slots.get(i)?.id == id).then_some(i)
     }
@@ -235,6 +302,7 @@ impl InstrWindow {
             slots += 1;
         }
         self.scan = Scan { slots, depth, mem };
+        self.changes += !issued.is_empty() as u64;
         issued
     }
 
@@ -244,6 +312,7 @@ impl InstrWindow {
             let s = &mut self.slots[i];
             s.state = SlotState::Done;
             s.value = Some(value);
+            self.changes += 1;
         }
     }
 
@@ -260,6 +329,7 @@ impl InstrWindow {
         s.state = SlotState::Waiting;
         s.value = None;
         self.scan = Scan::default();
+        self.changes += 1;
         true
     }
 
@@ -278,13 +348,19 @@ impl InstrWindow {
         }
         if hit {
             self.scan = Scan::default();
+            self.changes += 1;
         }
         hit
     }
 
     /// What the load at `slot` forwards from the older in-window accesses
-    /// to `addr`: the youngest of them decides.
+    /// to `addr`: the youngest of them decides. A load whose word bucket
+    /// holds no in-window store or RMW gets `Forward::None` without a
+    /// scan.
     pub fn forward(&self, slot: SlotId, addr: Addr) -> Forward {
+        if self.writes[write_bucket(addr)] == 0 {
+            return Forward::None;
+        }
         let mut fwd = Forward::None;
         for s in self.slots.iter().take_while(|s| s.id < slot) {
             match s.instr {
@@ -308,6 +384,8 @@ impl InstrWindow {
         self.slots.clear();
         self.occupancy = 0;
         self.scan = Scan::default();
+        self.writes = [0; WRITE_BUCKETS];
+        self.changes += 1;
         dropped
     }
 
@@ -322,9 +400,13 @@ impl InstrWindow {
             }
             let slot = self.slots.pop_back().expect("checked");
             dropped += slot.remaining as u64;
+            if let Some(n) = self.write_count(&slot.instr) {
+                *n -= 1;
+            }
         }
         self.occupancy -= dropped;
         self.scan = Scan::default();
+        self.changes += 1;
         dropped
     }
 
@@ -532,6 +614,86 @@ mod tests {
             .iter()
             .map(|s| (s.id, s.state, s.value, s.remaining))
             .collect()
+    }
+
+    /// `forward` as a walk of every older slot: the reference for the
+    /// write-bucket shortcut.
+    fn forward_by_scan(w: &InstrWindow, slot: SlotId, addr: Addr) -> Forward {
+        let mut fwd = Forward::None;
+        for s in w.slots.iter().take_while(|s| s.id < slot) {
+            match s.instr {
+                Instr::Store { addr: a, value } if a == addr => fwd = Forward::Value(value),
+                Instr::Rmw { addr: a, .. } if a == addr => fwd = Forward::Unknown,
+                _ => {}
+            }
+        }
+        fwd
+    }
+
+    #[test]
+    fn write_buckets_and_slot_lookup_survive_every_window_change() {
+        for case in 0..300u64 {
+            let mut rng = SplitMix64::new(case);
+            let mut w = InstrWindow::new(40);
+            let mut tag = 0u64;
+            for step in 0..300 {
+                let ctx = format!("case {case}, step {step}");
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        tag += rng.gen_range(0..2);
+                        let addr = Addr(rng.gen_range(0..24));
+                        let instr = match rng.gen_range(0..4) {
+                            0 => Instr::Compute(rng.gen_range(0..6) as u32),
+                            1 => Instr::Store { addr, value: step },
+                            2 => Instr::Rmw {
+                                addr,
+                                op: bulksc_workloads::RmwOp::Swap(step),
+                            },
+                            _ => load(addr.0),
+                        };
+                        let _ = w.push(instr, tag);
+                    }
+                    5 | 6 => {
+                        let Some(head) = w.oldest() else { continue };
+                        let r = head.remaining;
+                        if r > 1 && rng.gen_range(0..2) == 0 {
+                            w.drain_oldest_compute(rng.gen_range(1..r as u64) as u32);
+                        } else {
+                            w.pop_oldest();
+                        }
+                    }
+                    7 | 8 => {
+                        let cut = rng.gen_range(0..tag + 2);
+                        w.squash_newest_while(|s| s.tag >= cut);
+                    }
+                    _ => {
+                        if rng.gen_range(0..4) == 0 {
+                            w.squash_all();
+                        }
+                    }
+                }
+                let mut recount = [0u16; WRITE_BUCKETS];
+                for s in &w.slots {
+                    if let Some(a) = written_word(&s.instr) {
+                        recount[write_bucket(a)] += 1;
+                    }
+                }
+                assert_eq!(w.writes, recount, "{ctx}: bucket counts drifted");
+                for s in &w.slots {
+                    assert_eq!(w.get(s.id).map(|g| g.id), Some(s.id), "{ctx}");
+                }
+                let probe = rng.gen_range(0..w.next_id + 2);
+                let present = w.slots.iter().any(|s| s.id == probe);
+                assert_eq!(w.get(probe).is_some(), present, "{ctx}: slot {probe}");
+                for s in &w.slots {
+                    for addr in [s.instr.addr(), Some(Addr(rng.gen_range(0..24)))] {
+                        let Some(addr) = addr else { continue };
+                        let want = forward_by_scan(&w, s.id, addr);
+                        assert_eq!(w.forward(s.id, addr), want, "{ctx}: slot {}", s.id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

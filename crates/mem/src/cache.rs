@@ -124,6 +124,7 @@ pub struct SetAssocCache {
     num_sets: u32,
     sets: Vec<Vec<Way>>,
     tick: u64,
+    changes: u64,
 }
 
 impl SetAssocCache {
@@ -135,7 +136,15 @@ impl SetAssocCache {
             num_sets,
             sets: vec![Vec::new(); num_sets as usize],
             tick: 0,
+            changes: 0,
         }
+    }
+
+    /// How many times a line was placed, removed, re-stated or touched:
+    /// equal counts before and after some calls mean they changed no
+    /// line's state or LRU order.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// The geometry.
@@ -177,6 +186,7 @@ impl SetAssocCache {
         match self.sets[set].iter_mut().find(|w| w.line == line) {
             Some(w) => {
                 w.stamp = stamp;
+                self.changes += 1;
                 true
             }
             None => false,
@@ -188,6 +198,7 @@ impl SetAssocCache {
         let set = self.set_index(line);
         match self.sets[set].iter_mut().find(|w| w.line == line) {
             Some(w) => {
+                self.changes += (w.state != state) as u64;
                 w.state = state;
                 true
             }
@@ -200,6 +211,7 @@ impl SetAssocCache {
         let set = self.set_index(line);
         let ways = &mut self.sets[set];
         let pos = ways.iter().position(|w| w.line == line)?;
+        self.changes += 1;
         Some(ways.swap_remove(pos).state)
     }
 
@@ -224,10 +236,12 @@ impl SetAssocCache {
         if let Some(w) = ways.iter_mut().find(|w| w.line == line) {
             w.state = state;
             w.stamp = stamp;
+            self.changes += 1;
             return InsertOutcome::Placed;
         }
         if ways.len() < assoc {
             ways.push(Way { line, state, stamp });
+            self.changes += 1;
             return InsertOutcome::Placed;
         }
         // Victim: least recently used way that is not vetoed.
@@ -240,6 +254,7 @@ impl SetAssocCache {
         match victim {
             Some(i) => {
                 let old = std::mem::replace(&mut ways[i], Way { line, state, stamp });
+                self.changes += 1;
                 InsertOutcome::Evicted {
                     line: old.line,
                     state: old.state,

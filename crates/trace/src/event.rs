@@ -556,11 +556,25 @@ impl Event {
 
     /// One JSONL line (no trailing newline): `{"t":cycle,"ev":name,...}`.
     pub fn jsonl(&self, cycle: u64) -> String {
-        let mut obj = crate::Json::obj([("t", cycle.into()), ("ev", self.name().into())]);
+        let mut line = String::new();
+        self.write_jsonl(cycle, &mut line);
+        line
+    }
+
+    /// Append the [`Event::jsonl`] line to `out`, writing each field as it
+    /// goes instead of building a [`crate::Json`] object first.
+    pub fn write_jsonl(&self, cycle: u64, out: &mut String) {
+        out.push_str("{\"t\":");
+        crate::Json::U64(cycle).write(out);
+        out.push_str(",\"ev\":");
+        crate::json::write_escaped(self.name(), out);
         for (k, v) in self.fields() {
-            obj.push(k, v);
+            out.push(',');
+            crate::json::write_escaped(k, out);
+            out.push(':');
+            v.write(out);
         }
-        obj.to_string()
+        out.push('}');
     }
 }
 
@@ -639,6 +653,18 @@ mod tests {
                     witnesses: vec![0x100],
                 })),
             },
+            Event::Squash {
+                core: 2,
+                seq: 5,
+                cause: SquashCause::Overflow,
+                squashed_instrs: 10,
+                xray: Some(Box::new(ConflictAttr {
+                    agg_core: None,
+                    agg_seq: None,
+                    site: "overflow",
+                    witnesses: Vec::new(),
+                })),
+            },
             Event::SigExpand {
                 dir: 0,
                 core: 0,
@@ -697,10 +723,19 @@ mod tests {
             },
         ];
         for (i, ev) in events.iter().enumerate() {
-            let line = ev.jsonl(100 + i as u64);
+            let cycle = 100 + i as u64;
+            let line = ev.jsonl(cycle);
             assert!(crate::json::is_valid(&line), "invalid JSONL: {line}");
             assert!(line.contains(&format!("\"ev\":\"{}\"", ev.name())));
             assert!(line.starts_with(&format!("{{\"t\":{}", 100 + i)));
+            // The direct writer appends exactly the object rendering.
+            let mut obj = crate::Json::obj([("t", cycle.into()), ("ev", ev.name().into())]);
+            for (k, v) in ev.fields() {
+                obj.push(k, v);
+            }
+            let mut appended = String::from("earlier line\n");
+            ev.write_jsonl(cycle, &mut appended);
+            assert_eq!(appended, format!("earlier line\n{obj}"));
         }
     }
 

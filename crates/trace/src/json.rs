@@ -9,6 +9,7 @@
 //! byte-identical traces.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -122,8 +123,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => out.push_str(&n.to_string()),
-            Json::I64(n) => out.push_str(&n.to_string()),
+            // Formatting into a `String` cannot fail.
+            Json::U64(n) => write!(out, "{n}").unwrap(),
+            Json::I64(n) => write!(out, "{n}").unwrap(),
             Json::F64(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -218,7 +220,8 @@ fn write_f64(x: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -125,7 +125,7 @@ impl JsonlTracer {
 
 impl Tracer for JsonlTracer {
     fn record(&mut self, cycle: u64, event: &Event) {
-        self.out.push_str(&event.jsonl(cycle));
+        event.write_jsonl(cycle, &mut self.out);
         self.out.push('\n');
         self.lines += 1;
     }

@@ -26,9 +26,12 @@ run cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
 # The regression layer, named explicitly so a failure is unmissable in
 # the log: golden figures must match their committed fixtures
-# (re-bless intentional changes with BULKSC_BLESS=1), and every artifact
-# must be byte-identical at any --jobs width.
-run cargo test -q --offline --test golden_figures --test pool_determinism
+# (re-bless intentional changes with BULKSC_BLESS=1), every artifact
+# must be byte-identical at any --jobs width, and `run`, which ticks a
+# core only when it has work, must match ticking every core on every
+# cycle byte for byte (run_matches_per_cycle_stepping).
+run cargo test -q --offline --test golden_figures --test pool_determinism \
+  --test determinism_and_shapes
 
 # Committed-table gate: the six result tables must regenerate
 # byte-identical at their default budget (25,000 instructions per core).
@@ -200,12 +203,15 @@ run grep -q '^bulksc_pool_jobs_completed [1-9]' results/fuzz.metrics.prom
 
 # Host-performance smoke: a fast pass over the perf matrix (small budget,
 # 2 reps — seconds, not minutes). `prof` re-reads the artifact and fails
-# if the tracing tax (bsc8 KIPS over bsc8_trace KIPS) exceeds 3x — the
-# zero-cost-when-off contract for the event-trace layer, with headroom
-# for host noise at smoke budgets — or if the xray tax (bsc8_trace KIPS
-# over bsc8_xray KIPS) exceeds 1.10x. Both ratios are the medians of the
-# interleaved single-rep pairs bulksc-perf measures on one thread after
-# the suite, so a slow stretch of the host hits both halves of a pair. The metrics registry has no tax to
+# if the tracing tax (bsc8 KIPS over bsc8_trace KIPS) exceeds 3x, or if
+# the xray tax (bsc8_trace KIPS over bsc8_xray KIPS) exceeds 1.10x. The
+# tracing tax bounds what a traced run costs relative to an untraced one,
+# with headroom for host noise at smoke budgets: it rises whenever
+# untraced runs get faster and trace emission does not, so a simulator
+# speedup must come with a matching cut in emission cost. Both ratios
+# are the medians of the interleaved single-rep pairs bulksc-perf
+# measures on one thread after the suite, so a slow stretch of the host
+# hits both halves of a pair. The metrics registry has no tax to
 # gate: the simulator counts only in its components' stats, and a
 # `--metrics` run reads them once per finished run. `perf-diff` against
 # the committed baseline uses a deliberately loose 90% threshold:

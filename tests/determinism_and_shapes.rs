@@ -3,21 +3,26 @@
 //! live in the bench harness and EXPERIMENTS.md).
 
 use bulksc::{BulkConfig, Model, SimReport, System, SystemConfig};
-use bulksc_bench::fuzz::{self, SweepEntry};
+use bulksc_bench::{fuzz, SEED};
 use bulksc_check::MemoryModel;
 use bulksc_cpu::BaselineModel;
 use bulksc_net::TrafficClass;
 use bulksc_trace::{JsonlTracer, TraceHandle};
-use bulksc_workloads::{by_name, FuzzSpec, SyntheticApp, ThreadProgram};
+use bulksc_workloads::{by_name, catalog, FuzzSpec, SyntheticApp, ThreadProgram};
 
-fn run(model: Model, app: &str, budget: u64, seed: u64) -> SimReport {
+/// The 8-core machine running catalog `app` under `model`.
+fn system(model: Model, app: &str, budget: u64, seed: u64) -> System {
     let params = by_name(app).expect("catalog app");
     let mut cfg = SystemConfig::cmp8(model);
     cfg.budget = budget;
     let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.cores)
         .map(|t| Box::new(SyntheticApp::new(params, t, cfg.cores, seed)) as Box<dyn ThreadProgram>)
         .collect();
-    let mut sys = System::new(cfg, programs);
+    System::new(cfg, programs)
+}
+
+fn run(model: Model, app: &str, budget: u64, seed: u64) -> SimReport {
+    let mut sys = system(model, app, budget, seed);
     assert!(sys.run(u64::MAX / 4), "run finished");
     SimReport::collect(&sys)
 }
@@ -157,41 +162,93 @@ fn distributed_arbiter_machine_matches_single_arbiter_results() {
     assert!((0.7..1.3).contains(&ratio), "ratio {ratio:.3}");
 }
 
-/// One fuzz case with a JSONL sink attached, driven by `drive`; returns
-/// the report JSON and the trace text.
-fn fuzz_case(entry: &SweepEntry, seed: u64, drive: impl FnOnce(&mut System)) -> (String, String) {
-    let mut sys = fuzz::build_case(entry, FuzzSpec::default(), seed);
+/// `sys` with a JSONL sink attached, driven to the end by `run` or, when
+/// `every_core`, by `step_every_core`; returns whether it finished, the
+/// report and the trace text.
+fn drive(mut sys: System, every_core: bool, cap: u64) -> (bool, SimReport, String) {
     let sink = JsonlTracer::shared();
     let mut handle = TraceHandle::off();
     handle.attach(sink.clone());
     sys.set_tracer(handle);
-    drive(&mut sys);
-    let report = SimReport::collect(&sys).to_json().to_string();
+    let finished = if every_core {
+        while !sys.finished() && sys.cycles() < cap {
+            sys.step_every_core();
+        }
+        sys.finished()
+    } else {
+        sys.run(cap)
+    };
     let trace = sink.borrow().contents().to_string();
-    (report, trace)
+    (finished, SimReport::collect(&sys), trace)
+}
+
+/// Run the machine `build` makes both ways and require the same report
+/// JSON and trace bytes; returns the report.
+fn same_either_way(what: &str, build: impl Fn() -> System) -> SimReport {
+    const CAP: u64 = 1_000_000;
+    let (ran_finished, ran, ran_trace) = drive(build(), false, CAP);
+    let (stepped_finished, stepped, stepped_trace) = drive(build(), true, CAP);
+    assert!(ran_finished && stepped_finished, "{what}: did not finish");
+    assert_eq!(
+        ran.to_json().to_string(),
+        stepped.to_json().to_string(),
+        "{what}: SimReport differs"
+    );
+    assert!(ran_trace == stepped_trace, "{what}: JSONL trace differs");
+    ran
 }
 
 #[test]
 fn run_matches_per_cycle_stepping() {
-    // `run` is the loop every experiment uses; a plain step loop is the
-    // definition of the machine. They must agree on every simulated byte.
-    const CAP: u64 = 1_000_000;
+    // `run` ticks a core only when a message reached it or its wake cycle
+    // came; ticking every core on every cycle is the definition of the
+    // machine. They must agree on every simulated byte: on the fuzz
+    // corpus, on the Fig. 9 matrix at a small budget, and on an SC++ run
+    // that squashes.
+    let (mut bulk_squashes, mut denials, mut scpp_squashed) = (0, 0, 0);
+    let mut tally = |model: &Model, r: &SimReport| match model {
+        Model::Bulk(_) => {
+            bulk_squashes += r.alias_squashes + r.true_squashes;
+            denials += r.arb_denials;
+        }
+        Model::Baseline(BaselineModel::Scpp) => scpp_squashed += r.squashed_instrs,
+        Model::Baseline(_) => {}
+    };
     let entries = fuzz::sweep_for(MemoryModel::Sc)
         .into_iter()
         .chain(fuzz::sweep_for(MemoryModel::Tso));
     for entry in entries {
         for seed in [1u64, 5] {
             let what = format!("{} seed {seed}", entry.name);
-            let ran = fuzz_case(&entry, seed, |sys| {
-                assert!(sys.run(CAP), "{what}: run did not finish");
+            let r = same_either_way(&what, || {
+                fuzz::build_case(&entry, FuzzSpec::default(), seed)
             });
-            let stepped = fuzz_case(&entry, seed, |sys| {
-                while !sys.finished() && sys.cycles() < CAP {
-                    sys.step();
-                }
-            });
-            assert_eq!(ran.0, stepped.0, "{what}: SimReport differs");
-            assert!(ran.1 == stepped.1, "{what}: JSONL trace differs");
+            tally(&entry.model, &r);
         }
     }
+    let fig9_models = [
+        Model::Baseline(BaselineModel::Sc),
+        Model::Baseline(BaselineModel::Rc),
+        Model::Baseline(BaselineModel::Tso),
+        Model::Baseline(BaselineModel::Scpp),
+        Model::Bulk(BulkConfig::bsc_base()),
+        Model::Bulk(BulkConfig::bsc_dypvt()),
+        Model::Bulk(BulkConfig::bsc_exact()),
+        Model::Bulk(BulkConfig::bsc_stpvt()),
+    ];
+    for app in catalog() {
+        for model in &fig9_models {
+            let what = format!("{} {} at 1000 per core", app.name, model.name());
+            let r = same_either_way(&what, || system(model.clone(), app.name, 1_000, SEED));
+            tally(model, &r);
+        }
+    }
+    let scpp = Model::Baseline(BaselineModel::Scpp);
+    let r = same_either_way("radix SC++ at 3000 per core", || {
+        system(scpp.clone(), "radix", 3_000, SEED)
+    });
+    tally(&scpp, &r);
+    assert!(bulk_squashes > 0, "the corpus squashes no BulkSC chunk");
+    assert!(denials > 0, "the corpus denies no commit");
+    assert!(scpp_squashed > 0, "the corpus squashes no SC++ epoch");
 }
