@@ -114,10 +114,10 @@ impl MemPort {
         self.changes + self.l1.changes()
     }
 
-    /// The earliest cycle after `now` at which one of the port's timers
-    /// falls due, or `Cycle::MAX` if none is pending. Together with two
-    /// gates the models keep, these are every comparison against `now` on
-    /// a core's tick path:
+    /// The earliest cycle at which one of the port's timers falls due, or
+    /// `Cycle::MAX` if none is pending; after a tick at `now` every
+    /// pending time is later. Together with two gates the models keep,
+    /// these are every comparison against `now` on a core's tick path:
     ///
     /// * the completion heap of [`MemPort::next_completion`]: loads that
     ///   [`MemPort::hit`], and the `now + 1` retry of a load waiting behind
@@ -175,8 +175,8 @@ impl MemPort {
     }
 
     /// Register interest in `line`: `excl` requires ownership, `waiter`
-    /// is a load to complete when the line arrives.
-    /// Registering an interest already held changes nothing.
+    /// is a load to complete when the line arrives. Registering an
+    /// interest already held changes nothing.
     pub fn want(&mut self, now: Cycle, line: LineAddr, excl: bool, waiter: Option<SlotId>) {
         let changes = &mut self.changes;
         let m = self.misses.entry(line).or_insert_with(|| {

@@ -123,9 +123,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            // Formatting into a `String` cannot fail.
-            Json::U64(n) => write!(out, "{n}").unwrap(),
-            Json::I64(n) => write!(out, "{n}").unwrap(),
+            Json::U64(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
+            Json::I64(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
             Json::F64(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
