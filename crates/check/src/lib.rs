@@ -55,6 +55,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::rc::Rc;
 
+use bulksc_trace::json::{self, RawValue};
 use bulksc_trace::{Event, Json, Tracer, SCHEMA_VERSION};
 
 mod order;
@@ -191,54 +192,64 @@ pub fn parse_header_line(header: &str, origin: &str) -> Result<(), String> {
 /// line number within the stream (the header is line 1); every error
 /// names `origin` and that line so a bad line in a multi-GB trace is
 /// found without bisecting.
+///
+/// The line is scanned in place ([`json::scan_object`]), not built into a
+/// [`Json`] tree: it accepts the same lines, reads the same fields and
+/// gives the same errors as `Json::parse` followed by `get` lookups.
 pub fn parse_trace_line(line: &str, lineno: usize, origin: &str) -> Result<TraceLine, String> {
     if line.trim().is_empty() {
         return Ok(TraceLine::Skip);
     }
-    let ev = Json::parse(line)
-        .ok_or_else(|| format!("{origin}: line {lineno}: not valid JSON: {line}"))?;
-    let t = ev
-        .get("t")
-        .and_then(Json::as_u64)
+    let mut fields = EventFields::default();
+    if !json::scan_object(line, |key, value| fields.note(&key, value)) {
+        // Valid JSON that is not an object has no cycle stamp either.
+        return Err(match Json::parse(line) {
+            Some(_) => format!("{origin}: line {lineno}: event without cycle stamp"),
+            None => format!("{origin}: line {lineno}: not valid JSON: {line}"),
+        });
+    }
+    let t = fields
+        .t
+        .and_then(RawValue::as_u64)
         .ok_or_else(|| format!("{origin}: line {lineno}: event without cycle stamp"))?;
-    let name = ev.get("ev").and_then(Json::as_str).unwrap_or("");
-    let field = |key: &str| -> Result<u64, String> {
-        ev.get(key)
-            .and_then(Json::as_u64)
+    let name = fields.ev.and_then(RawValue::as_str).unwrap_or_default();
+    let field = |value: Option<RawValue>, key: &str| -> Result<u64, String> {
+        value
+            .and_then(RawValue::as_u64)
             .ok_or_else(|| format!("{origin}: line {lineno}: {name} event missing field {key:?}"))
     };
-    let kind = match name {
+    let kind = match &*name {
         "val_load" => Some(AccessKind::Load {
-            value: field("value")?,
+            value: field(fields.value, "value")?,
         }),
         "val_store" => Some(AccessKind::Store {
-            value: field("value")?,
+            value: field(fields.value, "value")?,
         }),
         "val_rmw" => Some(AccessKind::Rmw {
-            old: field("old")?,
-            new: field("new")?,
+            old: field(fields.old, "old")?,
+            new: field(fields.new, "new")?,
         }),
         _ => None,
     };
     if let Some(kind) = kind {
         return Ok(TraceLine::Access(Access {
             idx: 0,
-            core: field("core")? as u32,
-            seq: field("seq")?,
-            po: field("po")?,
-            addr: field("addr")?,
+            core: field(fields.core, "core")? as u32,
+            seq: field(fields.seq, "seq")?,
+            po: field(fields.po, "po")?,
+            addr: field(fields.addr, "addr")?,
             kind,
-            retired_at: field("retired_at")?,
+            retired_at: field(fields.retired_at, "retired_at")?,
             emitted_at: t,
         }));
     }
-    let what = match name {
+    let what = match &*name {
         "chunk_start" => Some("chunk_start"),
         "commit_grant" => Some("commit_grant"),
         "commit_deny" => Some("commit_deny"),
         "chunk_commit" => Some("chunk_commit"),
         "chunk_abandon" => Some("chunk_abandon"),
-        "squash" => Some(match ev.get("cause").and_then(Json::as_str) {
+        "squash" => Some(match fields.cause.and_then(RawValue::as_str).as_deref() {
             Some("alias") => "squash(alias)",
             Some("true-sharing") => "squash(true-sharing)",
             _ => "squash(overflow)",
@@ -248,12 +259,49 @@ pub fn parse_trace_line(line: &str, lineno: usize, origin: &str) -> Result<Trace
     Ok(match what {
         Some(what) => TraceLine::Lifecycle(LifecycleEvent {
             t,
-            core: field("core")? as u32,
-            seq: field("seq")?,
+            core: field(fields.core, "core")? as u32,
+            seq: field(fields.seq, "seq")?,
             what,
         }),
         None => TraceLine::Skip,
     })
+}
+
+/// The fields of one JSONL event that [`parse_trace_line`] reads, each
+/// the first occurrence of its key, as [`Json::get`] would find it.
+#[derive(Default)]
+struct EventFields<'a> {
+    t: Option<RawValue<'a>>,
+    ev: Option<RawValue<'a>>,
+    core: Option<RawValue<'a>>,
+    seq: Option<RawValue<'a>>,
+    po: Option<RawValue<'a>>,
+    addr: Option<RawValue<'a>>,
+    value: Option<RawValue<'a>>,
+    old: Option<RawValue<'a>>,
+    new: Option<RawValue<'a>>,
+    retired_at: Option<RawValue<'a>>,
+    cause: Option<RawValue<'a>>,
+}
+
+impl<'a> EventFields<'a> {
+    fn note(&mut self, key: &str, value: RawValue<'a>) {
+        let slot = match key {
+            "t" => &mut self.t,
+            "ev" => &mut self.ev,
+            "core" => &mut self.core,
+            "seq" => &mut self.seq,
+            "po" => &mut self.po,
+            "addr" => &mut self.addr,
+            "value" => &mut self.value,
+            "old" => &mut self.old,
+            "new" => &mut self.new,
+            "retired_at" => &mut self.retired_at,
+            "cause" => &mut self.cause,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    }
 }
 
 /// The lifecycle label for a squash cause (static so [`LifecycleEvent`]

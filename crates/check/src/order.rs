@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
+use crate::stream::Csr;
 use crate::{Access, AccessKind, LifecycleEvent};
 
 /// The memory consistency model the oracle certifies against.
@@ -214,11 +215,8 @@ pub fn check_model(
 /// after Kahn). Prefers the shortest cycle through the lowest-indexed
 /// access that lies on one, so litmus-sized violations report the
 /// textbook minimal set.
-pub(crate) fn find_cycle(
-    adj: &[Vec<(usize, EdgeKind)>],
-    indeg: &[usize],
-) -> (Vec<usize>, Vec<EdgeKind>) {
-    let leftover: Vec<usize> = (0..adj.len()).filter(|&i| indeg[i] > 0).collect();
+pub(crate) fn find_cycle(graph: &Csr, indeg: &[usize]) -> (Vec<usize>, Vec<EdgeKind>) {
+    let leftover: Vec<usize> = (0..graph.len()).filter(|&i| indeg[i] > 0).collect();
     // BFS from each candidate start until one closes back on itself.
     // Every leftover node has a predecessor among leftovers, so a cycle
     // exists and the scan terminates at the first start that is on one.
@@ -226,7 +224,8 @@ pub(crate) fn find_cycle(
         let mut parent: HashMap<usize, (usize, EdgeKind)> = HashMap::new();
         let mut queue = VecDeque::from([s]);
         while let Some(u) = queue.pop_front() {
-            for &(v, kind) in &adj[u] {
+            for &(v, kind) in graph.out(u) {
+                let v = v as usize;
                 if indeg[v] == 0 {
                     continue; // edge into the already-sorted region
                 }

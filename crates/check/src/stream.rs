@@ -50,6 +50,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::BufRead;
 
 use bulksc_pool::{run_all, Job};
@@ -345,21 +346,28 @@ enum FrApply {
 /// anywhere, so window shards run it concurrently and the merged result
 /// is independent of pool width.
 fn resolve_read(
-    addrs: &HashMap<u64, AddrState>,
-    writers: &HashMap<(u64, u64), Vec<usize>>,
+    addrs: &IntMap<u64, AddrState>,
+    writers: &IntMap<(u64, u64), Vec<usize>>,
     a: &Access,
 ) -> ReadOutcome {
     let v = a.observed().expect("resolve_read takes reads");
     let is_rmw = matches!(a.kind, AccessKind::Rmw { .. });
     let st = addrs.get(&a.addr);
-    // An RMW whose new value equals its old one would otherwise list
-    // itself as a candidate source.
-    let candidates: Vec<usize> = writers
-        .get(&(a.addr, v))
-        .map(|c| c.iter().copied().filter(|&w| w != a.idx).collect())
-        .unwrap_or_default();
+    // Count the candidate sources (up to two: more is as ambiguous) and
+    // keep the last one seen. An RMW whose new value equals its old one
+    // would otherwise count itself.
+    let (mut candidates, mut w) = (0, 0);
+    for &g in writers.get(&(a.addr, v)).into_iter().flatten() {
+        if g != a.idx {
+            candidates += 1;
+            w = g;
+            if candidates == 2 {
+                break;
+            }
+        }
+    }
     let from_init_possible = v == 0;
-    match (candidates.len(), from_init_possible) {
+    match (candidates, from_init_possible) {
         (0, false) => ReadOutcome::Unsourced {
             stale: st.map_or(0, |s| s.expired),
         },
@@ -382,7 +390,6 @@ fn resolve_read(
             }
         }
         (1, false) => {
-            let w = candidates[0];
             let s = st.expect("a live candidate implies address state");
             let i = s
                 .recs
@@ -480,32 +487,35 @@ pub struct StreamChecker {
     /// Total accesses pushed (the next expected `idx`).
     total: usize,
     /// The window currently filling.
-    incoming: Vec<Access>,
     cur_window: u64,
-    /// Live (unplaced) accesses, ascending by stream index; `adj` is the
-    /// edge list over the same slots.
+    /// Live (unplaced) accesses, ascending by stream index. Slots from
+    /// `fresh` on hold the window currently filling, admitted on push.
     arena: Vec<LiveAccess>,
-    adj: Vec<Vec<(usize, EdgeKind)>>,
+    fresh: usize,
+    /// The live graph's edges over arena slots, `(from, to, relation)`,
+    /// in insertion order (see [`Csr`]).
+    edge_list: Vec<Edge>,
     /// Stream index → live slot.
-    slot_of: HashMap<usize, usize>,
+    slot_of: SlotIndex,
     /// Per-core last sealed access (the po frontier) and whether it has
     /// been placed. SC model only.
-    tails: HashMap<u32, (Access, bool)>,
+    tails: IntMap<u32, (Access, bool)>,
     /// TSO model only: the dual (read/write) po frontier per core.
-    tso_tails: HashMap<u32, TsoCoreState>,
+    tso_tails: IntMap<u32, TsoCoreState>,
     /// TSO model only: reads that observed a value no arrived write has
     /// published, parked until a matching same-core store drains
     /// (store-buffer forwarding across a window boundary), keyed by
     /// (addr, value). Still parked at finish ⇒ unsourced violation.
-    pending: HashMap<(u64, u64), Vec<Access>>,
+    pending: IntMap<(u64, u64), Vec<Access>>,
     /// TSO model only: the per-location coherence scan (BTreeMap so the
     /// first violation found is deterministic).
     coh: BTreeMap<(u32, u64), CohState>,
-    addrs: HashMap<u64, AddrState>,
+    addrs: IntMap<u64, AddrState>,
     /// (addr, value) → live writers of that value, ascending.
-    writers: HashMap<(u64, u64), Vec<usize>>,
-    /// The incremental witness-replay memory image.
-    mem: BTreeMap<u64, u64>,
+    writers: IntMap<(u64, u64), Vec<usize>>,
+    /// The incremental witness-replay memory image (ordered once, for the
+    /// certificate, in `finish`).
+    mem: IntMap<u64, u64>,
     lifecycle: VecDeque<LifecycleEvent>,
     edges: usize,
     ambiguous: usize,
@@ -542,14 +552,124 @@ fn unsourced_headline(a: &Access, v: u64, stale: u64) -> String {
     }
 }
 
-fn add_edge(
-    adj: &mut [Vec<(usize, EdgeKind)>],
-    edges: &mut usize,
-    from: usize,
-    to: usize,
-    kind: EdgeKind,
-) {
-    adj[from].push((to, kind));
+/// A multiplicative (Fx-style) hasher for the checker's integer keys:
+/// addresses, values and core ids, hashed several times per access, where
+/// SipHash cost about a third of a seal. The keys come from the trace
+/// under check, so a crafted trace can make these maps slow, never a
+/// verdict wrong.
+#[derive(Clone, Copy, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the table picks
+        // buckets with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A live edge: `(from slot, to slot, relation)`.
+type Edge = (u32, u32, EdgeKind);
+
+/// The slot index's mark for a stream index that is already placed.
+const PLACED: u32 = u32::MAX;
+
+/// Stream index → live slot, as a dense vector. Live indices always lie
+/// in `base..total`: everything before the oldest live window is placed.
+#[derive(Default)]
+struct SlotIndex {
+    base: usize,
+    /// Slot of stream index `base + i`, or [`PLACED`].
+    slots: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// The live slot of stream index `idx`; `None` once it is placed.
+    fn get(&self, idx: usize) -> Option<usize> {
+        let s = *self.slots.get(idx.checked_sub(self.base)?)?;
+        (s != PLACED).then_some(s as usize)
+    }
+
+    /// The slot of an access that must still be live.
+    fn live(&self, idx: usize) -> usize {
+        self.get(idx).expect("an unplaced access has a live slot")
+    }
+
+    /// Re-index after compaction. `live` is the arena, ascending by
+    /// stream index, and `total` the next index to arrive.
+    fn rebuild(&mut self, live: &[LiveAccess], total: usize) {
+        self.base = live.first().map_or(total, |la| la.a.idx);
+        self.slots.clear();
+        self.slots.resize(total - self.base, PLACED);
+        for (s, la) in live.iter().enumerate() {
+            self.slots[la.a.idx - self.base] = s as u32;
+        }
+    }
+}
+
+/// The live edges in compressed sparse rows: node `u`'s out-edges are
+/// `targets[offsets[u]..offsets[u + 1]]`. Built by a stable counting sort
+/// of the flat edge list by source, so each node keeps its out-edges in
+/// insertion order, which is the order Kahn's algorithm (and so the
+/// witness and its hash) visits them in.
+pub(crate) struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<(u32, EdgeKind)>,
+}
+
+impl Csr {
+    fn new(n: usize, edges: &[Edge]) -> Csr {
+        let mut offsets = vec![0usize; n + 1];
+        for &(from, _, _) in edges {
+            offsets[from as usize + 1] += 1;
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut next = offsets.clone();
+        let mut targets = vec![(0, EdgeKind::Po); edges.len()];
+        for &(from, to, kind) in edges {
+            let at = &mut next[from as usize];
+            targets[*at] = (to, kind);
+            *at += 1;
+        }
+        Csr { offsets, targets }
+    }
+
+    /// Node count.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Node `u`'s out-edges, `(to, relation)`, in insertion order.
+    pub(crate) fn out(&self, u: usize) -> &[(u32, EdgeKind)] {
+        &self.targets[self.offsets[u]..self.offsets[u + 1]]
+    }
+}
+
+fn add_edge(edge_list: &mut Vec<Edge>, edges: &mut usize, from: usize, to: usize, kind: EdgeKind) {
+    // Admission keeps every live slot below `PLACED`.
+    edge_list.push((from as u32, to as u32, kind));
     *edges += 1;
 }
 
@@ -559,18 +679,18 @@ impl StreamChecker {
         StreamChecker {
             cfg,
             total: 0,
-            incoming: Vec::new(),
             cur_window: 0,
             arena: Vec::new(),
-            adj: Vec::new(),
-            slot_of: HashMap::new(),
-            tails: HashMap::new(),
-            tso_tails: HashMap::new(),
-            pending: HashMap::new(),
+            fresh: 0,
+            edge_list: Vec::new(),
+            slot_of: SlotIndex::default(),
+            tails: IntMap::default(),
+            tso_tails: IntMap::default(),
+            pending: IntMap::default(),
             coh: BTreeMap::new(),
-            addrs: HashMap::new(),
-            writers: HashMap::new(),
-            mem: BTreeMap::new(),
+            addrs: IntMap::default(),
+            writers: IntMap::default(),
+            mem: IntMap::default(),
             lifecycle: VecDeque::new(),
             edges: 0,
             ambiguous: 0,
@@ -600,9 +720,22 @@ impl StreamChecker {
             self.failed = Some(e.clone());
             return Err(e);
         }
+        let slot = self.arena.len();
+        if slot >= PLACED as usize {
+            let e = CheckError::Malformed(format!(
+                "more than {PLACED} live accesses: certify with a smaller window"
+            ));
+            self.failed = Some(e.clone());
+            return Err(e);
+        }
         self.total += 1;
-        self.incoming.push(a);
-        if self.incoming.len() >= self.cfg.window {
+        self.slot_of.slots.push(slot as u32);
+        self.arena.push(LiveAccess {
+            a,
+            res: Resolution::Unresolved,
+            window: self.cur_window,
+        });
+        if self.arena.len() - self.fresh >= self.cfg.window {
             self.seal(false).inspect_err(|e| {
                 self.failed = Some(e.clone());
             })?;
@@ -642,7 +775,7 @@ impl StreamChecker {
             peak_live: self.peak_live,
             peak_write_records: self.peak_recs,
             witness_hash: self.witness_hash,
-            final_memory: self.mem,
+            final_memory: self.mem.into_iter().collect(),
             checkpoints: self.checkpoints,
             witness: self.witness,
         })
@@ -735,8 +868,10 @@ impl StreamChecker {
                 state.last_w = Some(x);
             }
             for idx in preds {
-                match self.slot_of.get(&idx) {
-                    Some(&from) => add_edge(&mut self.adj, &mut self.edges, from, s, EdgeKind::Po),
+                match self.slot_of.get(idx) {
+                    Some(from) => {
+                        add_edge(&mut self.edge_list, &mut self.edges, from, s, EdgeKind::Po)
+                    }
                     None => self.edges += 1, // already satisfied by the prefix
                 }
             }
@@ -808,20 +943,9 @@ impl StreamChecker {
     /// checkpoint.
     fn seal(&mut self, finalize: bool) -> Result<(), CheckError> {
         let w = self.cur_window;
-        let new: Vec<Access> = std::mem::take(&mut self.incoming);
-        let first_new_slot = self.arena.len();
-
-        // 1. Admit into the live arena (slots stay ascending by idx).
-        for a in &new {
-            let slot = self.arena.len();
-            self.slot_of.insert(a.idx, slot);
-            self.arena.push(LiveAccess {
-                a: *a,
-                res: Resolution::Unresolved,
-                window: w,
-            });
-            self.adj.push(Vec::new());
-        }
+        // 1. The window's accesses were admitted into the live arena on
+        // push (slots stay ascending by idx).
+        let first_new_slot = self.fresh;
 
         // 2. po: per-core program order within the window, chained to the
         // carried per-core tail across windows.
@@ -857,8 +981,14 @@ impl StreamChecker {
                 if *tail_placed {
                     self.edges += 1; // already satisfied by the prefix
                 } else {
-                    let from = self.slot_of[&tail.idx];
-                    add_edge(&mut self.adj, &mut self.edges, from, slots[0], EdgeKind::Po);
+                    let from = self.slot_of.live(tail.idx);
+                    add_edge(
+                        &mut self.edge_list,
+                        &mut self.edges,
+                        from,
+                        slots[0],
+                        EdgeKind::Po,
+                    );
                 }
             }
             for pair in slots.windows(2) {
@@ -870,7 +1000,7 @@ impl StreamChecker {
                     )));
                 }
                 add_edge(
-                    &mut self.adj,
+                    &mut self.edge_list,
                     &mut self.edges,
                     pair[0],
                     pair[1],
@@ -893,9 +1023,9 @@ impl StreamChecker {
             if rank == 0 {
                 st.first_write = Some(a);
                 for r in std::mem::take(&mut st.init_readers) {
-                    match self.slot_of.get(&r) {
-                        Some(&rs) => {
-                            add_edge(&mut self.adj, &mut self.edges, rs, slot, EdgeKind::Fr)
+                    match self.slot_of.get(r) {
+                        Some(rs) => {
+                            add_edge(&mut self.edge_list, &mut self.edges, rs, slot, EdgeKind::Fr)
                         }
                         None => self.edges += 1, // reader already placed
                     }
@@ -903,9 +1033,9 @@ impl StreamChecker {
             }
             if let Some(prev) = st.recs.back_mut() {
                 for r in std::mem::take(&mut prev.readers) {
-                    match self.slot_of.get(&r) {
-                        Some(&rs) => {
-                            add_edge(&mut self.adj, &mut self.edges, rs, slot, EdgeKind::Fr)
+                    match self.slot_of.get(r) {
+                        Some(rs) => {
+                            add_edge(&mut self.edge_list, &mut self.edges, rs, slot, EdgeKind::Fr)
                         }
                         None => self.edges += 1, // reader already placed
                     }
@@ -913,8 +1043,14 @@ impl StreamChecker {
                 if prev.placed {
                     self.edges += 1; // co edge satisfied by the prefix
                 } else {
-                    let from = self.slot_of[&prev.a.idx];
-                    add_edge(&mut self.adj, &mut self.edges, from, slot, EdgeKind::Co);
+                    let from = self.slot_of.live(prev.a.idx);
+                    add_edge(
+                        &mut self.edge_list,
+                        &mut self.edges,
+                        from,
+                        slot,
+                        EdgeKind::Co,
+                    );
                 }
             }
             st.recs.push_back(WriteRec {
@@ -958,7 +1094,7 @@ impl StreamChecker {
                             .expect("record just pushed")
                             .readers
                             .push(rd.idx);
-                        if let Some(&rs) = self.slot_of.get(&rd.idx) {
+                        if let Some(rs) = self.slot_of.get(rd.idx) {
                             self.arena[rs].res = Resolution::PinnedInternal;
                         }
                         self.coh
@@ -972,17 +1108,17 @@ impl StreamChecker {
         }
 
         // 4. rf / fr: resolve the window's reads against the live write
-        // records. Resolution is pure lookup, so it shards across the
-        // worker pool; outcomes are applied serially in stream order, so
-        // edges, ambiguity counts, and the first violation are identical
-        // at any pool width.
-        let reads: Vec<(usize, Access)> = (first_new_slot..self.arena.len())
+        // records. Resolution is pure lookup, so with a pool it shards
+        // across the workers up front; serially, each read is resolved
+        // just before its outcome is applied, since applying an outcome
+        // never changes what a later resolution reads. Outcomes are
+        // applied in stream order either way, so edges, ambiguity counts,
+        // and the first violation are identical at any pool width.
+        let reads: Vec<usize> = (first_new_slot..self.arena.len())
             .filter(|&s| self.arena[s].a.observed().is_some())
-            .map(|s| (s, self.arena[s].a))
             .collect();
-        let outcomes: Vec<ReadOutcome> = if self.cfg.jobs > 1 && reads.len() > 1 {
-            let addrs = &self.addrs;
-            let writers = &self.writers;
+        let resolved: Vec<ReadOutcome> = if self.cfg.jobs > 1 && reads.len() > 1 {
+            let (addrs, writers, arena) = (&self.addrs, &self.writers, &self.arena);
             let shard = reads.len().div_ceil(self.cfg.jobs);
             let jobs: Vec<Job<Vec<ReadOutcome>>> = reads
                 .chunks(shard)
@@ -991,20 +1127,22 @@ impl StreamChecker {
                     Job::new(format!("stream window {w} shard {i}"), move || {
                         chunk
                             .iter()
-                            .map(|(_, a)| resolve_read(addrs, writers, a))
+                            .map(|&s| resolve_read(addrs, writers, &arena[s].a))
                             .collect()
                     })
                 })
                 .collect();
             run_all(self.cfg.jobs, jobs).into_iter().flatten().collect()
         } else {
-            reads
-                .iter()
-                .map(|(_, a)| resolve_read(&self.addrs, &self.writers, a))
-                .collect()
+            Vec::new()
         };
+        let mut resolved = resolved.into_iter();
         let tso = self.cfg.model == MemoryModel::Tso;
-        for (&(slot, a), outcome) in reads.iter().zip(outcomes) {
+        for slot in reads {
+            let a = self.arena[slot].a;
+            let outcome = resolved
+                .next()
+                .unwrap_or_else(|| resolve_read(&self.addrs, &self.writers, &a));
             let v = a.observed().expect("reads observe");
             let is_rmw = matches!(a.kind, AccessKind::Rmw { .. });
             match outcome {
@@ -1036,8 +1174,8 @@ impl StreamChecker {
                 }
                 ReadOutcome::InitEdge { first } => {
                     self.arena[slot].res = Resolution::Pinned;
-                    let to = self.slot_of[&first];
-                    add_edge(&mut self.adj, &mut self.edges, slot, to, EdgeKind::Fr);
+                    let to = self.slot_of.live(first);
+                    add_edge(&mut self.edge_list, &mut self.edges, slot, to, EdgeKind::Fr);
                     if tso {
                         self.coh
                             .entry((a.core, a.addr))
@@ -1075,14 +1213,20 @@ impl StreamChecker {
                     } else if w_placed {
                         self.edges += 1; // rf satisfied by the prefix
                     } else {
-                        let from = self.slot_of[&w];
-                        add_edge(&mut self.adj, &mut self.edges, from, slot, EdgeKind::Rf);
+                        let from = self.slot_of.live(w);
+                        add_edge(
+                            &mut self.edge_list,
+                            &mut self.edges,
+                            from,
+                            slot,
+                            EdgeKind::Rf,
+                        );
                     }
                     match fr {
                         FrApply::None => {}
                         FrApply::Edge(succ) => {
-                            let to = self.slot_of[&succ];
-                            add_edge(&mut self.adj, &mut self.edges, slot, to, EdgeKind::Fr);
+                            let to = self.slot_of.live(succ);
+                            add_edge(&mut self.edge_list, &mut self.edges, slot, to, EdgeKind::Fr);
                         }
                         FrApply::Register => {
                             let st = self.addrs.get_mut(&a.addr).expect("writer implies state");
@@ -1199,26 +1343,27 @@ impl StreamChecker {
         }
 
         // 5. Kahn's algorithm over the live graph; leftovers are a cycle.
+        // `topo` doubles as the FIFO queue.
         let n = self.arena.len();
+        let csr = Csr::new(n, &self.edge_list);
         let mut indeg = vec![0usize; n];
-        for out in &self.adj {
-            for &(to, _) in out {
-                indeg[to] += 1;
-            }
+        for &(_, to, _) in &self.edge_list {
+            indeg[to as usize] += 1;
         }
-        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(u) = queue.pop_front() {
-            topo.push(u);
-            for &(to, _) in &self.adj[u] {
+        let mut topo: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut head = 0;
+        while let Some(&u) = topo.get(head) {
+            head += 1;
+            for &(to, _) in csr.out(u) {
+                let to = to as usize;
                 indeg[to] -= 1;
                 if indeg[to] == 0 {
-                    queue.push_back(to);
+                    topo.push(to);
                 }
             }
         }
         if topo.len() < n {
-            let (cycle, kinds) = find_cycle(&self.adj, &indeg);
+            let (cycle, kinds) = find_cycle(&csr, &indeg);
             let offenders: Vec<Access> = cycle.iter().map(|&s| self.arena[s].a).collect();
             let headline = match self.cfg.model {
                 MemoryModel::Sc => {
@@ -1239,25 +1384,18 @@ impl StreamChecker {
 
         // 6. Place the ancestor closure of everything older than the
         // current window (all of it, on finalize): a valid topological
-        // prefix, emitted in topo order, replayed, and retired.
-        let mut in_set = vec![finalize; n];
+        // prefix, emitted in topo order, replayed, and retired. Every
+        // successor follows its predecessors in `topo`, so one backward
+        // pass closes the older windows' accesses over their ancestors.
+        let mut in_set: Vec<bool> = self
+            .arena
+            .iter()
+            .map(|la| finalize || la.window < w)
+            .collect();
         if !finalize {
-            let mut radj: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (u, out) in self.adj.iter().enumerate() {
-                for &(to, _) in out {
-                    radj[to].push(u);
-                }
-            }
-            let mut stack: Vec<usize> = (0..n).filter(|&s| self.arena[s].window < w).collect();
-            for &s in &stack {
-                in_set[s] = true;
-            }
-            while let Some(u) = stack.pop() {
-                for &p in &radj[u] {
-                    if !in_set[p] {
-                        in_set[p] = true;
-                        stack.push(p);
-                    }
+            for &u in topo.iter().rev() {
+                if !in_set[u] && csr.out(u).iter().any(|&(to, _)| in_set[to as usize]) {
+                    in_set[u] = true;
                 }
             }
         }
@@ -1303,36 +1441,30 @@ impl StreamChecker {
             }
         }
 
-        // Compact: rebuild the arena and edge lists over the survivors.
-        let mut remap = vec![usize::MAX; n];
-        let mut arena = Vec::with_capacity(n.saturating_sub(self.placed.min(n)));
-        let mut adj = Vec::new();
-        self.slot_of.clear();
-        for (u, la) in self.arena.drain(..).enumerate() {
-            if in_set[u] {
-                continue;
+        // Compact: keep the survivors and their edges, renumbered.
+        let mut remap = vec![PLACED; n];
+        let mut survivors = 0;
+        for (u, placed) in in_set.iter().enumerate() {
+            if !placed {
+                remap[u] = survivors;
+                survivors += 1;
             }
-            remap[u] = arena.len();
-            self.slot_of.insert(la.a.idx, arena.len());
-            arena.push(la);
         }
-        for (u, out) in self.adj.drain(..).enumerate() {
-            if remap[u] == usize::MAX {
-                continue;
+        let mut survives = in_set.iter().map(|&placed| !placed);
+        self.arena
+            .retain(|_| survives.next().expect("one placement flag per slot"));
+        self.edge_list.retain_mut(|(from, to, _)| {
+            if remap[*from as usize] == PLACED {
+                return false;
             }
-            let filtered: Vec<(usize, EdgeKind)> = out
-                .into_iter()
-                .filter_map(|(to, k)| {
-                    // Edges from a survivor into the placed set cannot
-                    // exist (the placed set is ancestor-closed).
-                    debug_assert!(remap[to] != usize::MAX, "edge into the placed prefix");
-                    (remap[to] != usize::MAX).then_some((remap[to], k))
-                })
-                .collect();
-            adj.push(filtered);
-        }
-        self.arena = arena;
-        self.adj = adj;
+            // Edges from a survivor into the placed set cannot exist (the
+            // placed set is ancestor-closed).
+            debug_assert!(remap[*to as usize] != PLACED, "edge into the placed prefix");
+            (*from, *to) = (remap[*from as usize], remap[*to as usize]);
+            *to != PLACED
+        });
+        self.slot_of.rebuild(&self.arena, self.total);
+        self.fresh = self.arena.len();
 
         // 7. Retention: expire write records whose coherence successor is
         // at least one full window old; the last write per address stays

@@ -212,15 +212,9 @@ impl Signature {
         (bank << self.bank_index_bits | within) as usize
     }
 
-    /// Set a bit by absolute position (used by the wire codec to rebuild
-    /// a received signature).
-    pub(crate) fn set_bit(&mut self, pos: usize) {
+    /// Set a bit by absolute position.
+    fn set_bit(&mut self, pos: usize) {
         self.bits[pos / 64] |= 1u64 << (pos % 64);
-    }
-
-    /// The raw backing words (used by the wire codec).
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.bits
     }
 
     fn get_bit(&self, pos: usize) -> bool {

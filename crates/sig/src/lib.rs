@@ -61,6 +61,6 @@ pub mod tracked;
 
 pub use addr::{Addr, LineAddr, LineData, LINE_BYTES, LINE_WORDS};
 pub use bloom::{Signature, SignatureConfig};
-pub use compress::{decode, encode, wire_bytes, CodecError};
+pub use compress::wire_bytes;
 pub use exact::ExactSet;
 pub use tracked::{SigMode, TrackedSig};

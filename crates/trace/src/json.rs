@@ -8,8 +8,10 @@
 //! shortest-roundtrip formatting — which is what lets same-seed runs emit
 //! byte-identical traces.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -237,18 +239,58 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
 }
 
 /// Validate that `input` is one complete JSON value (with surrounding
-/// whitespace allowed). Used by tests to check that emitted artifacts are
-/// well-formed without an external JSON crate.
+/// whitespace allowed): true exactly when [`Json::parse`] accepts it,
+/// nesting bound included. Used by tests to check that emitted artifacts
+/// are well-formed without an external JSON crate.
 pub fn is_valid(input: &str) -> bool {
     let bytes = input.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    match parse_value(bytes, pos) {
-        Some(next) => {
-            pos = skip_ws(bytes, next);
-            pos == bytes.len()
+    parse_value(bytes, skip_ws(bytes, 0), 0).is_some_and(|next| skip_ws(bytes, next) == bytes.len())
+}
+
+/// One value of an object read by [`scan_object`]: its JSON text,
+/// borrowed from the input and already validated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RawValue<'a>(&'a str);
+
+impl<'a> RawValue<'a> {
+    /// What [`Json::as_u64`] returns for the parsed value, parsing the
+    /// text once: a non-negative integer in range, `-0` included. `1.0`,
+    /// `1e3` and integers out of range are not integers.
+    pub fn as_u64(self) -> Option<u64> {
+        let text = self.0;
+        if !text.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+            return None;
         }
-        None => false,
+        match text.parse::<u64>() {
+            Ok(n) => Some(n),
+            // Of the other integers only `-0` (`-00`, …) is non-negative.
+            Err(_) => text.parse::<i64>().ok().and_then(|n| u64::try_from(n).ok()),
+        }
     }
+
+    /// What [`Json::as_str`] returns for the parsed value: the unescaped
+    /// string, borrowed from the input unless it carries escapes.
+    pub fn as_str(self) -> Option<Cow<'a, str>> {
+        let inner = self.0.strip_prefix('"')?.strip_suffix('"')?;
+        Some(unescape(inner))
+    }
+}
+
+/// Scan one complete JSON document that is an object without building a
+/// tree: call `field` with each key (unescaped) and raw value in input
+/// order, duplicate keys included. Accepts exactly the objects
+/// [`Json::parse`] accepts (same grammar, same nesting bound, trailing
+/// garbage refused) and returns `false` for anything else, valid JSON
+/// that is not an object included. `field` may have seen a prefix of the
+/// fields when the scan fails.
+pub fn scan_object<'a>(input: &'a str, mut field: impl FnMut(Cow<'a, str>, RawValue<'a>)) -> bool {
+    let b = input.as_bytes();
+    let start = skip_ws(b, 0);
+    b.get(start) == Some(&b'{')
+        && walk_obj(b, start, 0, |key, value| {
+            field(unescape(&input[key]), RawValue(&input[value]))
+        })
+        .is_some_and(|end| skip_ws(b, end) == b.len())
 }
 
 fn skip_ws(b: &[u8], mut i: usize) -> usize {
@@ -258,11 +300,15 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-/// Parse one value starting at `i`; return the index just past it.
-fn parse_value(b: &[u8], i: usize) -> Option<usize> {
+/// Validate one value starting at `i`, `depth` containers deep; return
+/// the index just past it. Accepts exactly what [`parse_tree`] accepts.
+fn parse_value(b: &[u8], i: usize, depth: usize) -> Option<usize> {
+    if depth > MAX_DEPTH {
+        return None;
+    }
     match b.get(i)? {
-        b'{' => parse_obj(b, i),
-        b'[' => parse_arr(b, i),
+        b'{' => walk_obj(b, i, depth, |_, _| {}),
+        b'[' => parse_arr(b, i, depth),
         b'"' => parse_string(b, i),
         b't' => parse_lit(b, i, b"true"),
         b'f' => parse_lit(b, i, b"false"),
@@ -331,13 +377,13 @@ fn parse_number(b: &[u8], mut i: usize) -> Option<usize> {
     (i > start).then_some(i)
 }
 
-fn parse_arr(b: &[u8], i: usize) -> Option<usize> {
+fn parse_arr(b: &[u8], i: usize, depth: usize) -> Option<usize> {
     let mut pos = skip_ws(b, i + 1);
     if b.get(pos) == Some(&b']') {
         return Some(pos + 1);
     }
     loop {
-        pos = skip_ws(b, parse_value(b, pos)?);
+        pos = skip_ws(b, parse_value(b, pos, depth + 1)?);
         match b.get(pos)? {
             b',' => pos = skip_ws(b, pos + 1),
             b']' => return Some(pos + 1),
@@ -346,7 +392,16 @@ fn parse_arr(b: &[u8], i: usize) -> Option<usize> {
     }
 }
 
-fn parse_obj(b: &[u8], i: usize) -> Option<usize> {
+/// Validate the object whose `{` is at `i`, `depth` containers deep,
+/// calling `field` with the byte ranges of each key's contents (inside
+/// its quotes) and of each value's text; return the index just past the
+/// `}`.
+fn walk_obj(
+    b: &[u8],
+    i: usize,
+    depth: usize,
+    mut field: impl FnMut(Range<usize>, Range<usize>),
+) -> Option<usize> {
     let mut pos = skip_ws(b, i + 1);
     if b.get(pos) == Some(&b'}') {
         return Some(pos + 1);
@@ -355,12 +410,16 @@ fn parse_obj(b: &[u8], i: usize) -> Option<usize> {
         if b.get(pos) != Some(&b'"') {
             return None;
         }
-        pos = skip_ws(b, parse_string(b, pos)?);
+        let key_end = parse_string(b, pos)?;
+        let key = pos + 1..key_end - 1;
+        pos = skip_ws(b, key_end);
         if b.get(pos) != Some(&b':') {
             return None;
         }
-        pos = skip_ws(b, pos + 1);
-        pos = skip_ws(b, parse_value(b, pos)?);
+        let start = skip_ws(b, pos + 1);
+        let end = parse_value(b, start, depth + 1)?;
+        field(key, start..end);
+        pos = skip_ws(b, end);
         match b.get(pos)? {
             b',' => pos = skip_ws(b, pos + 1),
             b'}' => return Some(pos + 1),
@@ -433,14 +492,18 @@ fn parse_tree(b: &[u8], i: usize, depth: usize) -> Option<(Json, usize)> {
         b'-' | b'0'..=b'9' => {
             let next = parse_number(b, i)?;
             let text = std::str::from_utf8(&b[i..next]).ok()?;
+            // Integers out of range fall back to `F64`; the float parse
+            // runs only then.
             let value = if text.bytes().all(|c| c.is_ascii_digit()) {
-                text.parse::<u64>()
-                    .map(Json::U64)
-                    .unwrap_or(Json::F64(text.parse().ok()?))
+                match text.parse::<u64>() {
+                    Ok(n) => Json::U64(n),
+                    Err(_) => Json::F64(text.parse().ok()?),
+                }
             } else if !text.contains(['.', 'e', 'E']) {
-                text.parse::<i64>()
-                    .map(Json::I64)
-                    .unwrap_or(Json::F64(text.parse().ok()?))
+                match text.parse::<i64>() {
+                    Ok(n) => Json::I64(n),
+                    Err(_) => Json::F64(text.parse().ok()?),
+                }
             } else {
                 Json::F64(text.parse().ok()?)
             };
@@ -454,8 +517,15 @@ fn parse_tree(b: &[u8], i: usize, depth: usize) -> Option<(Json, usize)> {
 fn parse_string_tree(b: &[u8], i: usize) -> Option<(String, usize)> {
     let end = parse_string(b, i)?;
     let raw = std::str::from_utf8(&b[i + 1..end - 1]).ok()?;
+    Some((unescape(raw).into_owned(), end))
+}
+
+/// The text of a string literal's contents `raw` (between its quotes),
+/// which [`parse_string`] has validated; borrowed unless it carries
+/// escapes.
+fn unescape(raw: &str) -> Cow<'_, str> {
     if !raw.contains('\\') {
-        return Some((raw.to_string(), end));
+        return Cow::Borrowed(raw);
     }
     let mut out = String::with_capacity(raw.len());
     let mut chars = raw.chars();
@@ -464,26 +534,25 @@ fn parse_string_tree(b: &[u8], i: usize) -> Option<(String, usize)> {
             out.push(c);
             continue;
         }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'b' => out.push('\u{8}'),
-            'f' => out.push('\u{c}'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
+        match chars.next() {
+            Some('b') => out.push('\u{8}'),
+            Some('f') => out.push('\u{c}'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
                 let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
                 // Lone surrogates render as the replacement character; the
                 // writer never emits surrogate pairs.
-                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                let code = u32::from_str_radix(&hex, 16).ok();
+                out.push(code.and_then(char::from_u32).unwrap_or('\u{fffd}'));
             }
-            _ => return None,
+            // `"`, `\\` and `/` stand for themselves.
+            Some(c) => out.push(c),
+            None => {}
         }
     }
-    Some((out, end))
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -608,6 +677,92 @@ mod tests {
     fn parse_unescapes_strings() {
         let doc = Json::parse("\"a\\n\\t\\u0041\\\\\\\"/\\u00e9\"").unwrap();
         assert_eq!(doc.as_str(), Some("a\n\tA\\\"/é"));
+    }
+
+    #[test]
+    fn integers_out_of_range_parse_as_floats() {
+        assert_eq!(
+            Json::parse("18446744073709551616"),
+            Some(Json::F64(18446744073709551616.0))
+        );
+        assert_eq!(
+            Json::parse("-9223372036854775809"),
+            Some(Json::F64(-9223372036854775809.0))
+        );
+        assert_eq!(
+            Json::parse(&u64::MAX.to_string()),
+            Some(Json::U64(u64::MAX))
+        );
+        assert_eq!(Json::parse("-0"), Some(Json::I64(0)));
+    }
+
+    #[test]
+    fn scan_object_agrees_with_the_tree() {
+        let deep = format!(
+            "{{\"a\":{}1{}}}",
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        let too_deep = format!(
+            "{{\"a\":{}1{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        for input in [
+            "{}",
+            " { \"t\" : 1 ,\"ev\":\"x\" } ",
+            "{\"t\":1,\"t\":2}",
+            "{\"k\\u0074\":\"v\\n\\\"\",\"n\":[1,{\"m\":null}],\"f\":-1.5e3}",
+            "{\"a\":-0,\"b\":1.0,\"c\":18446744073709551616,\"d\":true}",
+            &deep,
+            &too_deep,
+            "{\"t\":1} x",
+            "{\"t\":1,}",
+            "{\"t\" 1}",
+            "{\"t\":01x}",
+            "[1]",
+            "null",
+            "",
+        ] {
+            let mut fields = Vec::new();
+            let ok = scan_object(input, |k, v| fields.push((k.into_owned(), v)));
+            match Json::parse(input) {
+                Some(Json::Obj(tree)) => {
+                    assert!(ok, "scan refused {input:?}");
+                    assert_eq!(fields.len(), tree.len(), "{input:?}");
+                    for ((k, v), (tk, tv)) in fields.iter().zip(&tree) {
+                        assert_eq!(k, tk, "{input:?}");
+                        assert_eq!(Json::parse(v.0).as_ref(), Some(tv), "{input:?}");
+                        assert_eq!(v.as_u64(), tv.as_u64(), "{input:?}");
+                        assert_eq!(v.as_str().as_deref(), tv.as_str(), "{input:?}");
+                    }
+                }
+                _ => assert!(!ok, "scan accepted {input:?}"),
+            }
+            assert_eq!(is_valid(input), Json::parse(input).is_some(), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn raw_integers_read_like_tree_integers() {
+        for text in [
+            "0",
+            "-0",
+            "-00",
+            "7",
+            "007",
+            "-5",
+            "1.0",
+            "1e3",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-9223372036854775809",
+            "\"5\"",
+            "true",
+        ] {
+            let tree = Json::parse(text).expect("valid");
+            assert_eq!(RawValue(text).as_u64(), tree.as_u64(), "{text}");
+        }
     }
 
     #[test]

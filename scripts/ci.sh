@@ -27,11 +27,13 @@ run cargo test --manifest-path benchmark/Cargo.toml --offline -q
 # The regression layer, named explicitly so a failure is unmissable in
 # the log: golden figures must match their committed fixtures
 # (re-bless intentional changes with BULKSC_BLESS=1), every artifact
-# must be byte-identical at any --jobs width, and `run`, which ticks a
+# must be byte-identical at any --jobs width, `run`, which ticks a
 # core only when it has work, must match ticking every core on every
-# cycle byte for byte (run_matches_per_cycle_stepping).
+# cycle byte for byte (run_matches_per_cycle_stepping), and the oracle's
+# SC and TSO verdicts must match a brute-force operational reference on
+# every trace of a seeded sample of tiny programs.
 run cargo test -q --offline --test golden_figures --test pool_determinism \
-  --test determinism_and_shapes
+  --test determinism_and_shapes --test reference_oracle
 
 # Committed-table gate: the six result tables must regenerate
 # byte-identical at their default budget (25,000 instructions per core).
@@ -121,6 +123,20 @@ run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   convert results/trace_demo.btf results/trace_demo.ci.jsonl
 run cmp results/trace_demo.jsonl results/trace_demo.ci.jsonl
 rm -f results/query.ci.txt results/trace_demo.ci.jsonl
+
+# Both trace formats must give the same certificate: `check`, batch and
+# streaming, prints the same line for the JSONL and the BTF artifact once
+# each line's `origin:` prefix is stripped.
+echo "==> check [--stream] on trace_demo.btf == on trace_demo.jsonl"
+for mode in "" --stream; do
+  for fmt in jsonl btf; do
+    ./target/release/bulksc-analyze check $mode "results/trace_demo.$fmt" |
+      sed 's/^[^:]*: //' > "results/cert.ci.$fmt"
+  done
+  run cmp results/cert.ci.jsonl results/cert.ci.btf
+  run grep -q '^SC-certified' results/cert.ci.btf
+done
+rm -f results/cert.ci.jsonl results/cert.ci.btf
 
 # The streaming consumers must not notice the encoding either: `xray`
 # (report and --dot graph) and `timeline` (summary and --out Chrome

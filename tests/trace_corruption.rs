@@ -12,9 +12,13 @@
 use std::io::Cursor;
 
 use bulksc_bench::xray;
+use bulksc_check::{parse_trace_line, Access, AccessKind, LifecycleEvent, TraceLine};
 use bulksc_stats::SplitMix64;
 use bulksc_trace::source::Position;
-use bulksc_trace::{BtfWriter, Event, EventSource, IndexedBtf, SourceError};
+use bulksc_trace::{
+    BtfWriter, ConflictAttr, Endpoint, Event, EventSource, IndexedBtf, Json, SourceError,
+    SquashCause,
+};
 
 const SEED: u64 = 0x5eed_c0de;
 
@@ -249,4 +253,282 @@ fn a_flood_of_distinct_strings_hits_the_intern_cap() {
     }
     let e = drain(EventSource::new(text.as_bytes(), "kinds.jsonl"), 300).expect_err("cap");
     assert!(e.to_string().contains("intern table"), "{e}");
+}
+
+/// `parse_trace_line` as it read a line through the `Json` tree: the
+/// reference the in-place scan must match on every input.
+fn parse_trace_line_tree(line: &str, lineno: usize, origin: &str) -> Result<TraceLine, String> {
+    if line.trim().is_empty() {
+        return Ok(TraceLine::Skip);
+    }
+    let ev = Json::parse(line)
+        .ok_or_else(|| format!("{origin}: line {lineno}: not valid JSON: {line}"))?;
+    let t = ev
+        .get("t")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{origin}: line {lineno}: event without cycle stamp"))?;
+    let name = ev.get("ev").and_then(Json::as_str).unwrap_or("");
+    let field = |key: &str| -> Result<u64, String> {
+        ev.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{origin}: line {lineno}: {name} event missing field {key:?}"))
+    };
+    let kind = match name {
+        "val_load" => Some(AccessKind::Load {
+            value: field("value")?,
+        }),
+        "val_store" => Some(AccessKind::Store {
+            value: field("value")?,
+        }),
+        "val_rmw" => Some(AccessKind::Rmw {
+            old: field("old")?,
+            new: field("new")?,
+        }),
+        _ => None,
+    };
+    if let Some(kind) = kind {
+        return Ok(TraceLine::Access(Access {
+            idx: 0,
+            core: field("core")? as u32,
+            seq: field("seq")?,
+            po: field("po")?,
+            addr: field("addr")?,
+            kind,
+            retired_at: field("retired_at")?,
+            emitted_at: t,
+        }));
+    }
+    let what = match name {
+        "chunk_start" => Some("chunk_start"),
+        "commit_grant" => Some("commit_grant"),
+        "commit_deny" => Some("commit_deny"),
+        "chunk_commit" => Some("chunk_commit"),
+        "chunk_abandon" => Some("chunk_abandon"),
+        "squash" => Some(match ev.get("cause").and_then(Json::as_str) {
+            Some("alias") => "squash(alias)",
+            Some("true-sharing") => "squash(true-sharing)",
+            _ => "squash(overflow)",
+        }),
+        _ => None,
+    };
+    Ok(match what {
+        Some(what) => TraceLine::Lifecycle(LifecycleEvent {
+            t,
+            core: field("core")? as u32,
+            seq: field("seq")?,
+            what,
+        }),
+        None => TraceLine::Skip,
+    })
+}
+
+/// One JSONL line of every event kind, with conflict attribution on the
+/// kinds that carry it.
+fn every_event_kind() -> Vec<String> {
+    let attr = |site| {
+        Some(Box::new(ConflictAttr {
+            agg_core: Some(3),
+            agg_seq: Some(41),
+            site,
+            witnesses: vec![0x100, 0x140],
+        }))
+    };
+    let events = [
+        Event::ChunkStart { core: 0, seq: 1 },
+        Event::CommitRequest {
+            core: 0,
+            seq: 1,
+            w_lines: 3,
+            carries_rsig: true,
+        },
+        Event::CommitGrant { core: 0, seq: 1 },
+        Event::CommitDeny {
+            core: 1,
+            seq: 9,
+            xray: attr("arb"),
+        },
+        Event::ChunkCommit {
+            core: 0,
+            seq: 1,
+            read_lines: 20,
+            write_lines: 3,
+            priv_lines: 8,
+        },
+        Event::ChunkAbandon { core: 3, seq: 40 },
+        Event::Squash {
+            core: 1,
+            seq: 9,
+            cause: SquashCause::Alias,
+            squashed_instrs: 412,
+            xray: attr("wsig"),
+        },
+        Event::Squash {
+            core: 1,
+            seq: 9,
+            cause: SquashCause::TrueSharing,
+            squashed_instrs: 412,
+            xray: attr("displacement"),
+        },
+        Event::Squash {
+            core: 2,
+            seq: 5,
+            cause: SquashCause::Overflow,
+            squashed_instrs: 10,
+            xray: attr("overflow"),
+        },
+        Event::SigExpand {
+            dir: 0,
+            core: 0,
+            seq: 1,
+            lookups: 4,
+            updates: 2,
+            inv_targets: 1,
+        },
+        Event::DirDisplacement {
+            dir: 0,
+            line: 0xfeed,
+        },
+        Event::CacheDisplacement {
+            core: 2,
+            line: 0xbeef,
+        },
+        Event::PrivSupply {
+            core: 2,
+            line: 0xcafe,
+        },
+        Event::ValLoad {
+            core: 1,
+            seq: 4,
+            po: 17,
+            addr: 0x1_0008,
+            value: 42,
+            retired_at: 99,
+        },
+        Event::ValStore {
+            core: 0,
+            seq: 2,
+            po: 3,
+            addr: 0x1_0000,
+            value: u64::MAX,
+            retired_at: 80,
+        },
+        Event::ValRmw {
+            core: 2,
+            seq: 0,
+            po: 9,
+            addr: 0x1_0010,
+            old: 0,
+            new: 1,
+            retired_at: 120,
+        },
+        Event::NetSend {
+            src: Endpoint::core(0),
+            dst: Endpoint::arbiter(0),
+            kind: "CommitReq",
+            bytes: 264,
+        },
+        Event::NetDeliver {
+            src: Endpoint::core(0),
+            dst: Endpoint::dir(0),
+            kind: "CommitReq",
+        },
+    ];
+    events
+        .iter()
+        .enumerate()
+        .map(|(i, ev)| ev.jsonl(100 + i as u64))
+        .collect()
+}
+
+#[test]
+fn scanned_trace_lines_match_the_tree_parse() {
+    let (text, _, _) = corpus();
+    let mut lines: Vec<String> = text.lines().skip(1).map(String::from).collect();
+    for kind in ["val_load", "val_store", "commit_deny"] {
+        let quoted = format!("\"{kind}\"");
+        assert!(
+            lines.iter().any(|l| l.contains(&quoted)),
+            "corpus has no {kind}"
+        );
+    }
+    lines.extend(every_event_kind());
+
+    // Each line as is, cut at seeded points, with seeded byte flips to
+    // JSON-significant bytes, and with trailing garbage.
+    let flips = b"\"\\{}[]:,-.eE019 tnux";
+    let mut rng = SplitMix64::new(SEED ^ 4);
+    let mut inputs = Vec::new();
+    for line in &lines {
+        inputs.push(line.clone());
+        for _ in 0..2 {
+            inputs.push(line[..rng.gen_index(line.len() + 1)].to_string());
+            let mut bytes = line.clone().into_bytes();
+            bytes[rng.gen_index(line.len())] = flips[rng.gen_index(flips.len())];
+            inputs.push(String::from_utf8(bytes).expect("the corpus is ASCII"));
+        }
+        for garbage in [" x", "}", ",", "{}"] {
+            inputs.push(format!("{line}{garbage}"));
+        }
+    }
+    let load = "\"ev\":\"val_load\",\"core\":1,\"seq\":2,\"po\":3,\"addr\":64,\"value\":7,\"retired_at\":4";
+    inputs.extend(
+        [
+            // Whitespace everywhere JSON allows it.
+            " {  \"t\" : 5 ,\t\"ev\" : \"val_load\" , \"core\":1 ,\"seq\":2,\"po\":3,\"addr\":64,\"value\":7,\"retired_at\":4 }  ",
+            // Keys in another order.
+            "{\"value\":7,\"addr\":64,\"retired_at\":4,\"ev\":\"val_store\",\"po\":3,\"seq\":2,\"t\":5,\"core\":1}",
+            // Duplicated keys: the first one wins.
+            "{\"t\":1,\"t\":2,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
+            "{\"t\":\"x\",\"t\":2,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
+            "{\"t\":1,\"ev\":\"chunk_start\",\"ev\":\"val_load\",\"core\":0,\"seq\":0}",
+            // Escapes in values and keys.
+            "{\"t\":1,\"ev\":\"val\\u005fload\",\"core\":1,\"seq\":2,\"po\":3,\"addr\":64,\"value\":7,\"retired_at\":4}",
+            "{\"t\":1,\"ev\":\"val\\u005fload\",\"core\":1}",
+            "{\"\\u0074\":1,\"ev\":\"chunk\\u005fstart\",\"core\":0,\"seq\":0}",
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"cause\":\"true\\u002dsharing\"}",
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"cause\":\"alias\\n\"}",
+            // Numbers at the edge of `as_u64`.
+            "{\"t\":-0,\"ev\":\"chunk_start\",\"core\":-0,\"seq\":-00}",
+            "{\"t\":1.0,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
+            "{\"t\":1e0,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
+            "{\"t\":18446744073709551616,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
+            "{\"t\":18446744073709551615,\"ev\":\"chunk_start\",\"core\":0,\"seq\":-1}",
+            "{\"t\":-9223372036854775809,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
+            "{\"t\":1,\"ev\":\"chunk_start\",\"core\":4294967296,\"seq\":0}",
+            // Nested arrays and objects, and other value kinds.
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"witness\":[1,[2,{\"a\":null}]],\"x\":{\"y\":[]}}",
+            "{\"t\":1,\"ev\":[\"val_load\"],\"core\":0,\"seq\":0}",
+            "{\"t\":1,\"ev\":null,\"core\":true,\"seq\":false}",
+            "{\"t\":true}",
+            "{}",
+            // Lines that are not objects.
+            "[1,2]",
+            "null",
+            "5",
+            "\"val_load\"",
+            "",
+            "   ",
+            "not json",
+        ]
+        .map(String::from),
+    );
+    inputs.push(format!("{{\"t\":1,{load}}}"));
+    inputs.push(format!(
+        "{{\"t\":1,{load},\"deep\":{}{}}}",
+        "[".repeat(63),
+        "]".repeat(63)
+    ));
+    inputs.push(format!(
+        "{{\"t\":1,{load},\"deep\":{}{}}}",
+        "[".repeat(64),
+        "]".repeat(64)
+    ));
+    for (k, input) in inputs.iter().enumerate() {
+        let lineno = k + 2;
+        assert_eq!(
+            parse_trace_line(input, lineno, "pin"),
+            parse_trace_line_tree(input, lineno, "pin"),
+            "{input:?}"
+        );
+    }
 }
