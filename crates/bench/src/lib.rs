@@ -1,6 +1,6 @@
 //! Shared machinery for the benchmark harness: every table and figure of
-//! the paper's evaluation (§7) is regenerated by one binary in `src/bin/`,
-//! and the hand-rolled benches in `benches/` track the simulator itself.
+//! the paper's evaluation (§7) is regenerated by one binary in `src/bin/`.
+//! The simulator's own speed is measured by the `benchmark/` package.
 //!
 //! | paper artifact | binary |
 //! |---|---|
@@ -67,7 +67,7 @@ pub(crate) fn run_custom(mut cfg: SystemConfig, app: &AppParams, budget: u64) ->
 }
 
 /// The budget from the `BULKSC_BUDGET` environment variable, or the
-/// default. Lets `cargo bench`/CI scale run length without code changes.
+/// default. Lets CI scale run length without code changes.
 pub fn budget_from_env() -> u64 {
     std::env::var("BULKSC_BUDGET")
         .ok()
@@ -88,57 +88,6 @@ pub fn peak_rss_kb() -> Option<u64> {
 
 /// Geometric-mean helper re-exported for the binaries.
 pub use bulksc_stats::geomean;
-
-pub mod timing {
-    //! Minimal wall-clock micro-benchmark harness (no external
-    //! dependencies; used by the `benches/` targets, which are plain
-    //! `harness = false` binaries). Timestamps come from
-    //! [`bulksc_prof::clock`] so the micro-benches and the self-profiler
-    //! read the same monotonic clock.
-
-    use bulksc_prof::clock;
-    use std::hint::black_box;
-
-    /// One measured benchmark.
-    #[derive(Clone, Debug)]
-    pub struct BenchResult {
-        /// Benchmark label.
-        pub name: String,
-        /// Timed iterations.
-        pub iters: u32,
-        /// Mean nanoseconds per iteration.
-        pub mean_ns: f64,
-        /// Fastest single iteration, nanoseconds.
-        pub min_ns: f64,
-    }
-
-    /// Run `f` for `iters` timed iterations (after one warm-up call),
-    /// print a one-line summary, and return the numbers.
-    pub fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> BenchResult {
-        assert!(iters > 0);
-        black_box(f());
-        let mut total = 0.0f64;
-        let mut min = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = clock::now_ns();
-            black_box(f());
-            let ns = clock::now_ns().saturating_sub(t0) as f64;
-            total += ns;
-            min = min.min(ns);
-        }
-        let r = BenchResult {
-            name: name.to_string(),
-            iters,
-            mean_ns: total / iters as f64,
-            min_ns: min,
-        };
-        println!(
-            "{:<44} {:>14.0} ns/iter   (min {:>12.0} ns, {} iters)",
-            r.name, r.mean_ns, r.min_ns, r.iters
-        );
-        r
-    }
-}
 
 pub mod artifact {
     //! Machine-readable run artifacts: every `src/bin/` binary accepts

@@ -530,6 +530,11 @@ impl Tracer for CollectingTracer {
     fn record(&mut self, cycle: u64, event: &Event) {
         self.trace.absorb(cycle, event);
     }
+
+    /// The oracle classifies network events as `Skip`.
+    fn wants_net(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -578,6 +583,7 @@ mod tests {
             dst: bulksc_trace::Endpoint::dir(0),
             kind: "ignored",
         });
+        trace.emit_net(16, || panic!("the oracle's sink declines net events"));
         let vt = sink.borrow_mut().take();
         assert_eq!(vt.accesses.len(), 3);
         assert_eq!(vt.lifecycle.len(), 2);

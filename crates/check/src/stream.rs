@@ -48,12 +48,12 @@
 //! pure lookup against the frozen write records, so shards are merged
 //! back in stream order and the verdict is byte-identical at any width.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::BufRead;
 
 use bulksc_pool::{run_all, Job};
+use bulksc_stats::IntMap;
 
 use crate::order::{
     find_cycle, violation, CheckError, EdgeKind, MemoryModel, ScCertificate, ViolationKind,
@@ -436,10 +436,11 @@ fn resolve_read(
 /// from the last *read* with a smaller po, not the core's newest access.
 #[derive(Default)]
 struct TsoCoreState {
-    /// Last read-bearing access (load or RMW) sealed for this core.
-    last_r: Option<Access>,
+    /// Last read-bearing access (load or RMW) sealed for this core, as
+    /// (po, stream index).
+    last_r: Option<(u64, usize)>,
     /// Last write-bearing access (store or RMW) sealed for this core.
-    last_w: Option<Access>,
+    last_w: Option<(u64, usize)>,
     /// Read-bearing accesses in po order, pruned as stores consume
     /// them: candidates for a late store's R→W ppo edge. Bounded by the
     /// traced machine's store-buffer drain skew (see DESIGN.md §15).
@@ -463,19 +464,241 @@ enum CohRank {
     Write(u64),
 }
 
-/// Per-(core, address) state of the TSO coherence scan: per-location SC
-/// — CoRR / CoWR / CoWW / CoRW — checked in program order as entries
-/// become safe to order (no earlier-po access can still arrive).
+/// The TSO per-location coherence scan: per-location SC — CoRR / CoWR /
+/// CoWW / CoRW — checked per (core, address) in program order as claims
+/// become safe to order (no earlier-po access can still arrive). Writes
+/// are checkable on arrival; reads wait until the core's write frontier
+/// passes their po (a buffered store with a smaller po could still
+/// drain) or the trace ends.
 #[derive(Default)]
-struct CohState {
-    /// po → claimed position. Writes are checkable on arrival; reads
-    /// wait until the core's write frontier passes their po (a buffered
-    /// store with a smaller po could still drain) or the trace ends.
-    q: BTreeMap<u64, (CohRank, Access)>,
+struct CohScan {
+    /// Claims not checked yet, in the order they were made.
+    claims: Vec<CohClaim>,
+    /// The accesses of claims that outlive their arena slot.
+    kept: Vec<Access>,
+    /// Per (core, address): its index in `states`.
+    locs: IntMap<(u32, u64), u32>,
+    states: Vec<CohLoc>,
+    /// The access that established each location's position.
+    best: Vec<Access>,
+}
+
+/// One access's claim on a coherence position.
+#[derive(Clone, Copy)]
+struct CohClaim {
+    rank: CohRank,
+    core: u32,
+    addr: u64,
+    po: u64,
+    acc: ClaimAccess,
+}
+
+/// Where a claim's access is.
+#[derive(Clone, Copy)]
+enum ClaimAccess {
+    /// In this arena slot (during the seal that made the claim).
+    Slot(u32),
+    /// At this index of [`CohScan::kept`].
+    Kept(u32),
+}
+
+/// The end of a claim chain.
+const NO_CLAIM: u32 = u32::MAX;
+
+/// Longest chain [`po_order`] sorts by insertion.
+const INSERTION_MAX: usize = 32;
+
+/// Sort a location's `(po, claim)` chain into program order; of two
+/// claims on one po the later-made one comes second and wins. A
+/// location's writes and its reads each arrive in po order, so a short
+/// chain is two ascending runs that insertion merges in a few moves.
+fn po_order(chain: &mut [(u64, u32)]) {
+    if chain.len() > INSERTION_MAX {
+        chain.sort_unstable();
+        return;
+    }
+    for i in 1..chain.len() {
+        let key = chain[i];
+        let mut k = i;
+        while k > 0 && chain[k - 1] > key {
+            chain[k] = chain[k - 1];
+            k -= 1;
+        }
+        chain[k] = key;
+    }
+}
+
+/// The coherence scan's state for one (core, address).
+#[derive(Clone, Copy)]
+struct CohLoc {
     /// Highest coherence position established along po so far.
     max: u64,
-    /// The access that established `max` (for violation reports).
-    max_acc: Option<Access>,
+    /// Where [`CohScan::best`] keeps the access that established `max`
+    /// ([`NO_CLAIM`] while `max` is 0, the initial value).
+    best: u32,
+    /// During a scan, the first and the last of this location's claims,
+    /// chained in the order they were made; [`NO_CLAIM`] otherwise.
+    head: u32,
+    tail: u32,
+}
+
+impl Default for CohLoc {
+    fn default() -> CohLoc {
+        CohLoc {
+            max: 0,
+            best: NO_CLAIM,
+            head: NO_CLAIM,
+            tail: NO_CLAIM,
+        }
+    }
+}
+
+/// A coherence-scan violation: the access that established position
+/// `had`, and the program-order-later access that claims `got`.
+struct CohViolation {
+    prev: Access,
+    acc: Access,
+    had: u64,
+    got: u64,
+}
+
+impl CohScan {
+    /// `a` claims position `rank`. A later claim for the same (core,
+    /// address, po) replaces an earlier one: that is how a parked read's
+    /// `Pending` becomes a `Read`.
+    fn claim(&mut self, slot_of: &SlotIndex, rank: CohRank, a: &Access) {
+        let acc = match slot_of.get(a.idx) {
+            Some(slot) => ClaimAccess::Slot(slot as u32),
+            None => {
+                self.kept.push(*a);
+                ClaimAccess::Kept(self.kept.len() as u32 - 1)
+            }
+        };
+        self.claims.push(CohClaim {
+            rank,
+            core: a.core,
+            addr: a.addr,
+            po: a.po,
+            acc,
+        });
+    }
+
+    /// Check every claim that is safe to order; keep the rest for the
+    /// next scan. `arena` must still hold every live claim's access.
+    /// Returns the violation to report, if any.
+    fn advance(
+        &mut self,
+        arena: &[LiveAccess],
+        tails: &IntMap<u32, TsoCoreState>,
+        finalize: bool,
+    ) -> Option<CohViolation> {
+        let claims = std::mem::take(&mut self.claims);
+        let kept = std::mem::take(&mut self.kept);
+        let access = |c: &CohClaim| match c.acc {
+            ClaimAccess::Slot(s) => arena[s as usize].a,
+            ClaimAccess::Kept(k) => kept[k as usize],
+        };
+        // Chain each location's claims in the order they were made: one
+        // lookup per claim.
+        let mut next = vec![NO_CLAIM; claims.len()];
+        let mut locs = Vec::new();
+        for (i, c) in claims.iter().enumerate() {
+            let loc = (c.core, c.addr);
+            let states = &mut self.states;
+            let at = *self.locs.entry(loc).or_insert_with(|| {
+                states.push(CohLoc::default());
+                states.len() as u32 - 1
+            });
+            let st = &mut self.states[at as usize];
+            if st.tail == NO_CLAIM {
+                st.head = i as u32;
+                locs.push((loc, at));
+            } else {
+                next[st.tail as usize] = i as u32;
+            }
+            st.tail = i as u32;
+        }
+        // Locations are independent, so they are visited as they came;
+        // the violation reported is the first one in (core, address)
+        // order, whatever order found them.
+        let mut found: Option<((u32, u64), CohViolation)> = None;
+        let mut order: Vec<(u64, u32)> = Vec::new();
+        for (loc, at) in locs {
+            let wbound = tails.get(&loc.0).and_then(|t| t.last_w).map(|(po, _)| po);
+            let st = &mut self.states[at as usize];
+            order.clear();
+            let mut i = st.head;
+            while i != NO_CLAIM {
+                order.push((claims[i as usize].po, i));
+                i = next[i as usize];
+            }
+            (st.head, st.tail) = (NO_CLAIM, NO_CLAIM);
+            po_order(&mut order);
+            // The claim that raised `max` in this scan, if any.
+            let mut raised = None;
+            let mut j = 0;
+            while j < order.len() {
+                let (po, at) = order[j];
+                if order.get(j + 1).is_some_and(|n| n.0 == po) {
+                    j += 1; // replaced by a later claim
+                    continue;
+                }
+                let c = &claims[at as usize];
+                let ready = match c.rank {
+                    CohRank::Write(_) => true,
+                    CohRank::Pending => false,
+                    _ => finalize || wbound.is_some_and(|b| po <= b),
+                };
+                if !ready {
+                    break;
+                }
+                j += 1;
+                let (pos, strict) = match c.rank {
+                    CohRank::Write(r) => (r, true),
+                    CohRank::Read(r) => (r, false),
+                    CohRank::Skip | CohRank::Pending => continue,
+                };
+                if pos < st.max || (strict && pos == st.max) {
+                    let prev = match raised {
+                        Some(r) => access(&claims[r as usize]),
+                        None => self.best[st.best as usize],
+                    };
+                    let v = CohViolation {
+                        prev,
+                        acc: access(c),
+                        had: st.max,
+                        got: pos,
+                    };
+                    if found.as_ref().is_none_or(|f| loc < f.0) {
+                        found = Some((loc, v));
+                    }
+                    break;
+                }
+                if pos > st.max {
+                    (st.max, raised) = (pos, Some(at));
+                }
+            }
+            if let Some(r) = raised {
+                let a = access(&claims[r as usize]);
+                match self.best.get_mut(st.best as usize) {
+                    Some(b) => *b = a,
+                    None => {
+                        st.best = self.best.len() as u32;
+                        self.best.push(a);
+                    }
+                }
+            }
+            // Keep the claims that are not yet safe to check, with their
+            // accesses: the arena drops placed ones.
+            for &(_, at) in &order[j..] {
+                let mut c = claims[at as usize];
+                self.kept.push(access(&c));
+                c.acc = ClaimAccess::Kept(self.kept.len() as u32 - 1);
+                self.claims.push(c);
+            }
+        }
+        found.map(|(_, v)| v)
+    }
 }
 
 /// The streaming checker: push accesses (and lifecycle context) in
@@ -507,9 +730,8 @@ pub struct StreamChecker {
     /// (store-buffer forwarding across a window boundary), keyed by
     /// (addr, value). Still parked at finish ⇒ unsourced violation.
     pending: IntMap<(u64, u64), Vec<Access>>,
-    /// TSO model only: the per-location coherence scan (BTreeMap so the
-    /// first violation found is deterministic).
-    coh: BTreeMap<(u32, u64), CohState>,
+    /// TSO model only: the per-location coherence scan.
+    coh: CohScan,
     addrs: IntMap<u64, AddrState>,
     /// (addr, value) → live writers of that value, ascending.
     writers: IntMap<(u64, u64), Vec<usize>>,
@@ -551,42 +773,6 @@ fn unsourced_headline(a: &Access, v: u64, stale: u64) -> String {
         )
     }
 }
-
-/// A multiplicative (Fx-style) hasher for the checker's integer keys:
-/// addresses, values and core ids, hashed several times per access, where
-/// SipHash cost about a third of a seal. The keys come from the trace
-/// under check, so a crafted trace can make these maps slow, never a
-/// verdict wrong.
-#[derive(Clone, Copy, Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b.into());
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's high bits are its best mixed; the table picks
-        // buckets with the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// A live edge: `(from slot, to slot, relation)`.
 type Edge = (u32, u32, EdgeKind);
@@ -687,7 +873,7 @@ impl StreamChecker {
             tails: IntMap::default(),
             tso_tails: IntMap::default(),
             pending: IntMap::default(),
-            coh: BTreeMap::new(),
+            coh: CohScan::default(),
             addrs: IntMap::default(),
             writers: IntMap::default(),
             mem: IntMap::default(),
@@ -798,60 +984,66 @@ impl StreamChecker {
     /// RMWs drain the buffer first, so they order against both
     /// frontiers and re-anchor both.
     fn seal_po_tso(&mut self, core: u32, slots: &[usize]) -> Result<(), CheckError> {
+        let state = self.tso_tails.entry(core).or_default();
         for &s in slots {
-            let x = self.arena[s].a;
+            let x = &self.arena[s].a;
             let is_read = x.observed().is_some();
             let is_write = x.published().is_some();
             // Malformedness is per sub-stream: loads retire in po order
             // and stores drain in po order, but a store may arrive after
             // po-later loads (it sat in the buffer).
-            for (part, tail) in [
-                (is_read, self.tso_tails.get(&core).and_then(|t| t.last_r)),
-                (is_write, self.tso_tails.get(&core).and_then(|t| t.last_w)),
-            ] {
-                let Some(t) = tail else { continue };
-                if !part {
-                    continue;
-                }
-                if x.po == t.po {
+            let follows = |tail: Option<(u64, usize)>| -> Result<Option<usize>, CheckError> {
+                let Some((tail_po, idx)) = tail else {
+                    return Ok(None);
+                };
+                if x.po == tail_po {
                     return Err(CheckError::Malformed(format!(
                         "core {core} has two accesses with program-order index {}",
                         x.po
                     )));
                 }
-                if x.po < t.po {
+                if x.po < tail_po {
                     return Err(CheckError::Malformed(format!(
                         "core {core} access with program-order index {} arrived \
-                         after index {} was sealed in an earlier window: windowed \
+                         after index {tail_po} was sealed in an earlier window: windowed \
                          checking requires per-core po-monotone streams",
-                        x.po, t.po
+                        x.po
                     )));
                 }
-            }
-            let state = self.tso_tails.entry(core).or_default();
-            let mut preds: Vec<usize> = Vec::new();
-            if is_read {
-                if let Some(t) = state.last_r {
-                    preds.push(t.idx);
+                Ok(Some(idx))
+            };
+            // At most three distinct predecessors, in edge order.
+            let mut preds = [0usize; 3];
+            let mut n = 0;
+            let mut pred = |idx: usize| {
+                if !preds[..n].contains(&idx) {
+                    preds[n] = idx;
+                    n += 1;
                 }
+            };
+            let from_r = if is_read {
+                follows(state.last_r)?
+            } else {
+                None
+            };
+            let from_w = if is_write {
+                follows(state.last_w)?
+            } else {
+                None
+            };
+            for idx in [from_r, from_w].into_iter().flatten() {
+                pred(idx);
             }
-            if is_write {
-                if let Some(t) = state.last_w {
-                    if !preds.contains(&t.idx) {
-                        preds.push(t.idx);
-                    }
+            if is_write && !is_read {
+                // Pure store: its R→W edge comes from the last read with
+                // a *smaller* po — the read frontier itself may already be
+                // past this store's po.
+                while state.reads_log.len() >= 2 && state.reads_log[1].0 < x.po {
+                    state.reads_log.pop_front();
                 }
-                if !is_read {
-                    // Pure store: its R→W edge comes from the last read
-                    // with a *smaller* po — the read frontier itself may
-                    // already be past this store's po.
-                    while state.reads_log.len() >= 2 && state.reads_log[1].0 < x.po {
-                        state.reads_log.pop_front();
-                    }
-                    if let Some(&(rpo, ridx)) = state.reads_log.front() {
-                        if rpo < x.po && !preds.contains(&ridx) {
-                            preds.push(ridx);
-                        }
+                if let Some(&(rpo, ridx)) = state.reads_log.front() {
+                    if rpo < x.po {
+                        pred(ridx);
                     }
                 }
             }
@@ -862,12 +1054,12 @@ impl StreamChecker {
                     state.reads_log.clear();
                 }
                 state.reads_log.push_back((x.po, x.idx));
-                state.last_r = Some(x);
+                state.last_r = Some((x.po, x.idx));
             }
             if is_write {
-                state.last_w = Some(x);
+                state.last_w = Some((x.po, x.idx));
             }
-            for idx in preds {
+            for &idx in &preds[..n] {
                 match self.slot_of.get(idx) {
                     Some(from) => {
                         add_edge(&mut self.edge_list, &mut self.edges, from, s, EdgeKind::Po)
@@ -887,54 +1079,27 @@ impl StreamChecker {
     /// drains), reads once the core's write frontier passes their po or
     /// the trace ends.
     fn coh_advance(&mut self, finalize: bool) -> Result<(), CheckError> {
-        let mut found: Option<(Access, Access, u64, u64)> = None;
-        'scan: for ((core, _addr), st) in self.coh.iter_mut() {
-            let wbound = self
-                .tso_tails
-                .get(core)
-                .and_then(|t| t.last_w.as_ref())
-                .map(|a| a.po);
-            while let Some((&po, &(rank, acc))) = st.q.first_key_value() {
-                let ready = match rank {
-                    CohRank::Write(_) => true,
-                    CohRank::Pending => false,
-                    _ => finalize || wbound.is_some_and(|b| po <= b),
-                };
-                if !ready {
-                    break;
-                }
-                st.q.pop_first();
-                let (pos, strict) = match rank {
-                    CohRank::Write(r) => (r, true),
-                    CohRank::Read(r) => (r, false),
-                    CohRank::Skip | CohRank::Pending => continue,
-                };
-                if pos < st.max || (strict && pos == st.max) {
-                    let prev = st.max_acc.expect("a position above 0 was recorded");
-                    found = Some((prev, acc, st.max, pos));
-                    break 'scan;
-                }
-                if pos > st.max {
-                    st.max = pos;
-                    st.max_acc = Some(acc);
-                }
-            }
-        }
-        if let Some((prev, acc, had, got)) = found {
-            return Err(self.violate(
-                ViolationKind::Coherence,
-                vec![prev, acc],
-                Vec::new(),
-                format!(
-                    "core {} saw address 0x{:x}'s write history out of order: a \
-                     program-order-later access claims coherence position {got} \
-                     after position {had} was already established — per-location \
-                     SC (CoRR/CoWR/CoWW/CoRW) binds under TSO too",
-                    acc.core, acc.addr
-                ),
-            ));
-        }
-        Ok(())
+        let Some(CohViolation {
+            prev,
+            acc,
+            had,
+            got,
+        }) = self.coh.advance(&self.arena, &self.tso_tails, finalize)
+        else {
+            return Ok(());
+        };
+        Err(self.violate(
+            ViolationKind::Coherence,
+            vec![prev, acc],
+            Vec::new(),
+            format!(
+                "core {} saw address 0x{:x}'s write history out of order: a \
+                 program-order-later access claims coherence position {got} \
+                 after position {had} was already established — per-location \
+                 SC (CoRR/CoWR/CoWW/CoRW) binds under TSO too",
+                acc.core, acc.addr
+            ),
+        ))
     }
 
     /// Certify one window: admit the buffered accesses into the live
@@ -1014,6 +1179,10 @@ impl StreamChecker {
         // 3. co + write records, in arrival (= coherence) order. Also
         // discharges fr edges that were deferred until a coherence
         // successor existed.
+        if self.cfg.model == MemoryModel::Tso {
+            // About one coherence claim per access.
+            self.coh.claims.reserve(self.arena.len() - first_new_slot);
+        }
         for slot in first_new_slot..self.arena.len() {
             let a = self.arena[slot].a;
             let Some(v) = a.published() else { continue };
@@ -1062,11 +1231,7 @@ impl StreamChecker {
             });
             self.writers.entry((a.addr, v)).or_default().push(a.idx);
             if self.cfg.model == MemoryModel::Tso {
-                self.coh
-                    .entry((a.core, a.addr))
-                    .or_default()
-                    .q
-                    .insert(a.po, (CohRank::Write(rank + 1), a));
+                self.coh.claim(&self.slot_of, CohRank::Write(rank + 1), &a);
                 // Discharge reads that parked on this (addr, value): a
                 // same-core read is store-buffer forwarding (internal
                 // rf — no ghb edge, replay skipped, fr deferred on this
@@ -1097,11 +1262,7 @@ impl StreamChecker {
                         if let Some(rs) = self.slot_of.get(rd.idx) {
                             self.arena[rs].res = Resolution::PinnedInternal;
                         }
-                        self.coh
-                            .entry((rd.core, rd.addr))
-                            .or_default()
-                            .q
-                            .insert(rd.po, (CohRank::Read(rank + 1), rd));
+                        self.coh.claim(&self.slot_of, CohRank::Read(rank + 1), &rd);
                     }
                 }
             }
@@ -1150,11 +1311,7 @@ impl StreamChecker {
                     self.ambiguous += 1;
                     self.arena[slot].res = Resolution::Ambiguous;
                     if tso && !is_rmw {
-                        self.coh
-                            .entry((a.core, a.addr))
-                            .or_default()
-                            .q
-                            .insert(a.po, (CohRank::Skip, a));
+                        self.coh.claim(&self.slot_of, CohRank::Skip, &a);
                     }
                 }
                 ReadOutcome::InitNoWriteYet => {
@@ -1165,11 +1322,7 @@ impl StreamChecker {
                         .init_readers
                         .push(a.idx);
                     if tso {
-                        self.coh
-                            .entry((a.core, a.addr))
-                            .or_default()
-                            .q
-                            .insert(a.po, (CohRank::Read(0), a));
+                        self.coh.claim(&self.slot_of, CohRank::Read(0), &a);
                     }
                 }
                 ReadOutcome::InitEdge { first } => {
@@ -1177,11 +1330,7 @@ impl StreamChecker {
                     let to = self.slot_of.live(first);
                     add_edge(&mut self.edge_list, &mut self.edges, slot, to, EdgeKind::Fr);
                     if tso {
-                        self.coh
-                            .entry((a.core, a.addr))
-                            .or_default()
-                            .q
-                            .insert(a.po, (CohRank::Read(0), a));
+                        self.coh.claim(&self.slot_of, CohRank::Read(0), &a);
                     }
                 }
                 ReadOutcome::InitRmwOk => {
@@ -1238,11 +1387,7 @@ impl StreamChecker {
                         }
                     }
                     if tso && !is_rmw {
-                        self.coh
-                            .entry((a.core, a.addr))
-                            .or_default()
-                            .q
-                            .insert(a.po, (CohRank::Read(w_rank + 1), a));
+                        self.coh.claim(&self.slot_of, CohRank::Read(w_rank + 1), &a);
                     }
                 }
                 ReadOutcome::Unsourced { stale } => {
@@ -1252,11 +1397,7 @@ impl StreamChecker {
                         // matching write arrives (step 3 discharges it;
                         // still parked at finish ⇒ violation below).
                         self.pending.entry((a.addr, v)).or_default().push(a);
-                        self.coh
-                            .entry((a.core, a.addr))
-                            .or_default()
-                            .q
-                            .insert(a.po, (CohRank::Pending, a));
+                        self.coh.claim(&self.slot_of, CohRank::Pending, &a);
                         continue;
                     }
                     return Err(self.violate(
@@ -1630,6 +1771,7 @@ pub fn check_btf_reader<R: std::io::Read + Send>(
 mod tests {
     use super::*;
     use crate::check;
+    use std::collections::HashMap;
     use std::io::Cursor;
 
     /// Synthesize a legal (SC by construction) interleaved trace with the

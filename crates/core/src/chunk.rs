@@ -11,11 +11,10 @@
 //! * the program checkpoint to restore on a squash;
 //! * the [`PrivateBuffer`] bookkeeping of §5.2.
 
-use std::collections::{BTreeMap, HashSet};
-
 use bulksc_cpu::Checkpoint;
 use bulksc_net::ChunkTag;
 use bulksc_sig::{Addr, LineAddr, SigMode, SignatureConfig, TrackedSig};
+use bulksc_stats::{IntMap, IntSet};
 use bulksc_trace::Event;
 
 /// Lifecycle of a chunk. Chunks leave the core's active list when the
@@ -44,8 +43,8 @@ pub struct Chunk {
     pub w: TrackedSig,
     /// Private-write signature (§5).
     pub wpriv: TrackedSig,
-    /// Speculative stores in program order: the last write per word wins.
-    pub stores: BTreeMap<Addr, u64>,
+    /// Speculative stores by word: the last write per word wins.
+    pub stores: IntMap<Addr, u64>,
     /// Order of first-writes (for deterministic commit application).
     pub store_order: Vec<(Addr, u64)>,
     /// Program checkpoint taken when the chunk opened.
@@ -53,7 +52,7 @@ pub struct Chunk {
     /// Lines this chunk touched that have not yet arrived in the L1;
     /// the chunk cannot request commit until this is empty (§6: the line
     /// has to be received before the chunk commits).
-    pub pending_lines: HashSet<LineAddr>,
+    pub pending_lines: IntSet<LineAddr>,
     /// Dynamic instructions retired into this chunk.
     pub retired: u64,
     /// Lines of this chunk's read set displaced from the L1 (Table 3:
@@ -86,10 +85,10 @@ impl Chunk {
             r: TrackedSig::new(sig, mode),
             w: TrackedSig::new(sig, mode),
             wpriv: TrackedSig::new(sig, mode),
-            stores: BTreeMap::new(),
+            stores: IntMap::default(),
             store_order: Vec::new(),
             checkpoint,
-            pending_lines: HashSet::new(),
+            pending_lines: IntSet::default(),
             retired: 0,
             read_displacements: 0,
             t_start: 0,

@@ -340,7 +340,9 @@ mod tests {
     }
 
     fn drain(fab: &mut Fabric) -> Vec<Envelope> {
-        fab.deliver_due(u64::MAX / 2)
+        let mut out = Vec::new();
+        fab.deliver_due(u64::MAX / 2, &mut out);
+        out
     }
 
     fn tag(seq: u64) -> ChunkTag {

@@ -114,6 +114,8 @@ pub struct BulkNode {
 
     front: FrontEnd,
     window: InstrWindow,
+    /// What the last issue scan issued; empty between ticks.
+    issued: Vec<(SlotId, Instr)>,
     port: MemPort,
 
     /// Active chunks, oldest first; the back one may be open.
@@ -174,6 +176,7 @@ impl BulkNode {
             map,
             front: FrontEnd::new(program, budget),
             window: InstrWindow::new(cfg.window_size),
+            issued: Vec::new(),
             port: MemPort::new(core, cfg, l1, num_dirs),
             chunks: VecDeque::new(),
             next_seq: 0,
@@ -590,7 +593,10 @@ impl BulkNode {
     }
 
     fn issue(&mut self, now: Cycle) {
-        for (id, instr) in self.window.issue(self.cfg.issue_window as u64, usize::MAX) {
+        let mut issued = std::mem::take(&mut self.issued);
+        self.window
+            .issue(self.cfg.issue_window as u64, usize::MAX, &mut issued);
+        for (id, instr) in issued.drain(..) {
             let seq = self.chunk_seq_of(now, id);
             match instr {
                 Instr::Load { addr, .. } => {
@@ -617,6 +623,7 @@ impl BulkNode {
                 _ => {}
             }
         }
+        self.issued = issued;
     }
 
     /// Record a read in the slot's chunk's R signature (at issue time; see

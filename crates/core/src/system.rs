@@ -108,6 +108,9 @@ pub struct System {
     /// Per core, the cycle its last tick asked to run at next
     /// (`Cycle::MAX`: only a message wakes it). A delivery sets it to now.
     wake: Vec<Cycle>,
+    /// The messages being delivered this cycle; empty between cycles, and
+    /// kept so that delivering allocates nothing once it is warm.
+    inbox: Vec<Envelope>,
 }
 
 impl System {
@@ -200,6 +203,7 @@ impl System {
             now: 0,
             trace: TraceHandle::off(),
             sampler: None,
+            inbox: Vec::new(),
         }
     }
 
@@ -357,9 +361,10 @@ impl System {
     }
 
     fn advance(&mut self, every_core: bool) {
-        let due = self.fabric.deliver_due(self.now);
-        for env in due {
-            self.trace.emit(self.now, || Event::NetDeliver {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.fabric.deliver_due(self.now, &mut inbox);
+        for env in inbox.drain(..) {
+            self.trace.emit_net(self.now, || Event::NetDeliver {
                 src: env.src.into(),
                 dst: env.dst.into(),
                 kind: env.msg.kind(),
@@ -382,6 +387,7 @@ impl System {
                     .handle(self.now, env, &mut self.fabric),
             }
         }
+        self.inbox = inbox;
         for (n, wake) in self.nodes.iter_mut().zip(&mut self.wake) {
             if every_core || *wake <= self.now {
                 *wake = n.tick(self.now, &mut self.fabric, &mut self.values);
@@ -546,7 +552,8 @@ mod tests {
             }
             // Lose every in-flight message: the misses that sent them now
             // wait for replies that will never come.
-            assert!(!sys.fabric.deliver_due(Cycle::MAX).is_empty());
+            sys.fabric.deliver_due(Cycle::MAX, &mut sys.inbox);
+            assert!(!std::mem::take(&mut sys.inbox).is_empty());
             let lost_at = sys.cycles();
             assert!(!sys.run(u64::MAX / 4), "{name}: a stuck machine finished");
             let gave_up = sys.cycles();

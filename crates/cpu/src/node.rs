@@ -29,11 +29,12 @@
 //!
 //! One node = one core + L1 + its protocol endpoint on the fabric.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState};
 use bulksc_net::{Cycle, Envelope, Fabric, Message, NodeId};
 use bulksc_sig::{Addr, LineAddr, LineData};
+use bulksc_stats::IntSet;
 use bulksc_trace::{Event, TraceHandle};
 use bulksc_workloads::{Instr, ThreadProgram};
 
@@ -90,8 +91,8 @@ struct SbEntry {
 struct Epoch {
     id: u64,
     checkpoint: Checkpoint,
-    reads: HashSet<LineAddr>,
-    writes: HashSet<LineAddr>,
+    reads: IntSet<LineAddr>,
+    writes: IntSet<LineAddr>,
     /// Dynamic instructions retired within this epoch.
     retired: u64,
 }
@@ -104,6 +105,8 @@ pub struct BaselineNode {
 
     front: FrontEnd,
     window: InstrWindow,
+    /// What the last issue scan issued; empty between ticks.
+    issued: Vec<(SlotId, Instr)>,
     port: MemPort,
     store_buffer: VecDeque<SbEntry>,
 
@@ -144,6 +147,7 @@ impl BaselineNode {
             cfg,
             front: FrontEnd::new(program, budget),
             window: InstrWindow::new(cfg.window_size),
+            issued: Vec::new(),
             port: MemPort::new(core, cfg, l1, num_dirs),
             store_buffer: VecDeque::new(),
             last_mem_retire: 0,
@@ -215,8 +219,8 @@ impl BaselineNode {
         self.epochs.push_back(Epoch {
             id: self.current_epoch,
             checkpoint: self.front.checkpoint(),
-            reads: HashSet::new(),
-            writes: HashSet::new(),
+            reads: IntSet::default(),
+            writes: IntSet::default(),
             retired: 0,
         });
     }
@@ -574,7 +578,10 @@ impl BaselineNode {
             BaselineModel::Sc => self.cfg.sc_prefetch_depth as usize,
             _ => usize::MAX,
         };
-        for (id, instr) in self.window.issue(self.cfg.issue_window as u64, mem_limit) {
+        let mut issued = std::mem::take(&mut self.issued);
+        self.window
+            .issue(self.cfg.issue_window as u64, mem_limit, &mut issued);
+        for (id, instr) in issued.drain(..) {
             match instr {
                 Instr::Load { addr, .. } => {
                     if self.port.l1.contains(addr.line()) {
@@ -592,6 +599,7 @@ impl BaselineNode {
                 _ => {}
             }
         }
+        self.issued = issued;
     }
 
     fn fetch(&mut self) {

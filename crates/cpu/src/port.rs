@@ -488,10 +488,9 @@ mod tests {
 
     /// Every message sent so far, in send order.
     fn sent(fab: &mut Fabric) -> Vec<String> {
-        fab.deliver_due(Cycle::MAX)
-            .into_iter()
-            .map(|e| format!("{:?}", e.msg))
-            .collect()
+        let mut due = Vec::new();
+        fab.deliver_due(Cycle::MAX, &mut due);
+        due.into_iter().map(|e| format!("{:?}", e.msg)).collect()
     }
 
     fn fetch(line: LineAddr) -> Fetch {

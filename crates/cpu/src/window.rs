@@ -269,12 +269,18 @@ impl InstrWindow {
     /// `issue_window` entries (a slot takes `max(remaining, 1)`) and among
     /// the first `mem_limit` memory operations, oldest first: a load
     /// becomes `Issued`, a store or RMW `Done` (it performs at the head).
-    /// Returns them for the caller's port actions.
+    /// Appends them to `issued` for the caller's port actions; the buffer
+    /// is the caller's, so issuing into a warm one allocates nothing.
     ///
     /// The scan resumes where the previous call stopped, so every call
     /// must pass the same limits.
-    pub fn issue(&mut self, issue_window: u64, mem_limit: usize) -> Vec<(SlotId, Instr)> {
-        let mut issued = Vec::new();
+    pub fn issue(
+        &mut self,
+        issue_window: u64,
+        mem_limit: usize,
+        issued: &mut Vec<(SlotId, Instr)>,
+    ) {
+        let before = issued.len();
         let Scan {
             mut slots,
             mut depth,
@@ -302,8 +308,7 @@ impl InstrWindow {
             slots += 1;
         }
         self.scan = Scan { slots, depth, mem };
-        self.changes += !issued.is_empty() as u64;
-        issued
+        self.changes += (issued.len() > before) as u64;
     }
 
     /// The load at `id` performed and observed `value`.
@@ -424,6 +429,12 @@ impl InstrWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn issued(w: &mut InstrWindow, issue_window: u64, mem_limit: usize) -> Vec<(SlotId, Instr)> {
+        let mut out = Vec::new();
+        w.issue(issue_window, mem_limit, &mut out);
+        out
+    }
     use bulksc_sig::Addr;
     use bulksc_stats::SplitMix64;
 
@@ -491,7 +502,7 @@ mod tests {
         let a = w.push(load(0), 0).unwrap();
         let b = w.push(load(1), 0).unwrap();
         assert_ne!(a, b);
-        assert_eq!(w.issue(10, usize::MAX), [(a, load(0)), (b, load(1))]);
+        assert_eq!(issued(&mut w, 10, usize::MAX), [(a, load(0)), (b, load(1))]);
         w.complete(b, 7);
         assert_eq!(w.get(b).unwrap().state, SlotState::Done);
         assert_eq!(w.get(b).unwrap().value, Some(7));
@@ -559,14 +570,17 @@ mod tests {
             )
             .unwrap();
         let b = w.push(load(8), 4).unwrap();
-        assert_eq!(w.issue(20, usize::MAX).len(), 3);
-        assert!(w.issue(20, usize::MAX).is_empty(), "nothing is waiting");
+        assert_eq!(issued(&mut w, 20, usize::MAX).len(), 3);
+        assert!(
+            issued(&mut w, 20, usize::MAX).is_empty(),
+            "nothing is waiting"
+        );
         assert!(w.reissue(a), "an issued load goes back");
         assert!(!w.reissue(st), "a store is never in flight");
         w.complete(b, 5);
         assert!(w.reissue_loads(Addr(8).line()));
         assert!(!w.reissue_loads(Addr(8).line()), "already waiting");
-        assert_eq!(w.issue(20, usize::MAX), [(a, load(0)), (b, load(8))]);
+        assert_eq!(issued(&mut w, 20, usize::MAX), [(a, load(0)), (b, load(8))]);
         assert_eq!(w.get(b).unwrap().value, None);
         assert_eq!(w.squash_newest_while(|s| s.tag >= 4), 1);
         assert_eq!(w.oldest().unwrap().tag, 3);
@@ -747,7 +761,7 @@ mod tests {
                         _ => {
                             let mut reference = w.clone();
                             let want = rescan(&mut reference, SCAN_DEPTH, mem_limit);
-                            assert_eq!(w.issue(SCAN_DEPTH, mem_limit), want, "{ctx}");
+                            assert_eq!(issued(&mut w, SCAN_DEPTH, mem_limit), want, "{ctx}");
                             assert_eq!(states(&w), states(&reference), "{ctx}");
                         }
                     }

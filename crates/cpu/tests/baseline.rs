@@ -55,7 +55,8 @@ impl Mini {
     }
 
     fn step(&mut self) {
-        let due: Vec<Envelope> = self.fab.deliver_due(self.now);
+        let mut due: Vec<Envelope> = Vec::new();
+        self.fab.deliver_due(self.now, &mut due);
         for env in due {
             match env.dst {
                 NodeId::Core(c) => {

@@ -17,6 +17,8 @@
 
 use bulksc_sig::LineAddr;
 
+use crate::sets::SetArray;
+
 /// Coherence state of a cached line (MESI, with M spelled `Dirty`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LineState {
@@ -121,8 +123,7 @@ pub enum InsertOutcome {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    num_sets: u32,
-    sets: Vec<Vec<Way>>,
+    sets: SetArray<Way>,
     tick: u64,
     changes: u64,
 }
@@ -130,11 +131,9 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// An empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
-        let num_sets = cfg.num_sets();
         SetAssocCache {
             cfg,
-            num_sets,
-            sets: vec![Vec::new(); num_sets as usize],
+            sets: SetArray::new(cfg.num_sets()),
             tick: 0,
             changes: 0,
         }
@@ -154,11 +153,7 @@ impl SetAssocCache {
 
     /// Number of sets (needed by signature δ-expansion).
     pub fn num_sets(&self) -> u32 {
-        self.num_sets
-    }
-
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 % self.num_sets as u64) as usize
+        self.sets.num_sets()
     }
 
     fn bump(&mut self) -> u64 {
@@ -166,9 +161,15 @@ impl SetAssocCache {
         self.tick
     }
 
+    fn way_mut(&mut self, line: LineAddr) -> Option<&mut Way> {
+        let set = self.sets.index(line);
+        self.sets.set_mut(set).iter_mut().find(|w| w.line == line)
+    }
+
     /// The state of `line`, if present.
     pub fn state(&self, line: LineAddr) -> Option<LineState> {
-        self.sets[self.set_index(line)]
+        self.sets
+            .set(self.sets.index(line))
             .iter()
             .find(|w| w.line == line)
             .map(|w| w.state)
@@ -182,8 +183,7 @@ impl SetAssocCache {
     /// Mark `line` most recently used. Returns true if present.
     pub fn touch(&mut self, line: LineAddr) -> bool {
         let stamp = self.bump();
-        let set = self.set_index(line);
-        match self.sets[set].iter_mut().find(|w| w.line == line) {
+        match self.way_mut(line) {
             Some(w) => {
                 w.stamp = stamp;
                 self.changes += 1;
@@ -195,11 +195,11 @@ impl SetAssocCache {
 
     /// Change the state of a present line. Returns false if absent.
     pub fn set_state(&mut self, line: LineAddr, state: LineState) -> bool {
-        let set = self.set_index(line);
-        match self.sets[set].iter_mut().find(|w| w.line == line) {
+        match self.way_mut(line) {
             Some(w) => {
-                self.changes += (w.state != state) as u64;
+                let changed = w.state != state;
                 w.state = state;
+                self.changes += changed as u64;
                 true
             }
             None => false,
@@ -208,11 +208,10 @@ impl SetAssocCache {
 
     /// Remove `line`, returning its state if it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineState> {
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        let pos = ways.iter().position(|w| w.line == line)?;
+        let set = self.sets.index(line);
+        let pos = self.sets.set(set).iter().position(|w| w.line == line)?;
         self.changes += 1;
-        Some(ways.swap_remove(pos).state)
+        Some(self.sets.swap_remove(set, pos).state)
     }
 
     /// Insert `line` with `state`. `veto(addr)` returns true for lines that
@@ -230,8 +229,8 @@ impl SetAssocCache {
     ) -> InsertOutcome {
         let stamp = self.bump();
         let assoc = self.cfg.assoc as usize;
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
+        let set = self.sets.index(line);
+        let ways = self.sets.set_mut(set);
 
         if let Some(w) = ways.iter_mut().find(|w| w.line == line) {
             w.state = state;
@@ -240,7 +239,7 @@ impl SetAssocCache {
             return InsertOutcome::Placed;
         }
         if ways.len() < assoc {
-            ways.push(Way { line, state, stamp });
+            self.sets.push(set, Way { line, state, stamp });
             self.changes += 1;
             return InsertOutcome::Placed;
         }
@@ -267,19 +266,21 @@ impl SetAssocCache {
     /// Would inserting `line` displace a vetoed-only set? True exactly when
     /// [`SetAssocCache::insert`] would return `SetOverflow`.
     pub fn would_overflow(&self, line: LineAddr, veto: impl Fn(LineAddr) -> bool) -> bool {
-        let set = &self.sets[self.set_index(line)];
+        let set = self.sets.set(self.sets.index(line));
         set.len() == self.cfg.assoc as usize
             && !set.iter().any(|w| w.line == line)
             && set.iter().all(|w| veto(w.line))
     }
 
-    /// The valid lines in set `set_index` (for δ-driven bulk operations).
+    /// The valid lines in set `set_index` (for δ-driven bulk operations),
+    /// in way order.
     ///
     /// # Panics
     ///
     /// Panics if `set_index >= num_sets()`.
     pub fn lines_in_set(&self, set_index: u32) -> Vec<LineAddr> {
-        self.sets[set_index as usize]
+        self.sets
+            .set(set_index as usize)
             .iter()
             .map(|w| w.line)
             .collect()
@@ -287,15 +288,12 @@ impl SetAssocCache {
 
     /// All valid lines (test/diagnostic use).
     pub fn lines(&self) -> Vec<LineAddr> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|w| w.line))
-            .collect()
+        self.sets.iter().map(|w| w.line).collect()
     }
 
     /// Number of valid lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.sets.len()
     }
 
     /// True if the cache holds no lines.
@@ -429,9 +427,7 @@ mod tests {
         c.insert(LineAddr(0), LineState::Shared, |_| false);
         c.insert(LineAddr(1), LineState::Shared, |_| false);
         c.insert(LineAddr(2), LineState::Shared, |_| false);
-        let mut set0 = c.lines_in_set(0);
-        set0.sort();
-        assert_eq!(set0, vec![LineAddr(0), LineAddr(2)]);
+        assert_eq!(c.lines_in_set(0), vec![LineAddr(0), LineAddr(2)]);
         assert_eq!(c.lines_in_set(1), vec![LineAddr(1)]);
         assert_eq!(c.len(), 3);
     }

@@ -26,6 +26,7 @@
 pub mod cache;
 pub mod dirbdm;
 pub mod directory;
+mod sets;
 pub mod store;
 pub mod values;
 

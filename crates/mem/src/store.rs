@@ -9,6 +9,8 @@
 
 use bulksc_sig::LineAddr;
 
+use crate::sets::SetArray;
+
 /// One directory entry: the full bit-vector sharing state of a line
 //  (Dash-style, as cited by the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +48,15 @@ impl DirEntry {
 
     /// The sharers as core indices.
     pub fn sharer_list(&self) -> Vec<u32> {
-        (0..64).filter(|&c| self.has_sharer(c)).collect()
+        let mut rest = self.sharers;
+        std::iter::from_fn(|| {
+            (rest != 0).then(|| {
+                let c = rest.trailing_zeros();
+                rest &= rest - 1;
+                c
+            })
+        })
+        .collect()
     }
 
     /// Number of sharers.
@@ -110,7 +120,7 @@ struct StoredEntry {
 #[derive(Clone, Debug)]
 pub struct DirStore {
     org: DirOrganization,
-    sets: Vec<Vec<StoredEntry>>,
+    sets: SetArray<StoredEntry>,
     tick: u64,
 }
 
@@ -130,13 +140,9 @@ impl DirStore {
     ///
     /// Panics if the set count is not a power of two.
     pub fn new(org: DirOrganization) -> Self {
-        assert!(
-            org.sets().is_power_of_two(),
-            "set count must be a power of two"
-        );
         DirStore {
             org,
-            sets: vec![Vec::new(); org.sets() as usize],
+            sets: SetArray::new(org.sets()),
             tick: 0,
         }
     }
@@ -151,13 +157,10 @@ impl DirStore {
         self.org.sets()
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 % self.org.sets() as u64) as usize
-    }
-
     /// Read the entry for `line`, if present.
     pub fn get(&self, line: LineAddr) -> Option<&DirEntry> {
-        self.sets[self.set_index(line)]
+        self.sets
+            .set(self.sets.index(line))
             .iter()
             .find(|s| s.line == line)
             .map(|s| &s.entry)
@@ -165,8 +168,9 @@ impl DirStore {
 
     /// Mutable access to an existing entry (no allocation).
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut DirEntry> {
-        let set = self.set_index(line);
-        self.sets[set]
+        let set = self.sets.index(line);
+        self.sets
+            .set_mut(set)
             .iter_mut()
             .find(|s| s.line == line)
             .map(|s| &mut s.entry)
@@ -190,62 +194,69 @@ impl DirStore {
     ) -> Option<(&mut DirEntry, Option<Displaced>)> {
         self.tick += 1;
         let stamp = self.tick;
-        let set = self.set_index(line);
+        let set = self.sets.index(line);
         let max_ways = match self.org {
             DirOrganization::FullMap { .. } => usize::MAX,
             DirOrganization::Cache { assoc, .. } => assoc as usize,
         };
 
-        if let Some(pos) = self.sets[set].iter().position(|s| s.line == line) {
-            self.sets[set][pos].stamp = stamp;
-            return Some((&mut self.sets[set][pos].entry, None));
+        let entries = self.sets.set(set);
+        if let Some(pos) = entries.iter().position(|s| s.line == line) {
+            let s = &mut self.sets.set_mut(set)[pos];
+            s.stamp = stamp;
+            return Some((&mut s.entry, None));
         }
 
         let mut displaced = None;
-        if self.sets[set].len() >= max_ways {
-            let victim = self.sets[set]
+        if entries.len() >= max_ways {
+            let victim = entries
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| !veto(s.line))
                 .min_by_key(|(_, s)| s.stamp)
                 .map(|(i, _)| i)?;
-            let old = self.sets[set].swap_remove(victim);
+            let old = self.sets.swap_remove(set, victim);
             displaced = Some(Displaced {
                 line: old.line,
                 entry: old.entry,
             });
         }
-        self.sets[set].push(StoredEntry {
-            line,
-            entry: DirEntry::empty(),
-            stamp,
-        });
-        let last = self.sets[set].len() - 1;
-        Some((&mut self.sets[set][last].entry, displaced))
+        let pos = self.sets.push(
+            set,
+            StoredEntry {
+                line,
+                entry: DirEntry::empty(),
+                stamp,
+            },
+        );
+        Some((&mut self.sets.set_mut(set)[pos].entry, displaced))
     }
 
     /// Drop the entry for `line` if it carries no information.
     pub fn drop_if_idle(&mut self, line: LineAddr) {
-        let set = self.set_index(line);
-        if let Some(pos) = self.sets[set]
+        let set = self.sets.index(line);
+        if let Some(pos) = self
+            .sets
+            .set(set)
             .iter()
             .position(|s| s.line == line && s.entry.is_idle())
         {
-            self.sets[set].swap_remove(pos);
+            self.sets.swap_remove(set, pos);
         }
     }
 
     /// The `(line, entry)` pairs stored in set `set_index`, for signature
     /// expansion.
     pub fn entries_in_set(&self, set_index: u32) -> impl Iterator<Item = (LineAddr, &DirEntry)> {
-        self.sets[set_index as usize]
+        self.sets
+            .set(set_index as usize)
             .iter()
             .map(|s| (s.line, &s.entry))
     }
 
     /// Total entries stored.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.sets.len()
     }
 
     /// True if no entries are stored.

@@ -13,9 +13,8 @@
 //!   commit — chunks that read overlapping stale data are squashed by the
 //!   W-signature broadcast before they can commit.
 
-use std::collections::HashMap;
-
 use bulksc_sig::{Addr, LineAddr, LineData, LINE_WORDS};
+use bulksc_stats::IntMap;
 
 /// Committed memory values; absent words read as zero.
 ///
@@ -31,7 +30,7 @@ use bulksc_sig::{Addr, LineAddr, LineData, LINE_WORDS};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ValueStore {
-    words: HashMap<Addr, u64>,
+    words: IntMap<Addr, u64>,
 }
 
 impl ValueStore {

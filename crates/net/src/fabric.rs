@@ -75,8 +75,10 @@ impl Ord for InFlight {
 ///
 /// let mut fab = Fabric::new(FabricConfig { hop_latency: 3 });
 /// fab.send(0, NodeId::Core(0), NodeId::Dir(0), Message::ReadShared { line: LineAddr(4) });
-/// assert!(fab.deliver_due(2).is_empty());
-/// let due = fab.deliver_due(3);
+/// let mut due = Vec::new();
+/// fab.deliver_due(2, &mut due);
+/// assert!(due.is_empty());
+/// fab.deliver_due(3, &mut due);
 /// assert_eq!(due.len(), 1);
 /// assert_eq!(due[0].dst, NodeId::Dir(0));
 /// ```
@@ -132,7 +134,7 @@ impl Fabric {
     ) {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Fabric);
         msg.account(&mut self.traffic);
-        self.trace.emit(now, || Event::NetSend {
+        self.trace.emit_net(now, || Event::NetSend {
             src: src.into(),
             dst: dst.into(),
             kind: msg.kind(),
@@ -149,18 +151,21 @@ impl Fabric {
         self.peak_in_flight = self.peak_in_flight.max(self.queue.len());
     }
 
-    /// Pop every message whose delivery time is `<= now`, in deterministic
-    /// (time, send-order) order.
-    pub fn deliver_due(&mut self, now: Cycle) -> Vec<Envelope> {
+    /// Append every message whose delivery time is `<= now` to `out`, in
+    /// deterministic (time, send-order) order. The buffer is the caller's,
+    /// so delivery into a warm one allocates nothing, and a cycle with
+    /// nothing due costs one heap peek.
+    pub fn deliver_due(&mut self, now: Cycle, out: &mut Vec<Envelope>) {
+        if self.next_delivery().is_none_or(|at| at > now) {
+            return;
+        }
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Fabric);
-        let mut out = Vec::new();
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.at > now {
                 break;
             }
             out.push(self.queue.pop().expect("peeked").0.env);
         }
-        out
     }
 
     /// The delivery time of the earliest in-flight message, if any (for
@@ -203,12 +208,18 @@ mod tests {
         }
     }
 
+    fn due(f: &mut Fabric, now: Cycle) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        f.deliver_due(now, &mut out);
+        out
+    }
+
     #[test]
     fn delivery_respects_latency() {
         let mut f = Fabric::new(FabricConfig { hop_latency: 10 });
         f.send(5, NodeId::Core(0), NodeId::Dir(0), read(1));
-        assert!(f.deliver_due(14).is_empty());
-        assert_eq!(f.deliver_due(15).len(), 1);
+        assert!(due(&mut f, 14).is_empty());
+        assert_eq!(due(&mut f, 15).len(), 1);
         assert!(f.is_idle());
     }
 
@@ -225,8 +236,7 @@ mod tests {
         for i in 0..5 {
             f.send(0, NodeId::Core(i), NodeId::Dir(0), read(i as u64));
         }
-        let due = f.deliver_due(1);
-        let srcs: Vec<NodeId> = due.iter().map(|e| e.src).collect();
+        let srcs: Vec<NodeId> = due(&mut f, 1).iter().map(|e| e.src).collect();
         assert_eq!(
             srcs,
             (0..5).map(NodeId::Core).collect::<Vec<_>>(),
@@ -239,7 +249,7 @@ mod tests {
         let mut f = Fabric::new(FabricConfig { hop_latency: 1 });
         f.send_delayed(0, 5, NodeId::Core(0), NodeId::Dir(0), read(0));
         f.send(0, NodeId::Core(1), NodeId::Dir(0), read(1));
-        let due = f.deliver_due(100);
+        let due = due(&mut f, 100);
         assert_eq!(due[0].src, NodeId::Core(1));
         assert_eq!(due[1].src, NodeId::Core(0));
     }

@@ -60,8 +60,8 @@ pub mod clock {
     //! The workspace's one monotonic host clock.
     //!
     //! Everything that measures host time — the profiler's scopes and the
-    //! `bulksc_bench::timing` micro-benchmark harness — reads this single
-    //! nanosecond counter, anchored at the first call in the process.
+    //! harnesses that time whole runs — reads this single nanosecond
+    //! counter, anchored at the first call in the process.
 
     use std::sync::OnceLock;
     use std::time::Instant;

@@ -17,6 +17,15 @@
 //! strided access patterns (every address in a stride shares the bits the
 //! permutation happens to select), which is precisely the behaviour behind
 //! the paper's radix results. A thoroughly-mixing hash would hide it.
+//!
+//! A permutation is a wiring, so the simulator evaluates it the way a
+//! lookup table would: each byte of the folded address selects, from a
+//! 256-entry table, the output bits its eight wires drive, and four
+//! lookups OR together into the bank index. The tables depend only on
+//! the permute seed and the bank count, so they are built once per
+//! process and shared by every signature of that geometry.
+
+use std::sync::{Arc, Mutex};
 
 use crate::addr::LineAddr;
 
@@ -98,6 +107,56 @@ impl SignatureConfig {
     }
 }
 
+/// Byte tables of the permuted banks of one (permute seed, bank count)
+/// geometry: `bytes[bank - 1][k][b]` holds the output bits that byte value
+/// `b` in byte `k` of the folded address drives (input bits from
+/// [`PERMUTE_BITS`] on are not wired, so byte 3 uses only its two low
+/// bits).
+#[derive(Debug)]
+struct PermTables {
+    seed: u64,
+    banks: u32,
+    bytes: Vec<[[u32; 256]; 4]>,
+}
+
+impl PermTables {
+    fn build(seed: u64, banks: u32) -> PermTables {
+        let bytes = (1..banks)
+            .map(|bank| {
+                let perm = make_permutation(seed, bank);
+                let mut table = [[0u32; 256]; 4];
+                for (k, row) in table.iter_mut().enumerate() {
+                    for (b, out) in row.iter_mut().enumerate() {
+                        for bit in 0..8 {
+                            let src = 8 * k + bit;
+                            if src < PERMUTE_BITS as usize && b >> bit & 1 == 1 {
+                                *out |= 1 << perm[src];
+                            }
+                        }
+                    }
+                }
+                table
+            })
+            .collect();
+        PermTables { seed, banks, bytes }
+    }
+
+    /// The tables of `(seed, banks)`, built on first use and shared from
+    /// then on.
+    fn shared(seed: u64, banks: u32) -> Arc<PermTables> {
+        static BUILT: Mutex<Vec<Arc<PermTables>>> = Mutex::new(Vec::new());
+        // The only update is a push of finished tables, so a lock poisoned
+        // by a panic elsewhere still guards a valid list.
+        let mut built = BUILT.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = built.iter().find(|t| t.seed == seed && t.banks == banks) {
+            return Arc::clone(t);
+        }
+        let t = Arc::new(PermTables::build(seed, banks));
+        built.push(Arc::clone(&t));
+        t
+    }
+}
+
 /// Build the fixed bit permutation of bank `bank`: a pseudorandom
 /// rearrangement (Fisher–Yates over a xorshift stream) of the low
 /// [`PERMUTE_BITS`] bit positions. This models the hardware permute network
@@ -126,17 +185,26 @@ fn make_permutation(seed: u64, bank: u32) -> [u8; PERMUTE_BITS as usize] {
 /// All binary operations require both operands to share the same
 /// configuration; mismatches panic (they would be distinct wire formats in
 /// hardware).
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Signature {
     banks: u32,
     bank_index_bits: u32,
     permute_seed: u64,
     banked_empty: bool,
-    /// Per-bank wire permutations for banks `1..banks`, shared between
-    /// clones (they are a pure function of the geometry).
-    perms: std::sync::Arc<Vec<[u8; PERMUTE_BITS as usize]>>,
+    /// The byte tables of banks `1..banks`, shared by every signature of
+    /// this seed and bank count.
+    perms: Arc<PermTables>,
     bits: Vec<u64>,
 }
+
+/// Equal geometry and equal bits (the tables follow from the geometry).
+impl PartialEq for Signature {
+    fn eq(&self, other: &Signature) -> bool {
+        self.config() == other.config() && self.bits == other.bits
+    }
+}
+
+impl Eq for Signature {}
 
 impl Signature {
     /// An empty signature with the given geometry.
@@ -146,15 +214,12 @@ impl Signature {
     /// Panics if the geometry has banks smaller than 64 bits.
     pub fn new(cfg: &SignatureConfig) -> Self {
         assert!(cfg.bank_index_bits >= 6, "banks must be at least 64 bits");
-        let perms = (1..cfg.banks)
-            .map(|bank| make_permutation(cfg.permute_seed, bank))
-            .collect();
         Signature {
             banks: cfg.banks,
             bank_index_bits: cfg.bank_index_bits,
             permute_seed: cfg.permute_seed,
             banked_empty: cfg.banked_empty,
-            perms: std::sync::Arc::new(perms),
+            perms: PermTables::shared(cfg.permute_seed, cfg.banks),
             bits: vec![0; cfg.words()],
         }
     }
@@ -187,23 +252,28 @@ impl Signature {
         );
     }
 
-    /// The bit selected in `bank` by `line` (index within that bank).
-    fn bank_index(&self, bank: u32, line: LineAddr) -> u32 {
+    /// The bit `line` selects in `bank` (its index within that bank).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is not below the bank count.
+    pub fn bank_index(&self, bank: u32, line: LineAddr) -> u32 {
         let mask = (1u32 << self.bank_index_bits) - 1;
         if bank == 0 {
             // Bank 0 is indexed by the low line-address bits directly so
             // that δ (decode into cache sets) is possible.
             (line.0 as u32) & mask
         } else {
-            // XOR-fold the address into the permuted window, then apply
-            // the per-bank wire permutation and take the low slice.
+            // XOR-fold the address into the permuted window, then route
+            // each byte of it through the bank's wiring and take the low
+            // slice.
             let folded = line.0 ^ (line.0 >> PERMUTE_BITS);
-            let perm = &self.perms[(bank - 1) as usize];
-            let mut out = 0u64;
-            for (src, &dst) in perm.iter().enumerate() {
-                out |= ((folded >> src) & 1) << dst;
-            }
-            (out as u32) & mask
+            let t = &self.perms.bytes[(bank - 1) as usize];
+            let out = t[0][folded as u8 as usize]
+                | t[1][(folded >> 8) as u8 as usize]
+                | t[2][(folded >> 16) as u8 as usize]
+                | t[3][(folded >> 24) as u8 as usize];
+            out & mask
         }
     }
 
@@ -317,31 +387,23 @@ impl Signature {
             num_sets.is_power_of_two(),
             "num_sets must be a power of two"
         );
-        let bank_bits = self.config().bank_bits();
-        let mut out = vec![false; num_sets as usize];
+        let bank_bits = 1u32 << self.bank_index_bits;
+        let bank0 = &self.bits[..bank_bits as usize / 64];
         if num_sets >= bank_bits {
             // Coarser signature than cache: each set whose low bits match a
-            // set bank-0 bit is a candidate.
-            for idx in 0..bank_bits {
-                if self.get_bit(idx as usize) {
-                    let mut s = idx;
-                    while s < num_sets {
-                        out[s as usize] = true;
-                        s += bank_bits;
-                    }
-                }
-            }
+            // set bank-0 bit is a candidate, block by block in set order.
+            (0..num_sets / bank_bits)
+                .flat_map(|block| ones(bank0).map(move |idx| block * bank_bits + idx))
+                .collect()
         } else {
-            for idx in 0..bank_bits {
-                if self.get_bit(idx as usize) {
-                    out[(idx % num_sets) as usize] = true;
-                }
+            // Fold bank 0 onto the sets.
+            let mut sets = vec![0u64; (num_sets as usize).div_ceil(64)];
+            for idx in ones(bank0) {
+                let set = (idx % num_sets) as usize;
+                sets[set / 64] |= 1 << (set % 64);
             }
+            ones(&sets).collect()
         }
-        out.iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i as u32))
-            .collect()
     }
 
     /// Number of set bits (used by the wire-size model and by tests).
@@ -355,6 +417,20 @@ impl Signature {
         let words = (self.config().bank_bits() as usize).div_ceil(64);
         self.bits[..words].iter().map(|w| w.count_ones()).sum()
     }
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                i as u32 * 64 + bit
+            })
+        })
+    })
 }
 
 impl std::fmt::Debug for Signature {

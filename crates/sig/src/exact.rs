@@ -6,15 +6,15 @@
 //! the statistics machinery (Tables 3 and 4) can attribute squashes,
 //! invalidations, and directory lookups to aliasing.
 
-use std::collections::BTreeSet;
-
 use crate::addr::LineAddr;
 
 /// An exact (alias-free) set of cache-line addresses with the same operation
 /// vocabulary as [`Signature`](crate::Signature).
 ///
-/// Backed by a `BTreeSet` so iteration order is deterministic, which keeps
-/// whole-simulation runs reproducible.
+/// Backed by a sorted `Vec` so iteration is in ascending address order,
+/// which keeps whole-simulation runs reproducible. The sets are a chunk's
+/// footprint — tens of lines — where a binary search over one contiguous
+/// run beats walking tree nodes.
 ///
 /// # Example
 ///
@@ -27,7 +27,8 @@ use crate::addr::LineAddr;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExactSet {
-    lines: BTreeSet<LineAddr>,
+    /// Ascending, without duplicates.
+    lines: Vec<LineAddr>,
 }
 
 impl ExactSet {
@@ -38,18 +39,26 @@ impl ExactSet {
 
     /// Add a line address.
     pub fn insert(&mut self, line: LineAddr) {
-        self.lines.insert(line);
+        if let Err(i) = self.lines.binary_search(&line) {
+            self.lines.insert(i, line);
+        }
     }
 
     /// Remove a line address (used by the dynamically-private "add back to
     /// W" path, which moves lines between sets).
     pub fn remove(&mut self, line: LineAddr) -> bool {
-        self.lines.remove(&line)
+        match self.lines.binary_search(&line) {
+            Ok(i) => {
+                self.lines.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Exact membership test.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.lines.contains(&line)
+        self.lines.binary_search(&line).is_ok()
     }
 
     /// True if no addresses have been inserted.
@@ -69,24 +78,29 @@ impl ExactSet {
 
     /// In-place union.
     pub fn union_with(&mut self, other: &ExactSet) {
-        self.lines.extend(other.lines.iter().copied());
+        self.extend(other.iter());
     }
 
     /// True if the two sets share any line.
     pub fn intersects(&self, other: &ExactSet) -> bool {
-        // Iterate the smaller set.
+        // Look the smaller set's lines up in the larger one.
         let (small, big) = if self.len() <= other.len() {
             (self, other)
         } else {
             (other, self)
         };
-        small.lines.iter().any(|l| big.lines.contains(l))
+        small.lines.iter().any(|&l| big.contains(l))
     }
 
     /// The shared lines of the two sets.
     pub fn intersect(&self, other: &ExactSet) -> ExactSet {
         ExactSet {
-            lines: self.lines.intersection(&other.lines).copied().collect(),
+            lines: self
+                .lines
+                .iter()
+                .copied()
+                .filter(|&l| other.contains(l))
+                .collect(),
         }
     }
 
@@ -96,27 +110,34 @@ impl ExactSet {
     }
 
     /// The exact δ operation: set indices occupied in a cache with
-    /// `num_sets` sets.
+    /// `num_sets` sets, ascending.
     pub fn decode_sets(&self, num_sets: u32) -> Vec<u32> {
-        let mut sets: BTreeSet<u32> = BTreeSet::new();
-        for l in &self.lines {
-            sets.insert((l.0 % num_sets as u64) as u32);
-        }
-        sets.into_iter().collect()
+        let mut sets: Vec<u32> = self
+            .lines
+            .iter()
+            .map(|l| (l.0 % num_sets as u64) as u32)
+            .collect();
+        sets.sort_unstable();
+        sets.dedup();
+        sets
     }
 }
 
 impl FromIterator<LineAddr> for ExactSet {
     fn from_iter<T: IntoIterator<Item = LineAddr>>(iter: T) -> Self {
-        ExactSet {
-            lines: iter.into_iter().collect(),
-        }
+        let mut s = ExactSet::new();
+        s.extend(iter);
+        s
     }
 }
 
 impl Extend<LineAddr> for ExactSet {
+    /// Appends, then restores the order in one stable sort, which merges
+    /// two ascending runs (a union) in linear time.
     fn extend<T: IntoIterator<Item = LineAddr>>(&mut self, iter: T) {
         self.lines.extend(iter);
+        self.lines.sort();
+        self.lines.dedup();
     }
 }
 

@@ -15,13 +15,18 @@
 //!   [`hist::Histogram`];
 //! * cycle-loss attribution (where each core's cycles went) —
 //!   [`hist::CycleLoss`];
-//! * aligned text tables mirroring the paper's layout — [`table::Table`].
+//! * aligned text tables mirroring the paper's layout — [`table::Table`];
+//!
+//! plus the integer-keyed [`IntMap`] / [`IntSet`] the simulator and the
+//! oracle hash addresses with.
 
+pub mod hash;
 pub mod hist;
 pub mod rates;
 pub mod rng;
 pub mod table;
 
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use hist::{CycleLoss, Histogram};
 pub use rates::{per_100k, per_1k, percent};
 pub use rng::SplitMix64;

@@ -136,6 +136,14 @@ pub trait Tracer {
     /// Record one event at `cycle`.
     fn record(&mut self, cycle: u64, event: &Event);
 
+    /// Does this sink want the per-message `net_send` / `net_deliver`
+    /// events? A sink that ignores them says no, and once no attached
+    /// sink wants them the fabric and the system stop building them
+    /// (see [`TraceHandle::emit_net`]). Sampled once, at attach.
+    fn wants_net(&self) -> bool {
+        true
+    }
+
     /// If this sink buffers a recent-event tail, render it (used by
     /// `System::debug_state` for stuck-run dumps).
     fn ring_dump(&self) -> Option<String> {
@@ -164,6 +172,8 @@ impl Tracer for NopTracer {
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     sinks: Vec<Rc<RefCell<dyn Tracer>>>,
+    /// Some attached sink wants network events ([`Tracer::wants_net`]).
+    net: bool,
 }
 
 impl TraceHandle {
@@ -175,6 +185,7 @@ impl TraceHandle {
     /// Attach a sink. All subsequent events (from every clone of this
     /// handle made *after* the attach) reach it.
     pub fn attach<T: Tracer + 'static>(&mut self, sink: Rc<RefCell<T>>) {
+        self.net |= sink.borrow().wants_net();
         self.sinks.push(sink);
     }
 
@@ -195,6 +206,16 @@ impl TraceHandle {
         let event = make();
         for sink in &self.sinks {
             sink.borrow_mut().record(cycle, &event);
+        }
+    }
+
+    /// [`TraceHandle::emit`] for a network event: `make` runs only if
+    /// some attached sink wants network events, and then every sink
+    /// receives it.
+    #[inline]
+    pub fn emit_net(&self, cycle: u64, make: impl FnOnce() -> Event) {
+        if self.net {
+            self.emit(cycle, make);
         }
     }
 
@@ -257,6 +278,36 @@ mod tests {
         assert_send::<Event>();
         assert_send::<Json>();
         assert_send::<String>();
+    }
+
+    #[test]
+    fn network_events_are_built_only_for_a_sink_that_wants_them() {
+        struct NoNet(u64);
+        impl Tracer for NoNet {
+            fn record(&mut self, _cycle: u64, _event: &Event) {
+                self.0 += 1;
+            }
+            fn wants_net(&self) -> bool {
+                false
+            }
+        }
+        let net = || Event::NetDeliver {
+            src: Endpoint::core(0),
+            dst: Endpoint::dir(0),
+            kind: "ReadShared",
+        };
+        let quiet = Rc::new(RefCell::new(NoNet(0)));
+        let mut trace = TraceHandle::off();
+        trace.attach(quiet.clone());
+        trace.emit_net(1, || panic!("net event built for a sink that declined it"));
+        trace.emit(2, || Event::ChunkStart { core: 0, seq: 0 });
+        assert_eq!(quiet.borrow().0, 1);
+        // A ring sink wants them: now every sink receives them.
+        let ring = RingTracer::shared(8);
+        trace.attach(ring.clone());
+        trace.emit_net(3, net);
+        assert_eq!((quiet.borrow().0, ring.borrow().seen()), (2, 1));
+        TraceHandle::off().emit_net(4, || panic!("built with no sink"));
     }
 
     #[test]

@@ -31,9 +31,14 @@ run cargo test --manifest-path benchmark/Cargo.toml --offline -q
 # core only when it has work, must match ticking every core on every
 # cycle byte for byte (run_matches_per_cycle_stepping), and the oracle's
 # SC and TSO verdicts must match a brute-force operational reference on
-# every trace of a seeded sample of tiny programs.
+# every trace of a seeded sample of tiny programs. The simulator's fast
+# paths must match the plain models they replaced: the signature bank
+# tables the 26-step wire loop, ExactSet a BTreeSet, the paged set array
+# of the tag and directory stores a Vec<Vec<_>>; and a warm window's
+# issue scan and a warm fabric's delivery must allocate nothing.
 run cargo test -q --offline --test golden_figures --test pool_determinism \
-  --test determinism_and_shapes --test reference_oracle
+  --test determinism_and_shapes --test reference_oracle \
+  --test signature_differential --test set_array_differential --test allocation_free
 
 # Committed-table gate: the six result tables must regenerate
 # byte-identical at their default budget (25,000 instructions per core).
