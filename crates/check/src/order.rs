@@ -668,6 +668,30 @@ mod tests {
     }
 
     #[test]
+    fn tso_parked_read_keeps_its_place_in_the_coherence_scan() {
+        // The forwarded read parks until its store drains and only then
+        // claims a coherence position; the po-later read of the initial
+        // value sees the history backwards (CoRR). The happens-before
+        // graph has no cycle, so only the coherence scan catches it, and
+        // only if the resolved claim replaces the parked one.
+        let t = [
+            ld(0, 0, 1, 0x68, 5), // forwarded from the po-earlier store
+            ld(1, 0, 2, 0x68, 0), // the initial value, after reading 5
+            st(2, 0, 0, 0x68, 5), // drains last
+        ];
+        let err = crate::stream::check_stream(
+            &t,
+            &[],
+            crate::stream::StreamConfig::windowed(1).with_model(MemoryModel::Tso),
+        )
+        .expect_err("CoRR across a parked read");
+        let CheckError::Violation(v) = err else {
+            panic!("expected violation, got {err:?}");
+        };
+        assert_eq!(v.kind, ViolationKind::Coherence, "{}", v.report);
+    }
+
+    #[test]
     fn tso_enforces_per_location_coherence() {
         // CoWR: core 0 buffers x=1, but reads the *other* core's x=2 and
         // then claims its own older write still — a same-address

@@ -48,12 +48,12 @@
 //! pure lookup against the frozen write records, so shards are merged
 //! back in stream order and the verdict is byte-identical at any width.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::BufRead;
 
 use bulksc_pool::{run_all, Job};
-use bulksc_stats::IntMap;
 
 use crate::order::{
     find_cycle, violation, CheckError, EdgeKind, MemoryModel, ScCertificate, ViolationKind,
@@ -472,85 +472,20 @@ enum CohRank {
 /// drain) or the trace ends.
 #[derive(Default)]
 struct CohScan {
-    /// Claims not checked yet, in the order they were made.
-    claims: Vec<CohClaim>,
-    /// The accesses of claims that outlive their arena slot.
-    kept: Vec<Access>,
-    /// Per (core, address): its index in `states`.
-    locs: IntMap<(u32, u64), u32>,
-    states: Vec<CohLoc>,
-    /// The access that established each location's position.
-    best: Vec<Access>,
-}
-
-/// One access's claim on a coherence position.
-#[derive(Clone, Copy)]
-struct CohClaim {
-    rank: CohRank,
-    core: u32,
-    addr: u64,
-    po: u64,
-    acc: ClaimAccess,
-}
-
-/// Where a claim's access is.
-#[derive(Clone, Copy)]
-enum ClaimAccess {
-    /// In this arena slot (during the seal that made the claim).
-    Slot(u32),
-    /// At this index of [`CohScan::kept`].
-    Kept(u32),
-}
-
-/// The end of a claim chain.
-const NO_CLAIM: u32 = u32::MAX;
-
-/// Longest chain [`po_order`] sorts by insertion.
-const INSERTION_MAX: usize = 32;
-
-/// Sort a location's `(po, claim)` chain into program order; of two
-/// claims on one po the later-made one comes second and wins. A
-/// location's writes and its reads each arrive in po order, so a short
-/// chain is two ascending runs that insertion merges in a few moves.
-fn po_order(chain: &mut [(u64, u32)]) {
-    if chain.len() > INSERTION_MAX {
-        chain.sort_unstable();
-        return;
-    }
-    for i in 1..chain.len() {
-        let key = chain[i];
-        let mut k = i;
-        while k > 0 && chain[k - 1] > key {
-            chain[k] = chain[k - 1];
-            k -= 1;
-        }
-        chain[k] = key;
-    }
+    locs: IntMap<(u32, u64), CohLoc>,
+    /// The locations with claims not checked yet, each once.
+    waiting: Vec<(u32, u64)>,
 }
 
 /// The coherence scan's state for one (core, address).
-#[derive(Clone, Copy)]
+#[derive(Default)]
 struct CohLoc {
+    /// Claims not checked yet, in the order they were made.
+    q: Vec<(CohRank, Access)>,
     /// Highest coherence position established along po so far.
     max: u64,
-    /// Where [`CohScan::best`] keeps the access that established `max`
-    /// ([`NO_CLAIM`] while `max` is 0, the initial value).
-    best: u32,
-    /// During a scan, the first and the last of this location's claims,
-    /// chained in the order they were made; [`NO_CLAIM`] otherwise.
-    head: u32,
-    tail: u32,
-}
-
-impl Default for CohLoc {
-    fn default() -> CohLoc {
-        CohLoc {
-            max: 0,
-            best: NO_CLAIM,
-            head: NO_CLAIM,
-            tail: NO_CLAIM,
-        }
-    }
+    /// The access that established `max` (for violation reports).
+    max_acc: Option<Access>,
 }
 
 /// A coherence-scan violation: the access that established position
@@ -566,85 +501,43 @@ impl CohScan {
     /// `a` claims position `rank`. A later claim for the same (core,
     /// address, po) replaces an earlier one: that is how a parked read's
     /// `Pending` becomes a `Read`.
-    fn claim(&mut self, slot_of: &SlotIndex, rank: CohRank, a: &Access) {
-        let acc = match slot_of.get(a.idx) {
-            Some(slot) => ClaimAccess::Slot(slot as u32),
-            None => {
-                self.kept.push(*a);
-                ClaimAccess::Kept(self.kept.len() as u32 - 1)
-            }
-        };
-        self.claims.push(CohClaim {
-            rank,
-            core: a.core,
-            addr: a.addr,
-            po: a.po,
-            acc,
-        });
+    fn claim(&mut self, rank: CohRank, a: &Access) {
+        let loc = (a.core, a.addr);
+        let st = self.locs.entry(loc).or_default();
+        if st.q.is_empty() {
+            self.waiting.push(loc);
+        }
+        st.q.push((rank, *a));
     }
 
-    /// Check every claim that is safe to order; keep the rest for the
-    /// next scan. `arena` must still hold every live claim's access.
-    /// Returns the violation to report, if any.
+    /// Check every claim that is safe to order, keeping the rest for the
+    /// next scan. Locations are visited in (core, address) order, so the
+    /// violation returned is the first in that order.
     fn advance(
         &mut self,
-        arena: &[LiveAccess],
         tails: &IntMap<u32, TsoCoreState>,
         finalize: bool,
     ) -> Option<CohViolation> {
-        let claims = std::mem::take(&mut self.claims);
-        let kept = std::mem::take(&mut self.kept);
-        let access = |c: &CohClaim| match c.acc {
-            ClaimAccess::Slot(s) => arena[s as usize].a,
-            ClaimAccess::Kept(k) => kept[k as usize],
-        };
-        // Chain each location's claims in the order they were made: one
-        // lookup per claim.
-        let mut next = vec![NO_CLAIM; claims.len()];
-        let mut locs = Vec::new();
-        for (i, c) in claims.iter().enumerate() {
-            let loc = (c.core, c.addr);
-            let states = &mut self.states;
-            let at = *self.locs.entry(loc).or_insert_with(|| {
-                states.push(CohLoc::default());
-                states.len() as u32 - 1
-            });
-            let st = &mut self.states[at as usize];
-            if st.tail == NO_CLAIM {
-                st.head = i as u32;
-                locs.push((loc, at));
-            } else {
-                next[st.tail as usize] = i as u32;
-            }
-            st.tail = i as u32;
-        }
-        // Locations are independent, so they are visited as they came;
-        // the violation reported is the first one in (core, address)
-        // order, whatever order found them.
-        let mut found: Option<((u32, u64), CohViolation)> = None;
-        let mut order: Vec<(u64, u32)> = Vec::new();
-        for (loc, at) in locs {
+        self.waiting.sort_unstable();
+        let mut still = 0;
+        for k in 0..self.waiting.len() {
+            let loc = self.waiting[k];
             let wbound = tails.get(&loc.0).and_then(|t| t.last_w).map(|(po, _)| po);
-            let st = &mut self.states[at as usize];
-            order.clear();
-            let mut i = st.head;
-            while i != NO_CLAIM {
-                order.push((claims[i as usize].po, i));
-                i = next[i as usize];
-            }
-            (st.head, st.tail) = (NO_CLAIM, NO_CLAIM);
-            po_order(&mut order);
-            // The claim that raised `max` in this scan, if any.
-            let mut raised = None;
-            let mut j = 0;
-            while j < order.len() {
-                let (po, at) = order[j];
-                if order.get(j + 1).is_some_and(|n| n.0 == po) {
-                    j += 1; // replaced by a later claim
+            let st = self
+                .locs
+                .get_mut(&loc)
+                .expect("a waiting location has state");
+            // Stable: of two claims on one po, the later-made one comes
+            // second and wins.
+            st.q.sort_by_key(|c| c.1.po);
+            let mut done = 0;
+            for (j, &(rank, acc)) in st.q.iter().enumerate() {
+                let po = acc.po;
+                if st.q.get(j + 1).is_some_and(|n| n.1.po == po) {
+                    done += 1; // replaced by a later claim
                     continue;
                 }
-                let c = &claims[at as usize];
-                let ready = match c.rank {
+                let ready = match rank {
                     CohRank::Write(_) => true,
                     CohRank::Pending => false,
                     _ => finalize || wbound.is_some_and(|b| po <= b),
@@ -652,52 +545,33 @@ impl CohScan {
                 if !ready {
                     break;
                 }
-                j += 1;
-                let (pos, strict) = match c.rank {
+                done += 1;
+                let (pos, strict) = match rank {
                     CohRank::Write(r) => (r, true),
                     CohRank::Read(r) => (r, false),
                     CohRank::Skip | CohRank::Pending => continue,
                 };
                 if pos < st.max || (strict && pos == st.max) {
-                    let prev = match raised {
-                        Some(r) => access(&claims[r as usize]),
-                        None => self.best[st.best as usize],
-                    };
-                    let v = CohViolation {
-                        prev,
-                        acc: access(c),
+                    return Some(CohViolation {
+                        prev: st.max_acc.expect("a position above 0 was recorded"),
+                        acc,
                         had: st.max,
                         got: pos,
-                    };
-                    if found.as_ref().is_none_or(|f| loc < f.0) {
-                        found = Some((loc, v));
-                    }
-                    break;
+                    });
                 }
                 if pos > st.max {
-                    (st.max, raised) = (pos, Some(at));
+                    st.max = pos;
+                    st.max_acc = Some(acc);
                 }
             }
-            if let Some(r) = raised {
-                let a = access(&claims[r as usize]);
-                match self.best.get_mut(st.best as usize) {
-                    Some(b) => *b = a,
-                    None => {
-                        st.best = self.best.len() as u32;
-                        self.best.push(a);
-                    }
-                }
-            }
-            // Keep the claims that are not yet safe to check, with their
-            // accesses: the arena drops placed ones.
-            for &(_, at) in &order[j..] {
-                let mut c = claims[at as usize];
-                self.kept.push(access(&c));
-                c.acc = ClaimAccess::Kept(self.kept.len() as u32 - 1);
-                self.claims.push(c);
+            st.q.drain(..done);
+            if !st.q.is_empty() {
+                self.waiting[still] = loc;
+                still += 1;
             }
         }
-        found.map(|(_, v)| v)
+        self.waiting.truncate(still);
+        None
     }
 }
 
@@ -773,6 +647,51 @@ fn unsourced_headline(a: &Access, v: u64, stale: u64) -> String {
         )
     }
 }
+
+/// A multiplicative (Fx-style) hasher for the checker's integer keys:
+/// addresses, values and core ids, hashed several times per access, where
+/// SipHash cost about a third of a seal. The keys come from the trace
+/// under check, so a crafted trace can make these maps slow, never a
+/// verdict wrong.
+///
+/// It is `bulksc_stats::IntHasher`'s twin: the checker keeps its own
+/// copy until it depends on `bulksc-stats`, an edge the benchmark
+/// package's lock file does not list yet (ROADMAP item 4).
+#[derive(Clone, Copy, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the table picks
+        // buckets with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// A live edge: `(from slot, to slot, relation)`.
 type Edge = (u32, u32, EdgeKind);
@@ -1084,7 +1003,7 @@ impl StreamChecker {
             acc,
             had,
             got,
-        }) = self.coh.advance(&self.arena, &self.tso_tails, finalize)
+        }) = self.coh.advance(&self.tso_tails, finalize)
         else {
             return Ok(());
         };
@@ -1179,10 +1098,6 @@ impl StreamChecker {
         // 3. co + write records, in arrival (= coherence) order. Also
         // discharges fr edges that were deferred until a coherence
         // successor existed.
-        if self.cfg.model == MemoryModel::Tso {
-            // About one coherence claim per access.
-            self.coh.claims.reserve(self.arena.len() - first_new_slot);
-        }
         for slot in first_new_slot..self.arena.len() {
             let a = self.arena[slot].a;
             let Some(v) = a.published() else { continue };
@@ -1231,7 +1146,7 @@ impl StreamChecker {
             });
             self.writers.entry((a.addr, v)).or_default().push(a.idx);
             if self.cfg.model == MemoryModel::Tso {
-                self.coh.claim(&self.slot_of, CohRank::Write(rank + 1), &a);
+                self.coh.claim(CohRank::Write(rank + 1), &a);
                 // Discharge reads that parked on this (addr, value): a
                 // same-core read is store-buffer forwarding (internal
                 // rf — no ghb edge, replay skipped, fr deferred on this
@@ -1262,7 +1177,7 @@ impl StreamChecker {
                         if let Some(rs) = self.slot_of.get(rd.idx) {
                             self.arena[rs].res = Resolution::PinnedInternal;
                         }
-                        self.coh.claim(&self.slot_of, CohRank::Read(rank + 1), &rd);
+                        self.coh.claim(CohRank::Read(rank + 1), &rd);
                     }
                 }
             }
@@ -1311,7 +1226,7 @@ impl StreamChecker {
                     self.ambiguous += 1;
                     self.arena[slot].res = Resolution::Ambiguous;
                     if tso && !is_rmw {
-                        self.coh.claim(&self.slot_of, CohRank::Skip, &a);
+                        self.coh.claim(CohRank::Skip, &a);
                     }
                 }
                 ReadOutcome::InitNoWriteYet => {
@@ -1322,7 +1237,7 @@ impl StreamChecker {
                         .init_readers
                         .push(a.idx);
                     if tso {
-                        self.coh.claim(&self.slot_of, CohRank::Read(0), &a);
+                        self.coh.claim(CohRank::Read(0), &a);
                     }
                 }
                 ReadOutcome::InitEdge { first } => {
@@ -1330,7 +1245,7 @@ impl StreamChecker {
                     let to = self.slot_of.live(first);
                     add_edge(&mut self.edge_list, &mut self.edges, slot, to, EdgeKind::Fr);
                     if tso {
-                        self.coh.claim(&self.slot_of, CohRank::Read(0), &a);
+                        self.coh.claim(CohRank::Read(0), &a);
                     }
                 }
                 ReadOutcome::InitRmwOk => {
@@ -1387,7 +1302,7 @@ impl StreamChecker {
                         }
                     }
                     if tso && !is_rmw {
-                        self.coh.claim(&self.slot_of, CohRank::Read(w_rank + 1), &a);
+                        self.coh.claim(CohRank::Read(w_rank + 1), &a);
                     }
                 }
                 ReadOutcome::Unsourced { stale } => {
@@ -1397,7 +1312,7 @@ impl StreamChecker {
                         // matching write arrives (step 3 discharges it;
                         // still parked at finish ⇒ violation below).
                         self.pending.entry((a.addr, v)).or_default().push(a);
-                        self.coh.claim(&self.slot_of, CohRank::Pending, &a);
+                        self.coh.claim(CohRank::Pending, &a);
                         continue;
                     }
                     return Err(self.violate(
@@ -1771,7 +1686,6 @@ pub fn check_btf_reader<R: std::io::Read + Send>(
 mod tests {
     use super::*;
     use crate::check;
-    use std::collections::HashMap;
     use std::io::Cursor;
 
     /// Synthesize a legal (SC by construction) interleaved trace with the
