@@ -662,92 +662,6 @@ pub fn metrics_report(text: &str, origin: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Tabulate a `BENCH_<label>.json` trajectory: per-scenario median KIPS
-/// across every recorded entry, with the relative delta between the last
-/// two entries — throughput history at a glance.
-pub fn trend_report(text: &str, origin: &str) -> Result<String, String> {
-    let doc = Json::parse(text).ok_or_else(|| format!("{origin}: artifact is not valid JSON"))?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "bulksc-bench-trajectory" {
-        return Err(format!(
-            "{origin}: not a bulksc-bench-trajectory artifact (schema {schema:?}); \
-             `bulksc-perf` appends one as BENCH_<label>.json"
-        ));
-    }
-    let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-    if !bulksc_trace::schema_supported(version) {
-        return Err(format!(
-            "{origin}: trajectory schema version {version} outside supported range \
-             {}..={SCHEMA_VERSION}",
-            bulksc_trace::MIN_SCHEMA_VERSION
-        ));
-    }
-    let entries = doc.get("entries").and_then(Json::as_arr).unwrap_or(&[]);
-    let mut out = format!("trajectory {origin}: {} entries\n", entries.len());
-    if entries.is_empty() {
-        return Ok(out);
-    }
-
-    // Entry legend, then one column per entry in the table.
-    let mut per_entry: Vec<BTreeMap<String, f64>> = Vec::new();
-    let mut scenario_order: Vec<String> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let label = e.get("label").and_then(Json::as_str).unwrap_or("?");
-        let budget = e.get("budget").and_then(Json::as_u64).unwrap_or(0);
-        let reps = e.get("reps").and_then(Json::as_u64).unwrap_or(0);
-        let unix = e.get("unix_secs").and_then(Json::as_u64).unwrap_or(0);
-        out.push_str(&format!(
-            "  e{i}: label {label:?}, budget {budget}, reps {reps}, unix_secs {unix}\n"
-        ));
-        let mut kips = BTreeMap::new();
-        for s in e.get("scenarios").and_then(Json::as_arr).unwrap_or(&[]) {
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            if !scenario_order.contains(&name) {
-                scenario_order.push(name.clone());
-            }
-            kips.insert(
-                name,
-                s.get("median_kips").and_then(Json::as_f64).unwrap_or(0.0),
-            );
-        }
-        per_entry.push(kips);
-    }
-
-    let mut headers: Vec<String> = vec!["scenario".to_string()];
-    headers.extend((0..entries.len()).map(|i| format!("e{i} KIPS")));
-    headers.push("last Δ%".to_string());
-    let mut t = Table::new(headers);
-    for name in &scenario_order {
-        let mut row = vec![name.clone()];
-        for kips in &per_entry {
-            row.push(match kips.get(name) {
-                Some(k) => format!("{k:.1}"),
-                None => "-".to_string(),
-            });
-        }
-        // Delta between the last two entries that actually carry this
-        // scenario (a freshly-added cell has no history yet).
-        let present: Vec<f64> = per_entry
-            .iter()
-            .filter_map(|k| k.get(name))
-            .copied()
-            .collect();
-        row.push(match present.as_slice() {
-            [.., prev, last] if *prev != 0.0 => {
-                format!("{:+.1}", 100.0 * (last - prev) / prev)
-            }
-            _ => "-".to_string(),
-        });
-        t.row(row);
-    }
-    out.push_str(&t.to_string());
-    Ok(out)
-}
-
 /// The outcome of a conflict-forensics pass over an attributed (`--xray`)
 /// event stream.
 #[derive(Debug)]
@@ -1381,75 +1295,6 @@ mod tests {
         let e = metrics_report("{\"schema\":\"bulksc-metrics\",\"version\":1}", "old.jsonl")
             .unwrap_err();
         assert!(e.contains("version 1"), "{e}");
-    }
-
-    #[test]
-    fn trend_report_tabulates_trajectory_deltas() {
-        let doc = crate::perf::trajectory_append(
-            None,
-            &Json::parse(
-                "{\"schema\":\"bulksc-perf\",\"version\":4,\"label\":\"seed\",\"budget\":1000,\
-                 \"reps\":2,\"scenarios\":[{\"name\":\"bsc8\",\"median_kips\":100.0},\
-                 {\"name\":\"sc8\",\"median_kips\":50.0}]}",
-            )
-            .unwrap(),
-            1_000,
-        )
-        .unwrap();
-        let doc = crate::perf::trajectory_append(
-            Some(&doc),
-            &Json::parse(
-                "{\"schema\":\"bulksc-perf\",\"version\":4,\"label\":\"seed\",\"budget\":1000,\
-                 \"reps\":2,\"scenarios\":[{\"name\":\"bsc8\",\"median_kips\":110.0},\
-                 {\"name\":\"sc8\",\"median_kips\":45.0}]}",
-            )
-            .unwrap(),
-            2_000,
-        )
-        .unwrap();
-        let out = trend_report(&doc, "BENCH_seed.json").unwrap();
-        assert!(out.contains("2 entries"), "{out}");
-        assert!(out.contains("e0") && out.contains("e1"), "{out}");
-        assert!(out.contains("bsc8") && out.contains("sc8"), "{out}");
-        assert!(out.contains("+10.0"), "bsc8 sped up 10%: {out}");
-        assert!(out.contains("-10.0"), "sc8 slowed 10%: {out}");
-
-        let e = trend_report("{\"schema\":\"nope\"}", "BENCH_x.json").unwrap_err();
-        assert!(e.contains("BENCH_x.json"), "{e}");
-    }
-
-    #[test]
-    fn trend_report_handles_empty_and_single_entry_trajectories() {
-        // Empty trajectory: a sane one-liner, never a panic.
-        let empty = format!(
-            "{{\"schema\":\"bulksc-bench-trajectory\",\"version\":{SCHEMA_VERSION},\"entries\":[]}}"
-        );
-        let out = trend_report(&empty, "BENCH_empty.json").unwrap();
-        assert!(out.contains("0 entries"), "{out}");
-
-        // Single entry: the table renders and the last-delta column shows
-        // "-" (no history to delta against).
-        let doc = crate::perf::trajectory_append(
-            None,
-            &Json::parse(
-                "{\"schema\":\"bulksc-perf\",\"version\":4,\"label\":\"seed\",\"budget\":1000,\
-                 \"reps\":2,\"scenarios\":[{\"name\":\"bsc8\",\"median_kips\":100.0}]}",
-            )
-            .unwrap(),
-            1_000,
-        )
-        .unwrap();
-        let out = trend_report(&doc, "BENCH_one.json").unwrap();
-        assert!(out.contains("1 entries"), "{out}");
-        let row = out
-            .lines()
-            .find(|l| l.contains("bsc8"))
-            .expect("scenario row");
-        assert_eq!(
-            row.split_whitespace().last(),
-            Some("-"),
-            "single entry has no delta: {row}"
-        );
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! bulksc-analyze prof      <perf.json> [--chrome <out.json>] [--max-ratio <a>/<b>=<x>]...
 //! bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]
 //! bulksc-analyze metrics   <name.metrics.jsonl>...
-//! bulksc-analyze trend     <BENCH_label.json>...
 //! bulksc-analyze xray      <name.xray.jsonl|.btf> [--dot <out.dot>] [--top N]
 //! ```
 //!
@@ -36,8 +35,9 @@
 //!   instead of SC (program-order W→R edges to different addresses are
 //!   not enforced; the violation banner names the model), in both batch
 //!   and `--stream` modes. `-` reads the trace from stdin. Input is
-//!   consumed line-at-a-time in both modes; parse errors name the file
-//!   and 1-based line. With `--stream[=WINDOW]` (window also settable
+//!   consumed event by event in both modes, through the one reader both
+//!   encodings share; decode errors name the file and the 1-based line
+//!   (or the BTF block). With `--stream[=WINDOW]` (window also settable
 //!   via `--window N`, default 2^20 accesses) the trace is certified
 //!   through the windowed streaming checker in bounded memory — traces
 //!   of any length — and the pool accelerates each window seal instead
@@ -65,8 +65,6 @@
 //! * `metrics` renders a `--metrics` heartbeat stream
 //!   (`results/<name>.metrics.jsonl`): one row per snapshot plus
 //!   per-interval completion rates from the monotonic wall stamps.
-//! * `trend` tabulates a `BENCH_<label>.json` trajectory: per-scenario
-//!   median KIPS across every recorded suite run with last-entry deltas.
 //! * `xray` reads a conflict-forensics capture (an experiment binary run
 //!   with `--xray`) and renders the squash post-mortem: the
 //!   victim-by-aggressor conflict matrix, the hottest conflict lines
@@ -90,8 +88,8 @@
 //! `convert`, `report`) sniff the input format — magic bytes for BTF, `{`
 //! for JSONL — so `.btf` artifacts are consumed transparently everywhere a
 //! `.jsonl` is. `timeline`, `xray`, `query` and `convert` stream through
-//! one `bulksc_trace::EventSource`, holding a block or a line at a time;
-//! `check` shares its open-and-sniff helper and keeps its own decoders.
+//! one `bulksc_trace::EventSource`, holding a block or a line at a time,
+//! and so does `check` (`bulksc_check::check_events`).
 //!
 //! Exit codes: 0 success, 1 validation/regression failure, 2 usage or
 //! unreadable/unsupported input.
@@ -118,7 +116,6 @@ fn usage() -> ExitCode {
          [--max-ratio <a>/<b>=<x>]...\n\
          \x20      bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]\n\
          \x20      bulksc-analyze metrics <name.metrics.jsonl>...\n\
-         \x20      bulksc-analyze trend <BENCH_label.json>...\n\
          \x20      bulksc-analyze xray <name.xray.jsonl|.btf> [--dot <out.dot>] [--top N]"
     );
     ExitCode::from(2)
@@ -134,7 +131,7 @@ fn read(path: &str) -> Result<String, ExitCode> {
 /// Open a trace in either format (`-` = stdin) as a streaming event
 /// source: the format is sniffed from its first bytes, not its name.
 fn open_events(path: &str) -> Result<EventSource<'static>, ExitCode> {
-    let (_, input) = source::open(path).map_err(|e| {
+    let input = source::open(path).map_err(|e| {
         eprintln!("bulksc-analyze: cannot read {path}: {e}");
         ExitCode::from(2)
     })?;
@@ -160,18 +157,26 @@ fn main() -> ExitCode {
     };
     match (cmd.as_str(), &args[1..]) {
         ("report", paths) if !paths.is_empty() => {
+            use std::io::{BufRead, Read};
+
             for path in paths {
-                let bytes = match std::fs::read(path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: cannot read {path}: {e}");
-                        return ExitCode::from(2);
-                    }
+                let cannot_read = |e: std::io::Error| {
+                    eprintln!("bulksc-analyze: cannot read {path}: {e}");
+                    ExitCode::from(2)
                 };
-                if bulksc_trace::btf::is_btf(&bytes) {
+                let mut input = match std::fs::File::open(path) {
+                    Ok(f) => std::io::BufReader::new(f),
+                    Err(e) => return cannot_read(e),
+                };
+                let is_btf = match input.fill_buf() {
+                    Ok(head) => bulksc_trace::btf::is_btf(head),
+                    Err(e) => return cannot_read(e),
+                };
+                if is_btf {
                     // A trace artifact, not a results file: report its
-                    // format, size, and block-index shape instead.
-                    match bulksc_trace::IndexedBtf::new(std::io::Cursor::new(bytes)) {
+                    // format, size, and block-index shape, reading only
+                    // the header, the footer index and the trailer.
+                    match bulksc_trace::IndexedBtf::new(input) {
                         Ok(btf) => print!("{}", analyze::btf_stats(&btf, path)),
                         Err(e) => {
                             eprintln!("bulksc-analyze: {path}: {e}");
@@ -179,6 +184,10 @@ fn main() -> ExitCode {
                         }
                     }
                     continue;
+                }
+                let mut bytes = Vec::new();
+                if let Err(e) = input.read_to_end(&mut bytes) {
+                    return cannot_read(e);
                 }
                 let text = match String::from_utf8(bytes) {
                     Ok(t) => t,
@@ -270,10 +279,7 @@ fn main() -> ExitCode {
         }
         ("check", rest) if !rest.is_empty() => {
             use bulksc_bench::pool::{self, Job};
-            use bulksc_check::{
-                check_btf_reader, check_jsonl_reader, CheckError, MemoryModel, StreamConfig,
-                StreamError, ValueTrace,
-            };
+            use bulksc_check::{check_events, CheckError, MemoryModel, StreamConfig, StreamError};
             // Split flags off the path list (paths keep their order). `-`
             // is a path meaning stdin.
             let mut paths: Vec<&String> = Vec::new();
@@ -340,63 +346,36 @@ fn main() -> ExitCode {
                 Fatal(String),
             }
 
-            fn fatal_read(origin: &str, e: std::io::Error) -> CheckOut {
-                CheckOut::Fatal(format!("bulksc-analyze: cannot read {origin}: {e}"))
-            }
-
-            /// Windowed certification of one trace (file or stdin),
-            /// never holding more than the frontier in memory. The pool
-            /// width parallelizes *within* each window seal.
-            fn stream_one(path: &str, cfg: StreamConfig, model: MemoryModel) -> CheckOut {
+            /// Certify one trace (file or stdin, either encoding) event by
+            /// event. A batch `cfg` keeps the whole witness and prints the
+            /// batch certificate; a windowed one holds only the frontier in
+            /// memory, and its pool width parallelizes each window seal.
+            fn check_one(path: &str, cfg: StreamConfig) -> CheckOut {
                 let origin = source::origin_of(path);
-                let result = match source::open(path) {
-                    Ok((Format::Btf, input)) => check_btf_reader(input, origin, cfg),
-                    Ok((Format::Jsonl, input)) => check_jsonl_reader(input, origin, cfg),
-                    Err(e) => return fatal_read(origin, e),
+                let events = match source::open(path).map(|input| EventSource::new(input, origin)) {
+                    Ok(Ok(events)) => events,
+                    Ok(Err(e)) => return CheckOut::Fatal(format!("bulksc-analyze: {e}")),
+                    Err(e) => {
+                        return CheckOut::Fatal(format!(
+                            "bulksc-analyze: cannot read {origin}: {e}"
+                        ))
+                    }
                 };
-                match result {
+                let model = cfg.model;
+                match check_events(events, cfg) {
                     Ok(cert) if cert.accesses == 0 => CheckOut::Fatal(format!(
                         "bulksc-analyze: {origin}: no value events — was the run \
                          recorded with value tracing on?"
                     )),
+                    Ok(cert) if cert.witness.is_some() => {
+                        CheckOut::Certified(format!("{origin}: {}", cert.into_sc().summary()))
+                    }
                     Ok(cert) => CheckOut::Certified(format!("{origin}: {}", cert.summary())),
                     Err(StreamError::Input(m)) => CheckOut::Fatal(format!("bulksc-analyze: {m}")),
                     Err(StreamError::Check(CheckError::Violation(v))) => CheckOut::Violation(
                         format!("{origin}: {} VIOLATION\n{}", model.name(), v.report),
                     ),
                     Err(StreamError::Check(CheckError::Malformed(m))) => {
-                        CheckOut::Fatal(format!("bulksc-analyze: {origin}: malformed trace: {m}"))
-                    }
-                }
-            }
-
-            /// Batch certification of one trace: full witness in memory,
-            /// but the input is still consumed incrementally.
-            fn batch_one(path: &str, model: MemoryModel) -> CheckOut {
-                let origin = source::origin_of(path);
-                let parsed = match source::open(path) {
-                    Ok((Format::Btf, input)) => ValueTrace::from_btf_reader(input, origin),
-                    Ok((Format::Jsonl, input)) => ValueTrace::from_jsonl_reader(input, origin),
-                    Err(e) => return fatal_read(origin, e),
-                };
-                let trace = match parsed {
-                    Ok(t) => t,
-                    Err(e) => return CheckOut::Fatal(format!("bulksc-analyze: {e}")),
-                };
-                if trace.accesses.is_empty() {
-                    return CheckOut::Fatal(format!(
-                        "bulksc-analyze: {origin}: no value events — was the run \
-                         recorded with value tracing on?"
-                    ));
-                }
-                match trace.verify_model(model) {
-                    Ok(cert) => CheckOut::Certified(format!("{origin}: {}", cert.summary())),
-                    Err(CheckError::Violation(v)) => CheckOut::Violation(format!(
-                        "{origin}: {} VIOLATION\n{}",
-                        model.name(),
-                        v.report
-                    )),
-                    Err(CheckError::Malformed(m)) => {
                         CheckOut::Fatal(format!("bulksc-analyze: {origin}: malformed trace: {m}"))
                     }
                 }
@@ -412,16 +391,17 @@ fn main() -> ExitCode {
                     .with_model(model);
                 paths
                     .iter()
-                    .map(|path| stream_one(path, cfg.clone(), model))
+                    .map(|path| check_one(path, cfg.clone()))
                     .collect()
             } else {
+                let cfg = StreamConfig::batch().with_model(model);
                 pool::run_all(
                     width,
                     paths
                         .iter()
                         .map(|path| {
-                            let path = path.as_str();
-                            Job::new(format!("check {path}"), move || batch_one(path, model))
+                            let (path, cfg) = (path.as_str(), cfg.clone());
+                            Job::new(format!("check {path}"), move || check_one(path, cfg))
                         })
                         .collect(),
                 )
@@ -777,22 +757,6 @@ fn main() -> ExitCode {
                     Err(code) => return code,
                 };
                 match analyze::metrics_report(&text, path) {
-                    Ok(out) => print!("{out}"),
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        ("trend", paths) if !paths.is_empty() => {
-            for path in paths {
-                let text = match read(path) {
-                    Ok(t) => t,
-                    Err(code) => return code,
-                };
-                match analyze::trend_report(&text, path) {
                     Ok(out) => print!("{out}"),
                     Err(e) => {
                         eprintln!("bulksc-analyze: {e}");

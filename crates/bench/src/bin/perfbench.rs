@@ -2,13 +2,11 @@
 //!
 //! Runs the pinned scenario matrix (see `bulksc_bench::perf`) with the
 //! `bulksc-prof` self-profiler attached, prints a summary table plus
-//! per-phase breakdowns, writes the schema-stamped `results/perf.json`,
-//! and appends to the repo-root `BENCH_<label>.json` trajectory.
+//! per-phase breakdowns, and writes the schema-stamped `results/perf.json`.
 //!
 //! ```text
 //! bulksc-perf [--label NAME] [--reps N] [--warmup N] [--budget N]
-//!             [--out PATH] [--fast] [--no-trajectory] [--jobs N]
-//!             [--metrics[=MS]]
+//!             [--out PATH] [--fast] [--jobs N] [--metrics[=MS]]
 //! ```
 //!
 //! `--fast` is the CI smoke setting: small budget, 2 reps. `--jobs N`
@@ -24,13 +22,13 @@ use bulksc_bench::heartbeat::Heartbeat;
 use bulksc_bench::perf::{
     matrix, measure_gated_ratios, perf_json, prof_report_text, render_summary, run_suite,
 };
-use bulksc_bench::{budget_from_env, perf, pool};
+use bulksc_bench::{budget_from_env, pool};
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("bulksc-perf: {msg}");
     eprintln!(
         "usage: bulksc-perf [--label NAME] [--reps N] [--warmup N] [--budget N] \
-         [--out PATH] [--fast] [--no-trajectory] [--jobs N] [--metrics[=MS]]"
+         [--out PATH] [--fast] [--jobs N] [--metrics[=MS]]"
     );
     std::process::exit(2);
 }
@@ -41,7 +39,6 @@ fn main() {
     let mut warmup: u32 = 1;
     let mut budget: u64 = budget_from_env().min(10_000);
     let mut out = "results/perf.json".to_string();
-    let mut trajectory = true;
     let mut jobs: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
@@ -73,7 +70,6 @@ fn main() {
                 reps = 2;
                 warmup = 1;
             }
-            "--no-trajectory" => trajectory = false,
             "--jobs" => match value("--jobs").parse::<usize>() {
                 Ok(n) if n >= 1 => jobs = Some(n),
                 _ => fail_usage("--jobs needs a positive integer"),
@@ -130,26 +126,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out}");
-
-    if trajectory {
-        let path = format!("BENCH_{label}.json");
-        let existing = std::fs::read_to_string(&path).ok();
-        let unix_secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        match perf::trajectory_append(existing.as_deref(), &doc, unix_secs) {
-            Ok(updated) => {
-                if let Err(e) = std::fs::write(&path, updated) {
-                    eprintln!("bulksc-perf: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("appended to {path}");
-            }
-            Err(e) => {
-                eprintln!("bulksc-perf: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }

@@ -8,8 +8,7 @@
 //! simulated instructions per host second) and KCPS (thousand simulated
 //! cycles per host second) — plus the `bulksc-prof` per-phase breakdown
 //! of where the host time went. Results land in a schema-stamped
-//! `results/perf.json` and append to a repo-root `BENCH_<label>.json`
-//! trajectory so throughput history survives across commits.
+//! `results/perf.json`.
 //!
 //! Host timings are *not* deterministic — only the simulated side is.
 //! [`perf_diff`] therefore gates on relative KIPS drops with a threshold,
@@ -18,9 +17,9 @@
 //! ([`measure_ratio`]) rather than from two cells' medians.
 
 use bulksc::{Model, SimReport, System, SystemConfig};
-use bulksc_check::ValueTrace;
+use bulksc_check::{check_events, StreamConfig};
 use bulksc_prof::{self as prof, Phase, ProfReport};
-use bulksc_trace::{Json, JsonlTracer, TraceHandle, SCHEMA_VERSION};
+use bulksc_trace::{EventSource, Json, JsonlTracer, TraceHandle, SCHEMA_VERSION};
 use bulksc_workloads::{SyntheticApp, ThreadProgram};
 
 use crate::SEED;
@@ -310,23 +309,15 @@ pub fn run_scenario(s: &Scenario, budget: u64, warmup: u32, reps: u32) -> Scenar
         let report = SimReport::collect(&sys);
         if s.oracle || s.oracle_stream {
             let _oracle = prof::scope(Phase::Oracle);
-            let text = jsonl
-                .as_ref()
-                .expect("oracle implies tracing")
-                .borrow()
-                .contents()
-                .to_string();
-            if s.oracle_stream {
-                bulksc_check::check_jsonl_reader(
-                    text.as_bytes(),
-                    "perf trace",
-                    bulksc_check::StreamConfig::windowed(4096),
-                )
-                .expect("perf run is SC (streaming)");
+            let sink = jsonl.as_ref().expect("oracle implies tracing").borrow();
+            let events = EventSource::new(sink.contents().as_bytes(), "perf trace")
+                .expect("perf trace has a schema header");
+            let cfg = if s.oracle_stream {
+                StreamConfig::windowed(4096)
             } else {
-                let trace = ValueTrace::from_jsonl(&text, "perf trace").expect("perf trace parses");
-                trace.verify().expect("perf run is SC");
-            }
+                StreamConfig::batch()
+            };
+            check_events(events, cfg).expect("perf run is SC");
         }
         let pr = prof::disable();
         let secs = pr.wall_ns as f64 / 1e9;
@@ -833,64 +824,6 @@ pub fn kips_ratio(text: &str, origin: &str, num: &str, den: &str) -> Result<(f64
     Ok((median, pairs))
 }
 
-/// Append this suite's summary to a `BENCH_<label>.json` trajectory
-/// document (`existing` is the current file contents, if the file
-/// exists). Each entry keeps just enough to plot throughput over time.
-pub fn trajectory_append(
-    existing: Option<&str>,
-    perf_doc: &Json,
-    unix_secs: u64,
-) -> Result<String, String> {
-    let doc = match existing {
-        Some(text) => {
-            let doc = Json::parse(text)
-                .ok_or_else(|| "existing trajectory is not valid JSON".to_string())?;
-            let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-            if schema != "bulksc-bench-trajectory" {
-                return Err(format!(
-                    "existing trajectory has schema {schema:?}, expected \
-                     \"bulksc-bench-trajectory\""
-                ));
-            }
-            doc
-        }
-        None => Json::obj([
-            ("schema", "bulksc-bench-trajectory".into()),
-            ("version", SCHEMA_VERSION.into()),
-            ("entries", Json::Arr(Vec::new())),
-        ]),
-    };
-    let mut entry = Json::obj([("unix_secs", unix_secs.into())]);
-    for key in ["label", "budget", "reps"] {
-        if let Some(v) = perf_doc.get(key) {
-            entry.push(key, v.clone());
-        }
-    }
-    let mut scen = Vec::new();
-    for (name, kips) in scenario_kips(perf_doc) {
-        let mut sj = Json::obj([("median_kips", Json::F64(kips))]);
-        sj.push("name", name.as_str().into());
-        scen.push(sj);
-    }
-    entry.push("scenarios", Json::Arr(scen));
-    let mut entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .to_vec();
-    entries.push(entry);
-    // Rebuild with the appended entries (Json has no in-place replace).
-    let mut out = Json::obj([
-        ("schema", "bulksc-bench-trajectory".into()),
-        (
-            "version",
-            doc.get("version").cloned().unwrap_or(SCHEMA_VERSION.into()),
-        ),
-    ]);
-    out.push("entries", Json::Arr(entries));
-    Ok(out.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1130,31 +1063,6 @@ mod tests {
         let xrayed = tiny_result("bsc8_xray");
         assert_eq!(traced.reps[0].cycles, xrayed.reps[0].cycles);
         assert_eq!(traced.reps[0].instrs, xrayed.reps[0].instrs);
-    }
-
-    #[test]
-    fn trajectory_appends_entries() {
-        let doc = Json::parse(&synthetic(&[("bsc8", 100.0)])).unwrap();
-        let first = trajectory_append(None, &doc, 1_000).unwrap();
-        let parsed = Json::parse(&first).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some("bulksc-bench-trajectory")
-        );
-        assert_eq!(
-            parsed.get("entries").and_then(Json::as_arr).unwrap().len(),
-            1
-        );
-        let second = trajectory_append(Some(&first), &doc, 2_000).unwrap();
-        let parsed = Json::parse(&second).unwrap();
-        let entries = parsed.get("entries").and_then(Json::as_arr).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(
-            entries[1].get("unix_secs").and_then(Json::as_u64),
-            Some(2_000)
-        );
-        // A garbage existing file is refused, not clobbered silently.
-        assert!(trajectory_append(Some("not json"), &doc, 3_000).is_err());
     }
 
     #[test]

@@ -46,17 +46,16 @@
 //! well under a second. Memory is `O(n)` in batch mode; for traces that
 //! outgrow it, the [`stream`] module certifies the same witness order
 //! window by window in memory bounded by the window size ([`check`] is
-//! itself the single-window special case), consuming JSONL
-//! incrementally via [`check_jsonl_reader`] so the trace never has to
-//! be materialized at all.
+//! itself the single-window special case). [`check_events`] is the one
+//! trace reader: it feeds either encoding, event by event from an
+//! [`EventSource`], into the checker, so the trace never has to be
+//! materialized at all.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::BufRead;
 use std::rc::Rc;
 
-use bulksc_trace::json::{self, RawValue};
-use bulksc_trace::{Event, Json, Tracer, SCHEMA_VERSION};
+use bulksc_trace::{Event, EventSource, Tracer};
 
 mod order;
 pub mod stream;
@@ -66,8 +65,8 @@ pub use order::{
     ViolationKind,
 };
 pub use stream::{
-    check_btf_reader, check_jsonl_reader, check_stream, Checkpoint, StreamCertificate,
-    StreamChecker, StreamConfig, StreamError,
+    check_events, check_stream, Checkpoint, StreamCertificate, StreamChecker, StreamConfig,
+    StreamError,
 };
 
 /// What one traced access did at its address.
@@ -153,155 +152,18 @@ pub struct LifecycleEvent {
     pub what: &'static str,
 }
 
-/// One parsed line of a JSONL event stream, as classified by
-/// [`parse_trace_line`]: a value access (with `idx` left at 0 for the
-/// caller to assign from its own stream position), a lifecycle event, or
-/// a line the oracle ignores (blank, or an event kind it doesn't track).
+/// What the oracle makes of one trace event, as [`classify_event`]
+/// classifies it: a value access (with `idx` left at 0 for the caller to
+/// assign from its own stream position), a lifecycle event, or an event
+/// the oracle ignores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceLine {
     /// A `val_load` / `val_store` / `val_rmw` event.
     Access(Access),
     /// A chunk-lifecycle event.
     Lifecycle(LifecycleEvent),
-    /// Blank line or untracked event kind.
+    /// An event kind the oracle does not track.
     Skip,
-}
-
-/// Validate the stream's schema header (its first line). Errors name
-/// `origin` so a bad file is identifiable among many.
-pub fn parse_header_line(header: &str, origin: &str) -> Result<(), String> {
-    let h =
-        Json::parse(header).ok_or_else(|| format!("{origin}: trace header is not valid JSON"))?;
-    if h.get("schema").and_then(Json::as_str) != Some("bulksc-trace") {
-        return Err(format!(
-            "{origin}: not a bulksc-trace stream (bad schema header)"
-        ));
-    }
-    let version = h.get("version").and_then(Json::as_u64).unwrap_or(0);
-    if !bulksc_trace::schema_supported(version) {
-        return Err(format!(
-            "{origin}: trace schema version {version} outside supported range \
-             {}..={SCHEMA_VERSION} (value events appeared in version 3)",
-            bulksc_trace::MIN_SCHEMA_VERSION
-        ));
-    }
-    Ok(())
-}
-
-/// Parse one body line of a JSONL event stream. `lineno` is the 1-based
-/// line number within the stream (the header is line 1); every error
-/// names `origin` and that line so a bad line in a multi-GB trace is
-/// found without bisecting.
-///
-/// The line is scanned in place ([`json::scan_object`]), not built into a
-/// [`Json`] tree: it accepts the same lines, reads the same fields and
-/// gives the same errors as `Json::parse` followed by `get` lookups.
-pub fn parse_trace_line(line: &str, lineno: usize, origin: &str) -> Result<TraceLine, String> {
-    if line.trim().is_empty() {
-        return Ok(TraceLine::Skip);
-    }
-    let mut fields = EventFields::default();
-    if !json::scan_object(line, |key, value| fields.note(&key, value)) {
-        // Valid JSON that is not an object has no cycle stamp either.
-        return Err(match Json::parse(line) {
-            Some(_) => format!("{origin}: line {lineno}: event without cycle stamp"),
-            None => format!("{origin}: line {lineno}: not valid JSON: {line}"),
-        });
-    }
-    let t = fields
-        .t
-        .and_then(RawValue::as_u64)
-        .ok_or_else(|| format!("{origin}: line {lineno}: event without cycle stamp"))?;
-    let name = fields.ev.and_then(RawValue::as_str).unwrap_or_default();
-    let field = |value: Option<RawValue>, key: &str| -> Result<u64, String> {
-        value
-            .and_then(RawValue::as_u64)
-            .ok_or_else(|| format!("{origin}: line {lineno}: {name} event missing field {key:?}"))
-    };
-    let kind = match &*name {
-        "val_load" => Some(AccessKind::Load {
-            value: field(fields.value, "value")?,
-        }),
-        "val_store" => Some(AccessKind::Store {
-            value: field(fields.value, "value")?,
-        }),
-        "val_rmw" => Some(AccessKind::Rmw {
-            old: field(fields.old, "old")?,
-            new: field(fields.new, "new")?,
-        }),
-        _ => None,
-    };
-    if let Some(kind) = kind {
-        return Ok(TraceLine::Access(Access {
-            idx: 0,
-            core: field(fields.core, "core")? as u32,
-            seq: field(fields.seq, "seq")?,
-            po: field(fields.po, "po")?,
-            addr: field(fields.addr, "addr")?,
-            kind,
-            retired_at: field(fields.retired_at, "retired_at")?,
-            emitted_at: t,
-        }));
-    }
-    let what = match &*name {
-        "chunk_start" => Some("chunk_start"),
-        "commit_grant" => Some("commit_grant"),
-        "commit_deny" => Some("commit_deny"),
-        "chunk_commit" => Some("chunk_commit"),
-        "chunk_abandon" => Some("chunk_abandon"),
-        "squash" => Some(match fields.cause.and_then(RawValue::as_str).as_deref() {
-            Some("alias") => "squash(alias)",
-            Some("true-sharing") => "squash(true-sharing)",
-            _ => "squash(overflow)",
-        }),
-        _ => None,
-    };
-    Ok(match what {
-        Some(what) => TraceLine::Lifecycle(LifecycleEvent {
-            t,
-            core: field(fields.core, "core")? as u32,
-            seq: field(fields.seq, "seq")?,
-            what,
-        }),
-        None => TraceLine::Skip,
-    })
-}
-
-/// The fields of one JSONL event that [`parse_trace_line`] reads, each
-/// the first occurrence of its key, as [`Json::get`] would find it.
-#[derive(Default)]
-struct EventFields<'a> {
-    t: Option<RawValue<'a>>,
-    ev: Option<RawValue<'a>>,
-    core: Option<RawValue<'a>>,
-    seq: Option<RawValue<'a>>,
-    po: Option<RawValue<'a>>,
-    addr: Option<RawValue<'a>>,
-    value: Option<RawValue<'a>>,
-    old: Option<RawValue<'a>>,
-    new: Option<RawValue<'a>>,
-    retired_at: Option<RawValue<'a>>,
-    cause: Option<RawValue<'a>>,
-}
-
-impl<'a> EventFields<'a> {
-    fn note(&mut self, key: &str, value: RawValue<'a>) {
-        let slot = match key {
-            "t" => &mut self.t,
-            "ev" => &mut self.ev,
-            "core" => &mut self.core,
-            "seq" => &mut self.seq,
-            "po" => &mut self.po,
-            "addr" => &mut self.addr,
-            "value" => &mut self.value,
-            "old" => &mut self.old,
-            "new" => &mut self.new,
-            "retired_at" => &mut self.retired_at,
-            "cause" => &mut self.cause,
-            _ => return,
-        };
-        slot.get_or_insert(value);
-    }
 }
 
 /// The lifecycle label for a squash cause (static so [`LifecycleEvent`]
@@ -314,10 +176,9 @@ fn squash_label(cause: bulksc_trace::SquashCause) -> &'static str {
     }
 }
 
-/// Classify one decoded simulator event exactly as [`parse_trace_line`]
-/// classifies its JSONL rendering. This is the oracle's single event
-/// policy: the live [`CollectingTracer`] sink, the batch loaders, and the
-/// BTF ingestion path all route through it, so the two trace formats
+/// Classify one decoded simulator event. This is the oracle's single
+/// event policy: the live [`CollectingTracer`] sink and [`check_events`],
+/// which reads both trace encodings, route through it, so the formats
 /// cannot drift in what the checker sees. Accesses come back with `idx`
 /// 0 — the caller assigns stream positions.
 pub fn classify_event(cycle: u64, event: &Event) -> TraceLine {
@@ -410,62 +271,15 @@ impl ValueTrace {
         }
     }
 
-    /// Parse a JSONL event stream (as written by `JsonlTracer`) into a
-    /// value trace. Validates the schema header; unknown event names are
-    /// ignored so the oracle stays compatible with richer streams.
-    ///
-    /// `origin` names the stream (a file path, `"-"`, a test label) and
-    /// is quoted, with a 1-based line number, in every parse error.
+    /// Load a JSONL event stream (as written by `JsonlTracer`) into a
+    /// value trace, through the same [`EventSource`] decoder every trace
+    /// consumer reads with. `origin` names the stream (a file path, a test
+    /// label) and is quoted, with a 1-based line number, in every error.
     pub fn from_jsonl(text: &str, origin: &str) -> Result<ValueTrace, String> {
-        Self::from_jsonl_reader(text.as_bytes(), origin)
-    }
-
-    /// [`ValueTrace::from_jsonl`], but consuming the stream one line at a
-    /// time from any [`BufRead`] — a multi-GB trace file never has to be
-    /// materialized as a single `String`. Read errors, like parse errors,
-    /// name `origin` and the last complete line.
-    pub fn from_jsonl_reader<R: BufRead>(mut r: R, origin: &str) -> Result<ValueTrace, String> {
-        let _prof = bulksc_prof::scope(bulksc_prof::Phase::Oracle);
-        let mut line = String::new();
-        let mut read_one = |line: &mut String, lineno: usize| -> Result<bool, String> {
-            line.clear();
-            let n = r
-                .read_line(line)
-                .map_err(|e| format!("{origin}: read error after line {lineno}: {e}"))?;
-            Ok(n > 0)
-        };
-        if !read_one(&mut line, 0)? {
-            return Err(format!("{origin}: empty trace"));
-        }
-        parse_header_line(line.trim_end(), origin)?;
         let mut trace = ValueTrace::default();
-        let mut lineno = 1usize;
-        while read_one(&mut line, lineno)? {
-            lineno += 1;
-            match parse_trace_line(line.trim_end(), lineno, origin)? {
-                TraceLine::Access(mut a) => {
-                    a.idx = trace.accesses.len();
-                    trace.accesses.push(a);
-                }
-                TraceLine::Lifecycle(e) => trace.lifecycle.push(e),
-                TraceLine::Skip => {}
-            }
-        }
-        Ok(trace)
-    }
-
-    /// [`ValueTrace::from_jsonl_reader`]'s binary sibling: load a BTF
-    /// artifact block by block. Same event policy (both routes go through
-    /// [`classify_event`] via [`ValueTrace::absorb`]), same error shape —
-    /// `origin` names the stream in every message.
-    pub fn from_btf_reader<R: std::io::Read>(r: R, origin: &str) -> Result<ValueTrace, String> {
-        let _prof = bulksc_prof::scope(bulksc_prof::Phase::Oracle);
-        let mut reader = bulksc_trace::BtfReader::new(r).map_err(|e| format!("{origin}: {e}"))?;
-        let mut trace = ValueTrace::default();
-        while let Some(block) = reader.next_block().map_err(|e| format!("{origin}: {e}"))? {
-            for (cycle, ev) in block {
-                trace.absorb(cycle, &ev);
-            }
+        for item in EventSource::new(text.as_bytes(), origin).map_err(|e| e.to_string())? {
+            let (cycle, ev) = item.map_err(|e| e.to_string())?;
+            trace.absorb(cycle, &ev);
         }
         Ok(trace)
     }
@@ -672,12 +486,18 @@ mod tests {
             "t"
         )
         .is_err());
-        // Unknown events and blank lines are fine.
-        let ok = format!("{header}\n\n{{\"t\":1,\"ev\":\"future_event\",\"core\":0}}\n");
-        assert!(ValueTrace::from_jsonl(&ok, "t")
-            .unwrap()
-            .accesses
-            .is_empty());
+        // Blank lines are fine; an unknown event kind is refused, as BTF
+        // has no record for it.
+        let ok = format!(
+            "{header}\n\n{}\n",
+            Event::ChunkStart { core: 0, seq: 0 }.jsonl(1)
+        );
+        assert_eq!(ValueTrace::from_jsonl(&ok, "t").unwrap().lifecycle.len(), 1);
+        let unknown = format!("{header}\n\n{{\"t\":1,\"ev\":\"future_event\",\"core\":0}}\n");
+        assert_eq!(
+            ValueTrace::from_jsonl(&unknown, "t").unwrap_err(),
+            "t: line 3: unknown event kind \"future_event\""
+        );
     }
 
     #[test]
@@ -693,7 +513,10 @@ mod tests {
         let text = format!("{header}\n{{\"t\":1,\"ev\":\"val_store\",\"core\":0}}\n");
         let err = ValueTrace::from_jsonl(&text, "x.jsonl").unwrap_err();
         assert!(err.starts_with("x.jsonl: line 2:"), "{err}");
-        assert!(err.contains("val_store"), "{err}");
+        assert!(
+            err.ends_with("missing or non-integer field \"seq\""),
+            "{err}"
+        );
         // Header problems name the origin too.
         let err = ValueTrace::from_jsonl("", "empty.jsonl").unwrap_err();
         assert!(err.contains("empty.jsonl"), "{err}");

@@ -51,14 +51,14 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::io::BufRead;
 
 use bulksc_pool::{run_all, Job};
+use bulksc_trace::EventSource;
 
 use crate::order::{
     find_cycle, violation, CheckError, EdgeKind, MemoryModel, ScCertificate, ViolationKind,
 };
-use crate::{parse_header_line, parse_trace_line, Access, AccessKind, LifecycleEvent, TraceLine};
+use crate::{Access, AccessKind, LifecycleEvent, TraceLine};
 
 /// Tuning for one streaming certification.
 #[derive(Clone, Debug)]
@@ -214,11 +214,11 @@ impl StreamCertificate {
     }
 }
 
-/// Why a JSONL streaming check could not run to a verdict.
+/// Why a streaming check of a trace could not run to a verdict.
 #[derive(Clone, Debug)]
 pub enum StreamError {
-    /// The input could not be read or parsed (message names the origin
-    /// and 1-based line).
+    /// The input could not be read or decoded (message names the origin
+    /// and the 1-based line or 0-based block).
     Input(String),
     /// The checker reached a verdict of "not SC" (or a malformed trace).
     Check(CheckError),
@@ -1574,34 +1574,21 @@ pub fn check_stream(
     checker.finish()
 }
 
-/// Certify a JSONL event stream line-by-line from any [`BufRead`]: the
-/// whole-trace string, the access vector, and the full constraint graph
-/// are never materialized. `origin` (a path, `"-"`, a label) is quoted
-/// with a 1-based line number in every input error.
-pub fn check_jsonl_reader<R: BufRead>(
-    mut r: R,
-    origin: &str,
+/// Certify a trace read from `events`, JSONL or BTF alike: each event is
+/// classified ([`crate::classify_event`]) and fed to the checker as it is
+/// decoded, so the trace, the access vector and the full constraint graph
+/// are never materialized. A decode error names the source's origin and
+/// its line or block, and ends the check as [`StreamError::Input`].
+pub fn check_events(
+    events: EventSource<'_>,
     cfg: StreamConfig,
 ) -> Result<StreamCertificate, StreamError> {
     let _prof = bulksc_prof::scope(bulksc_prof::Phase::Oracle);
     let mut checker = StreamChecker::new(cfg);
-    let mut line = String::new();
-    let mut lineno = 0usize;
     let mut count = 0usize;
-    loop {
-        line.clear();
-        let n = r.read_line(&mut line).map_err(|e| {
-            StreamError::Input(format!("{origin}: read error after line {lineno}: {e}"))
-        })?;
-        if n == 0 {
-            break;
-        }
-        lineno += 1;
-        if lineno == 1 {
-            parse_header_line(line.trim_end(), origin).map_err(StreamError::Input)?;
-            continue;
-        }
-        match parse_trace_line(line.trim_end(), lineno, origin).map_err(StreamError::Input)? {
+    for item in events {
+        let (cycle, ev) = item.map_err(|e| StreamError::Input(e.to_string()))?;
+        match crate::classify_event(cycle, &ev) {
             TraceLine::Access(mut a) => {
                 a.idx = count;
                 count += 1;
@@ -1611,74 +1598,6 @@ pub fn check_jsonl_reader<R: BufRead>(
             TraceLine::Skip => {}
         }
     }
-    if lineno == 0 {
-        return Err(StreamError::Input(format!("{origin}: empty trace")));
-    }
-    checker.finish().map_err(StreamError::Check)
-}
-
-/// Certify a BTF artifact with decode and check overlapped: a dedicated
-/// decode thread parses blocks and classifies events
-/// ([`crate::classify_event`]), shipping plain-data [`TraceLine`] batches
-/// over a bounded channel while this thread assigns stream positions and
-/// seals windows. Memory stays flat — at most `channel depth + 1` decoded
-/// blocks exist at once — and the JSONL and BTF paths see byte-for-byte
-/// the same access stream, because both classify through the same policy
-/// function.
-pub fn check_btf_reader<R: std::io::Read + Send>(
-    r: R,
-    origin: &str,
-    cfg: StreamConfig,
-) -> Result<StreamCertificate, StreamError> {
-    let _prof = bulksc_prof::scope(bulksc_prof::Phase::Oracle);
-    let mut checker = StreamChecker::new(cfg);
-    let mut count = 0usize;
-    let fed = &mut checker;
-    std::thread::scope(|scope| -> Result<(), StreamError> {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Vec<TraceLine>, String>>(8);
-        scope.spawn(move || {
-            let mut reader = match bulksc_trace::BtfReader::new(r) {
-                Ok(reader) => reader,
-                Err(e) => {
-                    let _ = tx.send(Err(e.to_string()));
-                    return;
-                }
-            };
-            loop {
-                match reader.next_block() {
-                    Ok(Some(block)) => {
-                        let lines: Vec<TraceLine> = block
-                            .iter()
-                            .map(|(cycle, ev)| crate::classify_event(*cycle, ev))
-                            .collect();
-                        if tx.send(Ok(lines)).is_err() {
-                            return; // checker bailed out; stop decoding
-                        }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e.to_string()));
-                        return;
-                    }
-                }
-            }
-        });
-        for batch in rx {
-            let batch = batch.map_err(|e| StreamError::Input(format!("{origin}: {e}")))?;
-            for line in batch {
-                match line {
-                    TraceLine::Access(mut a) => {
-                        a.idx = count;
-                        count += 1;
-                        fed.push(a).map_err(StreamError::Check)?;
-                    }
-                    TraceLine::Lifecycle(e) => fed.push_lifecycle(e),
-                    TraceLine::Skip => {}
-                }
-            }
-        }
-        Ok(())
-    })?;
     checker.finish().map_err(StreamError::Check)
 }
 
@@ -1686,7 +1605,6 @@ pub fn check_btf_reader<R: std::io::Read + Send>(
 mod tests {
     use super::*;
     use crate::check;
-    use std::io::Cursor;
 
     /// Synthesize a legal (SC by construction) interleaved trace with the
     /// same shape as the million-access soak test: unique-value stores,
@@ -1882,54 +1800,76 @@ mod tests {
         );
     }
 
+    /// Certify `bytes` (either encoding) through [`check_events`].
+    fn check_bytes(
+        bytes: &[u8],
+        origin: &str,
+        cfg: StreamConfig,
+    ) -> Result<StreamCertificate, StreamError> {
+        let events =
+            EventSource::new(bytes, origin).map_err(|e| StreamError::Input(e.to_string()))?;
+        check_events(events, cfg)
+    }
+
+    /// A trace's JSONL text and its BTF encoding.
+    fn both_encodings(events: &[(u64, bulksc_trace::Event)]) -> (String, Vec<u8>) {
+        let mut jsonl = bulksc_trace::jsonl_header();
+        jsonl.push('\n');
+        let mut btf = bulksc_trace::BtfWriter::new(Vec::new())
+            .unwrap()
+            .with_block_events(512);
+        for (cycle, ev) in events {
+            jsonl.push_str(&ev.jsonl(*cycle));
+            jsonl.push('\n');
+            btf.push(*cycle, ev).unwrap();
+        }
+        (jsonl, btf.finish().unwrap())
+    }
+
     #[test]
     fn jsonl_reader_streams_and_names_lines() {
         use bulksc_trace::Event;
-        let trace = format!(
-            "{}\n{}\n{}\nnot json\n",
-            bulksc_trace::jsonl_header(),
-            Event::ValStore {
-                core: 0,
-                seq: 0,
-                po: 0,
-                addr: 8,
-                value: 1,
-                retired_at: 1,
+        let events = [
+            (
+                1,
+                Event::ValStore {
+                    core: 0,
+                    seq: 0,
+                    po: 0,
+                    addr: 8,
+                    value: 1,
+                    retired_at: 1,
+                },
+            ),
+            (
+                2,
+                Event::ValLoad {
+                    core: 1,
+                    seq: 0,
+                    po: 0,
+                    addr: 8,
+                    value: 1,
+                    retired_at: 2,
+                },
+            ),
+        ];
+        let (good, btf) = both_encodings(&events);
+        for cfg in [StreamConfig::batch(), StreamConfig::windowed(1)] {
+            for (bytes, origin) in [(good.as_bytes(), "in.jsonl"), (&btf[..], "in.btf")] {
+                let cert = check_bytes(bytes, origin, cfg.clone()).expect("two-access trace");
+                assert_eq!(cert.accesses, 2);
+                assert_eq!(cert.final_memory, BTreeMap::from([(8, 1)]));
             }
-            .jsonl(1),
-            Event::ValLoad {
-                core: 1,
-                seq: 0,
-                po: 0,
-                addr: 8,
-                value: 1,
-                retired_at: 2,
-            }
-            .jsonl(2),
-        );
-        let err = check_jsonl_reader(
-            Cursor::new(trace.as_bytes()),
-            "in.jsonl",
-            StreamConfig::batch(),
-        )
-        .expect_err("bad line 4");
-        let StreamError::Input(m) = err else {
-            panic!("expected input error, got {err:?}");
-        };
-        assert!(m.starts_with("in.jsonl: line 4:"), "got {m}");
-
-        let good = trace.rsplit_once("not json\n").unwrap().0;
-        let cert = check_jsonl_reader(
-            Cursor::new(good.as_bytes()),
-            "in.jsonl",
-            StreamConfig::batch(),
-        )
-        .expect("two-access trace certifies");
-        assert_eq!(cert.accesses, 2);
-        assert_eq!(cert.final_memory, BTreeMap::from([(8, 1)]));
-
-        let err = check_jsonl_reader(Cursor::new(&b""[..]), "in.jsonl", StreamConfig::batch())
-            .expect_err("empty");
+            let bad = format!("{good}not json\n");
+            let err = check_bytes(bad.as_bytes(), "in.jsonl", cfg.clone()).expect_err("line 4");
+            let StreamError::Input(m) = err else {
+                panic!("expected input error, got {err:?}");
+            };
+            assert_eq!(m, "in.jsonl: line 4: not valid JSON");
+            let cut = check_bytes(&btf[..btf.len() - 1], "in.btf", cfg).expect_err("cut");
+            assert!(cut.to_string().starts_with("in.btf: "), "{cut}");
+        }
+        let err = check_bytes(b"", "in.jsonl", StreamConfig::batch()).expect_err("empty");
         assert!(err.to_string().contains("empty trace"));
     }
 
@@ -1937,58 +1877,97 @@ mod tests {
     fn btf_reader_matches_jsonl_reader() {
         use bulksc_trace::Event;
         // Synthesize a legal trace, render it both ways, and demand the
-        // two ingestion paths produce identical certificates.
-        let accesses = synth(5_000, 4, 64);
-        let mut jsonl = bulksc_trace::jsonl_header();
-        jsonl.push('\n');
-        let mut btf = bulksc_trace::BtfWriter::new(Vec::new())
-            .unwrap()
-            .with_block_events(512);
-        for a in &accesses {
-            let ev = match a.kind {
-                AccessKind::Load { value } => Event::ValLoad {
-                    core: a.core,
-                    seq: a.seq,
-                    po: a.po,
-                    addr: a.addr,
-                    value,
-                    retired_at: a.retired_at,
-                },
-                AccessKind::Store { value } => Event::ValStore {
-                    core: a.core,
-                    seq: a.seq,
-                    po: a.po,
-                    addr: a.addr,
-                    value,
-                    retired_at: a.retired_at,
-                },
-                AccessKind::Rmw { old, new } => Event::ValRmw {
-                    core: a.core,
-                    seq: a.seq,
-                    po: a.po,
-                    addr: a.addr,
-                    old,
-                    new,
-                    retired_at: a.retired_at,
-                },
-            };
-            jsonl.push_str(&ev.jsonl(a.emitted_at));
-            jsonl.push('\n');
-            btf.push(a.emitted_at, &ev).unwrap();
+        // two encodings produce identical certificates.
+        let events: Vec<(u64, Event)> = synth(5_000, 4, 64)
+            .iter()
+            .map(|a| {
+                let ev = match a.kind {
+                    AccessKind::Load { value } => Event::ValLoad {
+                        core: a.core,
+                        seq: a.seq,
+                        po: a.po,
+                        addr: a.addr,
+                        value,
+                        retired_at: a.retired_at,
+                    },
+                    AccessKind::Store { value } => Event::ValStore {
+                        core: a.core,
+                        seq: a.seq,
+                        po: a.po,
+                        addr: a.addr,
+                        value,
+                        retired_at: a.retired_at,
+                    },
+                    AccessKind::Rmw { old, new } => Event::ValRmw {
+                        core: a.core,
+                        seq: a.seq,
+                        po: a.po,
+                        addr: a.addr,
+                        old,
+                        new,
+                        retired_at: a.retired_at,
+                    },
+                };
+                (a.emitted_at, ev)
+            })
+            .collect();
+        let (jsonl, btf) = both_encodings(&events);
+        for cfg in [
+            StreamConfig::batch(),
+            StreamConfig::windowed(512).with_jobs(2),
+        ] {
+            let from_text = check_bytes(jsonl.as_bytes(), "t.jsonl", cfg.clone()).unwrap();
+            let from_btf = check_bytes(&btf, "t.btf", cfg).unwrap();
+            assert_eq!(from_text.accesses, from_btf.accesses);
+            assert_eq!(from_text.witness_hash, from_btf.witness_hash);
+            assert_eq!(from_text.final_memory, from_btf.final_memory);
+            assert_eq!(from_text.witness, from_btf.witness);
+            assert_eq!(from_text.summary(), from_btf.summary());
         }
-        let btf = btf.finish().unwrap();
-        let cfg = StreamConfig::windowed(512).with_jobs(2);
-        let from_text =
-            check_jsonl_reader(Cursor::new(jsonl.as_bytes()), "t.jsonl", cfg.clone()).unwrap();
-        let from_btf = check_btf_reader(Cursor::new(btf.as_slice()), "t.btf", cfg).unwrap();
-        assert_eq!(from_text.accesses, from_btf.accesses);
-        assert_eq!(from_text.witness_hash, from_btf.witness_hash);
-        assert_eq!(from_text.final_memory, from_btf.final_memory);
-        assert_eq!(from_text.summary(), from_btf.summary());
 
         // Input errors carry the origin, like the JSONL path's do.
-        let err = check_btf_reader(Cursor::new(&b"junk"[..]), "t.btf", StreamConfig::batch())
-            .expect_err("garbage");
-        assert!(err.to_string().contains("t.btf"), "{err}");
+        let err = check_bytes(b"BTF1junk", "t.btf", StreamConfig::batch()).expect_err("garbage");
+        assert!(err.to_string().starts_with("t.btf: "), "{err}");
+    }
+
+    #[test]
+    fn jsonl_lines_btf_cannot_hold_are_refused() {
+        // Each line reads back as an event BTF has no record for: an
+        // unknown kind, an unknown squash cause, a core beyond u32. The
+        // trace is refused at that line in every configuration, as its
+        // BTF encoding would be.
+        let header = bulksc_trace::jsonl_header();
+        let store = bulksc_trace::Event::ValStore {
+            core: 0,
+            seq: 0,
+            po: 0,
+            addr: 8,
+            value: 1,
+            retired_at: 1,
+        }
+        .jsonl(1);
+        for (line, want) in [
+            (
+                "{\"t\":2,\"ev\":\"future_event\",\"core\":0}",
+                "unknown event kind \"future_event\"",
+            ),
+            (
+                "{\"t\":2,\"ev\":\"squash\",\"core\":0,\"seq\":1,\"cause\":\"gremlins\",\"squashed_instrs\":3}",
+                "unknown squash cause \"gremlins\"",
+            ),
+            (
+                "{\"t\":2,\"ev\":\"val_load\",\"core\":4294967296,\"seq\":0,\"po\":1,\"addr\":8,\"value\":1,\"retired_at\":2}",
+                "field \"core\" exceeds u32",
+            ),
+        ] {
+            let text = format!("{header}\n{store}\n{line}\n");
+            for cfg in [StreamConfig::batch(), StreamConfig::windowed(1)] {
+                let err = check_bytes(text.as_bytes(), "p.jsonl", cfg).expect_err(line);
+                let StreamError::Input(m) = err else {
+                    panic!("expected input error, got {err:?}");
+                };
+                assert_eq!(m, format!("p.jsonl: line 3: {want}"));
+            }
+        }
     }
 }

@@ -130,14 +130,20 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// Read one LEB128 varint at `*pos`. Forced inline: a decoded event reads
+/// several, and `check` decodes on the thread that certifies, so the call
+/// cost shows (the error arms stay out of line).
+#[inline(always)]
 fn get_varint(b: &[u8], pos: &mut usize) -> Result<u64, BtfError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let byte = *b.get(*pos).ok_or(BtfError::Truncated("varint"))?;
+        let Some(&byte) = b.get(*pos) else {
+            return Err(BtfError::Truncated("varint"));
+        };
         *pos += 1;
         if shift == 63 && byte > 1 {
-            return Err(BtfError::InvalidRecord("varint overflows u64".into()));
+            return Err(invalid_varint("varint overflows u64"));
         }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
@@ -145,11 +151,14 @@ fn get_varint(b: &[u8], pos: &mut usize) -> Result<u64, BtfError> {
         }
         shift += 7;
         if shift > 63 {
-            return Err(BtfError::InvalidRecord(
-                "varint longer than 10 bytes".into(),
-            ));
+            return Err(invalid_varint("varint longer than 10 bytes"));
         }
     }
+}
+
+#[cold]
+fn invalid_varint(why: &str) -> BtfError {
+    BtfError::InvalidRecord(why.to_string())
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -162,10 +171,24 @@ fn unzigzag(v: u64) -> i64 {
 
 // ---------------------------------------------------------------- intern
 
-/// Strings the decoder expects to see in traces: xray conflict sites and
-/// net message kinds. Anything else (future emitters) falls through to a
-/// leak-once intern table so decoded events still carry `&'static str`.
-const KNOWN: &[&str] = &[
+/// Declare [`known`] over the strings the decoder expects to see in
+/// traces, matched at compile time.
+macro_rules! known {
+    ($($s:literal),* $(,)?) => {
+        /// `s` as one of the known strings: xray conflict sites and net
+        /// message kinds. Anything else (future emitters) falls through to
+        /// a leak-once intern table so decoded events still carry
+        /// `&'static str`.
+        fn known(s: &str) -> Option<&'static str> {
+            match s {
+                $($s => Some($s),)*
+                _ => None,
+            }
+        }
+    };
+}
+
+known! {
     // xray sites (ConflictAttr::site)
     "wsig",
     "displacement",
@@ -203,20 +226,20 @@ const KNOWN: &[&str] = &[
     "WSigInvAck",
     "WSigToDir",
     "Writeback",
-];
+}
 
-/// Most distinct strings outside [`KNOWN`] a process will intern. A real
+/// Most distinct strings outside [`known`] a process will intern. A real
 /// emitter adds a handful; a corrupt trace could otherwise leak one string
 /// per garbage record.
 pub const INTERN_CAP: usize = 256;
 
 /// Map a decoded string to a `&'static str` (the event vocabulary stores
-/// net kinds and xray sites as statics). Known strings cost a linear scan
-/// of [`KNOWN`]; unknown ones are leaked exactly once into a process-wide
+/// net kinds and xray sites as statics). Known strings cost one compiled
+/// match ([`known`]); unknown ones are leaked exactly once into a process-wide
 /// table of at most [`INTERN_CAP`] entries. A novel string past the cap is
 /// an error naming it.
 pub fn intern(s: &str) -> Result<&'static str, String> {
-    if let Some(&k) = KNOWN.iter().find(|&&k| k == s) {
+    if let Some(k) = known(s) {
         return Ok(k);
     }
     static EXTRA: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
@@ -1309,209 +1332,6 @@ pub fn parse_jsonl_header(line: &str) -> Result<u64, String> {
     Ok(version)
 }
 
-fn parse_endpoint_str(s: &str) -> Result<Endpoint, String> {
-    if s == "garb" {
-        return Ok(Endpoint::garbiter());
-    }
-    for (prefix, make) in [
-        ("core", Endpoint::core as fn(u32) -> Endpoint),
-        ("dir", Endpoint::dir as fn(u32) -> Endpoint),
-        ("arb", Endpoint::arbiter as fn(u32) -> Endpoint),
-    ] {
-        if let Some(rest) = s.strip_prefix(prefix) {
-            if let Ok(i) = rest.parse::<u32>() {
-                return Ok(make(i));
-            }
-        }
-    }
-    Err(format!("unrecognized endpoint {s:?}"))
-}
-
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn field_u32(obj: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(field_u64(obj, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
-}
-
-fn field_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn field_endpoint(obj: &Json, key: &str) -> Result<Endpoint, String> {
-    parse_endpoint_str(field_str(obj, key)?)
-}
-
-/// Optional xray blob: present iff the line carries a `"site"` key
-/// (matching how [`ConflictAttr::append_fields`] serializes — `agg_core`
-/// and `agg_seq` are *omitted*, never null, when unknown).
-fn field_xray(obj: &Json) -> Result<Option<Box<ConflictAttr>>, String> {
-    if obj.get("site").is_none() {
-        return Ok(None);
-    }
-    let site = intern(field_str(obj, "site")?)?;
-    let agg_core = match obj.get("agg_core") {
-        Some(v) => Some(
-            v.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| "agg_core is not a u32".to_string())?,
-        ),
-        None => None,
-    };
-    let agg_seq = match obj.get("agg_seq") {
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| "agg_seq is not a u64".to_string())?,
-        ),
-        None => None,
-    };
-    let witnesses = obj
-        .get("witness")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "xray blob lacks the witness array".to_string())?
-        .iter()
-        .map(|w| w.as_u64().ok_or_else(|| "witness is not a u64".to_string()))
-        .collect::<Result<Vec<u64>, String>>()?;
-    Ok(Some(Box::new(ConflictAttr {
-        agg_core,
-        agg_seq,
-        site,
-        witnesses,
-    })))
-}
-
-fn field_cause(obj: &Json) -> Result<SquashCause, String> {
-    let label = field_str(obj, "cause")?;
-    SquashCause::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == label)
-        .ok_or_else(|| format!("unknown squash cause {label:?}"))
-}
-
-/// Parse one JSONL event object back into `(cycle, Event)`. Inverse of
-/// [`Event::jsonl`]: `event_from_json(parse(ev.jsonl(t))) == (t, ev)`.
-pub fn event_from_json(obj: &Json) -> Result<(u64, Event), String> {
-    let t = field_u64(obj, "t")?;
-    let name = field_str(obj, "ev")?;
-    let ev = match name {
-        "chunk_start" => Event::ChunkStart {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-        },
-        "commit_request" => Event::CommitRequest {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-            w_lines: field_u32(obj, "w_lines")?,
-            carries_rsig: obj
-                .get("carries_rsig")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| "missing or non-bool field \"carries_rsig\"".to_string())?,
-        },
-        "commit_grant" => Event::CommitGrant {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-        },
-        "commit_deny" => Event::CommitDeny {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-            xray: field_xray(obj)?,
-        },
-        "chunk_commit" => Event::ChunkCommit {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-            read_lines: field_u32(obj, "read_lines")?,
-            write_lines: field_u32(obj, "write_lines")?,
-            priv_lines: field_u32(obj, "priv_lines")?,
-        },
-        "chunk_abandon" => Event::ChunkAbandon {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-        },
-        "squash" => Event::Squash {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-            cause: field_cause(obj)?,
-            squashed_instrs: field_u64(obj, "squashed_instrs")?,
-            xray: field_xray(obj)?,
-        },
-        "sig_expand" => Event::SigExpand {
-            dir: field_u32(obj, "dir")?,
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-            lookups: field_u64(obj, "lookups")?,
-            updates: field_u64(obj, "updates")?,
-            inv_targets: field_u64(obj, "inv_targets")?,
-        },
-        "dir_displacement" => Event::DirDisplacement {
-            dir: field_u32(obj, "dir")?,
-            line: field_u64(obj, "line")?,
-        },
-        "cache_displacement" => Event::CacheDisplacement {
-            core: field_u32(obj, "core")?,
-            line: field_u64(obj, "line")?,
-        },
-        "priv_supply" => Event::PrivSupply {
-            core: field_u32(obj, "core")?,
-            line: field_u64(obj, "line")?,
-        },
-        "val_load" | "val_store" => {
-            let core = field_u32(obj, "core")?;
-            let seq = field_u64(obj, "seq")?;
-            let po = field_u64(obj, "po")?;
-            let addr = field_u64(obj, "addr")?;
-            let value = field_u64(obj, "value")?;
-            let retired_at = field_u64(obj, "retired_at")?;
-            if name == "val_load" {
-                Event::ValLoad {
-                    core,
-                    seq,
-                    po,
-                    addr,
-                    value,
-                    retired_at,
-                }
-            } else {
-                Event::ValStore {
-                    core,
-                    seq,
-                    po,
-                    addr,
-                    value,
-                    retired_at,
-                }
-            }
-        }
-        "val_rmw" => Event::ValRmw {
-            core: field_u32(obj, "core")?,
-            seq: field_u64(obj, "seq")?,
-            po: field_u64(obj, "po")?,
-            addr: field_u64(obj, "addr")?,
-            old: field_u64(obj, "old")?,
-            new: field_u64(obj, "new")?,
-            retired_at: field_u64(obj, "retired_at")?,
-        },
-        "net_send" => Event::NetSend {
-            src: field_endpoint(obj, "src")?,
-            dst: field_endpoint(obj, "dst")?,
-            kind: intern(field_str(obj, "kind")?)?,
-            bytes: field_u64(obj, "bytes")?,
-        },
-        "net_deliver" => Event::NetDeliver {
-            src: field_endpoint(obj, "src")?,
-            dst: field_endpoint(obj, "dst")?,
-            kind: intern(field_str(obj, "kind")?)?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok((t, ev))
-}
-
 /// Convert a JSONL trace to BTF bytes, carrying the artifact's original
 /// schema version through. A thin wrapper over
 /// [`EventSource::write_btf`](crate::EventSource::write_btf).
@@ -1964,16 +1784,6 @@ mod tests {
             crate::MIN_SCHEMA_VERSION
         );
         assert_eq!(btf_to_jsonl(&btf).unwrap(), text);
-    }
-
-    #[test]
-    fn event_from_json_inverts_jsonl_rendering() {
-        for (cycle, ev) in sample_events() {
-            let line = ev.jsonl(cycle);
-            let obj = Json::parse(&line).unwrap();
-            let (t, back) = event_from_json(&obj).unwrap();
-            assert_eq!((t, back), (cycle, ev), "through {line}");
-        }
     }
 
     #[test]

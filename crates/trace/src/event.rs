@@ -9,7 +9,10 @@
 //! directory displacements, Private-Buffer supplies) and raw network
 //! send/deliver hops.
 
+use std::borrow::Cow;
 use std::fmt;
+
+use crate::json::{self, RawValue};
 
 /// Which component an endpoint is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -576,6 +579,256 @@ impl Event {
         }
         out.push('}');
     }
+
+    /// Decode one JSONL event line: the inverse of [`Event::jsonl`],
+    /// `Event::from_jsonl(&ev.jsonl(t)) == Ok((t, ev))`.
+    ///
+    /// The line is scanned in place ([`json::scan_object`]) into one slot
+    /// per key of the event vocabulary instead of being built into a
+    /// [`crate::Json`] tree, and reads as the tree would: the first
+    /// occurrence of a key wins, integers read as [`crate::Json::as_u64`]
+    /// reads them, and keys outside the vocabulary are skipped. Errors name
+    /// the first missing or malformed field in a fixed per-kind order.
+    pub fn from_jsonl(line: &str) -> Result<(u64, Event), String> {
+        let mut f = Fields::default();
+        // Valid JSON the scan refuses is not an object: it has no fields,
+        // and the scan never started.
+        if !json::scan_object(line, |key, value| f.note(&key, value)) && !json::is_valid(line) {
+            return Err("not valid JSON".to_string());
+        }
+        f.decode()
+    }
+}
+
+/// Declare [`Fields`], one slot per key of the event vocabulary, and its
+/// key-to-slot match, from one list of keys.
+macro_rules! fields {
+    ($($key:ident),* $(,)?) => {
+        /// The values of one JSONL event line, each the first occurrence
+        /// of its key.
+        #[derive(Default)]
+        struct Fields<'a> {
+            $($key: Option<RawValue<'a>>,)*
+        }
+
+        impl<'a> Fields<'a> {
+            /// Keep `value` in `key`'s slot unless an earlier occurrence
+            /// holds it; keys outside the vocabulary are skipped.
+            fn note(&mut self, key: &str, value: RawValue<'a>) {
+                let slot = match key {
+                    $(stringify!($key) => &mut self.$key,)*
+                    _ => return,
+                };
+                slot.get_or_insert(value);
+            }
+        }
+    };
+}
+
+fields! {
+    t, ev, core, seq, po, addr, value, retired_at, old, new, src, dst, kind, bytes, w_lines,
+    carries_rsig, read_lines, write_lines, priv_lines, cause, squashed_instrs, dir, lookups,
+    updates, inv_targets, line, site, agg_core, agg_seq, witness,
+}
+
+impl Fields<'_> {
+    fn decode(&self) -> Result<(u64, Event), String> {
+        let t = int(self.t, "t")?;
+        let name = string(self.ev, "ev")?;
+        let ev = match &*name {
+            "chunk_start" => Event::ChunkStart {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+            },
+            "commit_request" => Event::CommitRequest {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+                w_lines: int32(self.w_lines, "w_lines")?,
+                carries_rsig: self
+                    .carries_rsig
+                    .and_then(RawValue::as_bool)
+                    .ok_or("missing or non-bool field \"carries_rsig\"")?,
+            },
+            "commit_grant" => Event::CommitGrant {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+            },
+            "commit_deny" => Event::CommitDeny {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+                xray: self.xray()?,
+            },
+            "chunk_commit" => Event::ChunkCommit {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+                read_lines: int32(self.read_lines, "read_lines")?,
+                write_lines: int32(self.write_lines, "write_lines")?,
+                priv_lines: int32(self.priv_lines, "priv_lines")?,
+            },
+            "chunk_abandon" => Event::ChunkAbandon {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+            },
+            "squash" => Event::Squash {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+                cause: {
+                    let label = string(self.cause, "cause")?;
+                    SquashCause::ALL
+                        .into_iter()
+                        .find(|c| c.label() == label)
+                        .ok_or_else(|| format!("unknown squash cause {label:?}"))?
+                },
+                squashed_instrs: int(self.squashed_instrs, "squashed_instrs")?,
+                xray: self.xray()?,
+            },
+            "sig_expand" => Event::SigExpand {
+                dir: int32(self.dir, "dir")?,
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+                lookups: int(self.lookups, "lookups")?,
+                updates: int(self.updates, "updates")?,
+                inv_targets: int(self.inv_targets, "inv_targets")?,
+            },
+            "dir_displacement" => Event::DirDisplacement {
+                dir: int32(self.dir, "dir")?,
+                line: int(self.line, "line")?,
+            },
+            "cache_displacement" => Event::CacheDisplacement {
+                core: int32(self.core, "core")?,
+                line: int(self.line, "line")?,
+            },
+            "priv_supply" => Event::PrivSupply {
+                core: int32(self.core, "core")?,
+                line: int(self.line, "line")?,
+            },
+            "val_load" | "val_store" => {
+                let core = int32(self.core, "core")?;
+                let seq = int(self.seq, "seq")?;
+                let po = int(self.po, "po")?;
+                let addr = int(self.addr, "addr")?;
+                let value = int(self.value, "value")?;
+                let retired_at = int(self.retired_at, "retired_at")?;
+                if name == "val_load" {
+                    Event::ValLoad {
+                        core,
+                        seq,
+                        po,
+                        addr,
+                        value,
+                        retired_at,
+                    }
+                } else {
+                    Event::ValStore {
+                        core,
+                        seq,
+                        po,
+                        addr,
+                        value,
+                        retired_at,
+                    }
+                }
+            }
+            "val_rmw" => Event::ValRmw {
+                core: int32(self.core, "core")?,
+                seq: int(self.seq, "seq")?,
+                po: int(self.po, "po")?,
+                addr: int(self.addr, "addr")?,
+                old: int(self.old, "old")?,
+                new: int(self.new, "new")?,
+                retired_at: int(self.retired_at, "retired_at")?,
+            },
+            "net_send" => Event::NetSend {
+                src: endpoint(self.src, "src")?,
+                dst: endpoint(self.dst, "dst")?,
+                kind: crate::btf::intern(&string(self.kind, "kind")?)?,
+                bytes: int(self.bytes, "bytes")?,
+            },
+            "net_deliver" => Event::NetDeliver {
+                src: endpoint(self.src, "src")?,
+                dst: endpoint(self.dst, "dst")?,
+                kind: crate::btf::intern(&string(self.kind, "kind")?)?,
+            },
+            other => return Err(format!("unknown event kind {other:?}")),
+        };
+        Ok((t, ev))
+    }
+
+    /// The optional xray blob: present iff the line carries a `"site"` key
+    /// (as [`ConflictAttr::append_fields`] writes it, `agg_core` and
+    /// `agg_seq` are omitted, never null, when unknown).
+    fn xray(&self) -> Result<Option<Box<ConflictAttr>>, String> {
+        if self.site.is_none() {
+            return Ok(None);
+        }
+        let site = crate::btf::intern(&string(self.site, "site")?)?;
+        let agg_core = match self.agg_core {
+            Some(v) => Some(
+                v.as_u64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or("agg_core is not a u32")?,
+            ),
+            None => None,
+        };
+        let agg_seq = match self.agg_seq {
+            Some(v) => Some(v.as_u64().ok_or("agg_seq is not a u64")?),
+            None => None,
+        };
+        let witnesses = self
+            .witness
+            .and_then(RawValue::as_u64_items)
+            .ok_or("xray blob lacks the witness array")?
+            .into_iter()
+            .map(|w| w.ok_or("witness is not a u64"))
+            .collect::<Result<Vec<u64>, _>>()?;
+        Ok(Some(Box::new(ConflictAttr {
+            agg_core,
+            agg_seq,
+            site,
+            witnesses,
+        })))
+    }
+}
+
+// The field reads are forced inline: a value line makes seven of them.
+#[inline(always)]
+fn int(value: Option<RawValue<'_>>, key: &str) -> Result<u64, String> {
+    value
+        .and_then(RawValue::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+}
+
+#[inline(always)]
+fn int32(value: Option<RawValue<'_>>, key: &str) -> Result<u32, String> {
+    u32::try_from(int(value, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
+}
+
+#[inline(always)]
+fn string<'a>(value: Option<RawValue<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
+    value
+        .and_then(RawValue::as_str)
+        .ok_or_else(|| format!("missing or non-string field {key:?}"))
+}
+
+/// An endpoint as [`Endpoint`]'s `Display` renders it: `core3`, `dir0`,
+/// `arb1`, `garb`.
+fn endpoint(value: Option<RawValue<'_>>, key: &str) -> Result<Endpoint, String> {
+    let s = string(value, key)?;
+    if s == "garb" {
+        return Ok(Endpoint::garbiter());
+    }
+    for (prefix, make) in [
+        ("core", Endpoint::core as fn(u32) -> Endpoint),
+        ("dir", Endpoint::dir as fn(u32) -> Endpoint),
+        ("arb", Endpoint::arbiter as fn(u32) -> Endpoint),
+    ] {
+        if let Some(rest) = s.strip_prefix(prefix) {
+            if let Ok(i) = rest.parse::<u32>() {
+                return Ok(make(i));
+            }
+        }
+    }
+    Err(format!("unrecognized endpoint {s:?}"))
 }
 
 impl fmt::Display for Event {

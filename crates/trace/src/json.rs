@@ -241,7 +241,8 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
 /// Validate that `input` is one complete JSON value (with surrounding
 /// whitespace allowed): true exactly when [`Json::parse`] accepts it,
 /// nesting bound included. Used by tests to check that emitted artifacts
-/// are well-formed without an external JSON crate.
+/// are well-formed without an external JSON crate, and by the JSONL
+/// event decoder to tell a non-object line from a malformed one.
 pub fn is_valid(input: &str) -> bool {
     let bytes = input.as_bytes();
     parse_value(bytes, skip_ws(bytes, 0), 0).is_some_and(|next| skip_ws(bytes, next) == bytes.len())
@@ -258,7 +259,11 @@ impl<'a> RawValue<'a> {
     /// `1e3` and integers out of range are not integers.
     pub fn as_u64(self) -> Option<u64> {
         let text = self.0;
-        if !text.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+        if !text
+            .as_bytes()
+            .first()
+            .is_some_and(|&c| c == b'-' || c.is_ascii_digit())
+        {
             return None;
         }
         match text.parse::<u64>() {
@@ -273,6 +278,28 @@ impl<'a> RawValue<'a> {
     pub fn as_str(self) -> Option<Cow<'a, str>> {
         let inner = self.0.strip_prefix('"')?.strip_suffix('"')?;
         Some(unescape(inner))
+    }
+
+    /// What [`Json::as_bool`] returns for the parsed value.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.0 {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    /// What [`Json::as_arr`] returns for the parsed value, each item read
+    /// as [`RawValue::as_u64`] reads it; `None` if it is not an array.
+    pub fn as_u64_items(self) -> Option<Vec<Option<u64>>> {
+        let b = self.0.as_bytes();
+        if b.first() != Some(&b'[') {
+            return None;
+        }
+        let mut items = Vec::new();
+        // Already validated at its own depth, so the walk cannot fail.
+        walk_arr(b, 0, 0, |item| items.push(RawValue(&self.0[item]).as_u64()))?;
+        Some(items)
     }
 }
 
@@ -308,7 +335,7 @@ fn parse_value(b: &[u8], i: usize, depth: usize) -> Option<usize> {
     }
     match b.get(i)? {
         b'{' => walk_obj(b, i, depth, |_, _| {}),
-        b'[' => parse_arr(b, i, depth),
+        b'[' => walk_arr(b, i, depth, |_| {}),
         b'"' => parse_string(b, i),
         b't' => parse_lit(b, i, b"true"),
         b'f' => parse_lit(b, i, b"false"),
@@ -377,13 +404,18 @@ fn parse_number(b: &[u8], mut i: usize) -> Option<usize> {
     (i > start).then_some(i)
 }
 
-fn parse_arr(b: &[u8], i: usize, depth: usize) -> Option<usize> {
+/// Validate the array whose `[` is at `i`, `depth` containers deep,
+/// calling `item` with the byte range of each item's text; return the
+/// index just past the `]`.
+fn walk_arr(b: &[u8], i: usize, depth: usize, mut item: impl FnMut(Range<usize>)) -> Option<usize> {
     let mut pos = skip_ws(b, i + 1);
     if b.get(pos) == Some(&b']') {
         return Some(pos + 1);
     }
     loop {
-        pos = skip_ws(b, parse_value(b, pos, depth + 1)?);
+        let end = parse_value(b, pos, depth + 1)?;
+        item(pos..end);
+        pos = skip_ws(b, end);
         match b.get(pos)? {
             b',' => pos = skip_ws(b, pos + 1),
             b']' => return Some(pos + 1),
@@ -522,11 +554,18 @@ fn parse_string_tree(b: &[u8], i: usize) -> Option<(String, usize)> {
 
 /// The text of a string literal's contents `raw` (between its quotes),
 /// which [`parse_string`] has validated; borrowed unless it carries
-/// escapes.
+/// escapes. Inlined, so the common case (every key of an event line) is a
+/// short byte scan.
+#[inline]
 fn unescape(raw: &str) -> Cow<'_, str> {
-    if !raw.contains('\\') {
-        return Cow::Borrowed(raw);
+    if raw.as_bytes().contains(&b'\\') {
+        Cow::Owned(unescape_owned(raw))
+    } else {
+        Cow::Borrowed(raw)
     }
+}
+
+fn unescape_owned(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     let mut chars = raw.chars();
     while let Some(c) = chars.next() {
@@ -552,7 +591,7 @@ fn unescape(raw: &str) -> Cow<'_, str> {
             None => {}
         }
     }
-    Cow::Owned(out)
+    out
 }
 
 #[cfg(test)]
@@ -714,6 +753,7 @@ mod tests {
             "{\"t\":1,\"t\":2}",
             "{\"k\\u0074\":\"v\\n\\\"\",\"n\":[1,{\"m\":null}],\"f\":-1.5e3}",
             "{\"a\":-0,\"b\":1.0,\"c\":18446744073709551616,\"d\":true}",
+            "{\"w\":[ 1 , -0,1.0,[2],\"3\",18446744073709551616 ],\"e\":[],\"f\":false,\"g\":\"true\"}",
             &deep,
             &too_deep,
             "{\"t\":1} x",
@@ -735,6 +775,9 @@ mod tests {
                         assert_eq!(Json::parse(v.0).as_ref(), Some(tv), "{input:?}");
                         assert_eq!(v.as_u64(), tv.as_u64(), "{input:?}");
                         assert_eq!(v.as_str().as_deref(), tv.as_str(), "{input:?}");
+                        assert_eq!(v.as_bool(), tv.as_bool(), "{input:?}");
+                        let items = tv.as_arr().map(|a| a.iter().map(Json::as_u64).collect());
+                        assert_eq!(v.as_u64_items(), items, "{input:?}");
                     }
                 }
                 _ => assert!(!ok, "scan accepted {input:?}"),

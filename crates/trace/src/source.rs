@@ -51,16 +51,14 @@ impl Format {
     }
 }
 
-/// Open a trace for buffered reading — a file, or stdin for `-` — and
-/// sniff its format.
-pub fn open(path: &str) -> io::Result<(Format, Box<dyn BufRead + Send>)> {
-    let mut input: Box<dyn BufRead + Send> = if path == "-" {
+/// Open a trace for buffered reading — a file, or stdin for `-` — for
+/// [`EventSource::new`], which sniffs its format.
+pub fn open(path: &str) -> io::Result<Box<dyn BufRead + Send>> {
+    Ok(if path == "-" {
         Box::new(BufReader::with_capacity(1 << 16, io::stdin()))
     } else {
         Box::new(BufReader::with_capacity(1 << 16, File::open(path)?))
-    };
-    let format = Format::sniff(&mut input)?;
-    Ok((format, input))
+    })
 }
 
 /// How a path is named in messages: `<stdin>` for `-`.
@@ -449,9 +447,7 @@ fn next_jsonl(
         if text.is_empty() {
             continue;
         }
-        let obj =
-            Json::parse(text).ok_or_else(|| (at, Cause::Jsonl("not valid JSON".to_string())))?;
-        return btf::event_from_json(&obj)
+        return Event::from_jsonl(text)
             .map(Some)
             .map_err(|m| (at, Cause::Jsonl(m)));
     }

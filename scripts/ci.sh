@@ -131,17 +131,21 @@ rm -f results/query.ci.txt results/trace_demo.ci.jsonl
 
 # Both trace formats must give the same certificate: `check`, batch and
 # streaming, prints the same line for the JSONL and the BTF artifact once
-# each line's `origin:` prefix is stripped.
-echo "==> check [--stream] on trace_demo.btf == on trace_demo.jsonl"
-for mode in "" --stream; do
-  for fmt in jsonl btf; do
-    ./target/release/bulksc-analyze check $mode "results/trace_demo.$fmt" |
-      sed 's/^[^:]*: //' > "results/cert.ci.$fmt"
+# each line's `origin:` prefix is stripped. The xray capture below runs
+# the same comparison on a trace that carries attribution blobs.
+same_certificates() {
+  echo "==> check [--stream] on $1.btf == on $1.jsonl"
+  for mode in "" --stream; do
+    for fmt in jsonl btf; do
+      ./target/release/bulksc-analyze check $mode "$1.$fmt" |
+        sed 's/^[^:]*: //' > "results/cert.ci.$fmt"
+    done
+    run cmp results/cert.ci.jsonl results/cert.ci.btf
+    run grep -q '^SC-certified' results/cert.ci.btf
   done
-  run cmp results/cert.ci.jsonl results/cert.ci.btf
-  run grep -q '^SC-certified' results/cert.ci.btf
-done
-rm -f results/cert.ci.jsonl results/cert.ci.btf
+  rm -f results/cert.ci.jsonl results/cert.ci.btf
+}
+same_certificates results/trace_demo
 
 # The streaming consumers must not notice the encoding either: `xray`
 # (report and --dot graph) and `timeline` (summary and --out Chrome
@@ -244,10 +248,10 @@ run grep -q '^bulksc_pool_jobs_completed [1-9]' results/fuzz.metrics.prom
 # full-budget one).
 if [ ! -f results/perf.json ]; then
   run cargo run -q --release --offline -p bulksc-bench --bin bulksc-perf -- \
-    --fast --out results/perf.json --no-trajectory --jobs 2 > /dev/null
+    --fast --out results/perf.json --jobs 2 > /dev/null
 fi
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-perf -- \
-  --fast --out results/perf.ci.json --no-trajectory --jobs 2 > /dev/null
+  --fast --out results/perf.ci.json --jobs 2 > /dev/null
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   prof results/perf.ci.json --max-ratio bsc8/bsc8_trace=3.0 \
   --max-ratio bsc8_trace/bsc8_xray=1.10 > /dev/null
@@ -268,5 +272,8 @@ run env BULKSC_BUDGET=25000 cargo run -q --release --offline -p bulksc-bench --b
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   xray results/table3.xray.jsonl --dot results/table3.xray.dot > /dev/null
 run grep -q 'digraph xray' results/table3.xray.dot
+run ./target/release/bulksc-analyze convert results/table3.xray.jsonl results/table3.xray.btf
+same_certificates results/table3.xray
+rm -f results/table3.xray.btf
 
 echo "CI gate passed."

@@ -32,9 +32,9 @@ done
 # the interval-sample series.
 run cargo run -q --release --offline --example trace_demo > /dev/null
 
-# Host-performance suite: results/perf.json plus the BENCH_seed.json
-# trajectory (absolute numbers are host-specific; the per-phase shares
-# and scenario ratios are the comparable part).
+# Host-performance suite: results/perf.json (absolute numbers are
+# host-specific; the per-phase shares and scenario ratios are the
+# comparable part).
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-perf -- \
   --label seed > /dev/null
 

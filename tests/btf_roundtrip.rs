@@ -18,7 +18,7 @@ use std::io::Cursor;
 use bulksc::{BulkConfig, Model, System, SystemConfig};
 use bulksc_bench::analyze::{self, CountBy, QueryFilter};
 use bulksc_bench::{fuzz, xray};
-use bulksc_check::{check_btf_reader, check_jsonl_reader, StreamConfig, ValueTrace};
+use bulksc_check::{check_events, StreamCertificate, StreamConfig, StreamError};
 use bulksc_trace::btf::{btf_to_jsonl, jsonl_to_btf};
 use bulksc_trace::{BtfWriter, EventSource, IndexedBtf, JsonlTracer, TraceHandle};
 use bulksc_workloads::{by_name, fuzz_programs, FuzzSpec, SyntheticApp, ThreadProgram};
@@ -113,10 +113,9 @@ fn checker_verdicts_agree_across_formats_and_pool_widths() {
         let mut hashes = Vec::new();
         for jobs in [1usize, 4] {
             let cfg = StreamConfig::windowed(512).with_jobs(jobs);
-            let j = check_jsonl_reader(text.as_bytes(), name.as_str(), cfg.clone())
-                .unwrap_or_else(|e| panic!("{name}: jsonl path (jobs {jobs}): {e}"));
-            let b = check_btf_reader(btf.as_slice(), name.as_str(), cfg)
-                .unwrap_or_else(|e| panic!("{name}: btf path (jobs {jobs}): {e}"));
+            let j = check(text.as_bytes(), cfg.clone())
+                .unwrap_or_else(|e| panic!("{name}: jsonl (jobs {jobs}): {e}"));
+            let b = check(&btf, cfg).unwrap_or_else(|e| panic!("{name}: btf (jobs {jobs}): {e}"));
             assert_eq!(j.accesses, b.accesses, "{name}: access counts diverge");
             assert_eq!(
                 j.witness_hash, b.witness_hash,
@@ -131,9 +130,23 @@ fn checker_verdicts_agree_across_formats_and_pool_widths() {
         }
         assert_eq!(
             hashes[0], hashes[1],
-            "{name}: pool width changed the BTF-path witness hash"
+            "{name}: pool width changed the BTF witness hash"
+        );
+        let batch = [text.as_bytes(), &btf]
+            .map(|bytes| check(bytes, StreamConfig::batch()).map(|c| c.into_sc()));
+        let [j, b] = batch.map(|r| r.unwrap_or_else(|e| panic!("{name}: batch: {e}")));
+        assert_eq!(j.witness, b.witness, "{name}: batch witnesses diverge");
+        assert_eq!(
+            j.summary(),
+            b.summary(),
+            "{name}: batch certificates diverge"
         );
     }
+}
+
+/// Certify one encoding of a trace through the one trace reader.
+fn check(bytes: &[u8], cfg: StreamConfig) -> Result<StreamCertificate, StreamError> {
+    check_events(events(bytes), cfg)
 }
 
 /// One encoding of a trace as a streaming event source.
@@ -201,16 +214,14 @@ fn blank_lines_are_skipped_by_every_consumer() {
     lines.insert(200, "   ");
     lines.insert(100, "");
     let spaced = lines.join("\n") + "\n\n";
-    let check = |text: &str| {
-        let stream = check_jsonl_reader(text.as_bytes(), "trace", StreamConfig::windowed(512))
+    let certify = |text: &str| {
+        let stream = check(text.as_bytes(), StreamConfig::windowed(512))
             .unwrap_or_else(|e| panic!("streaming check: {e}"));
-        let batch = ValueTrace::from_jsonl(text, "trace")
-            .expect("batch load")
-            .verify()
-            .unwrap_or_else(|e| panic!("batch check: {e:?}"));
-        [stream.summary(), batch.summary()]
+        let batch = check(text.as_bytes(), StreamConfig::batch())
+            .unwrap_or_else(|e| panic!("batch check: {e}"));
+        [stream.summary(), batch.into_sc().summary()]
     };
-    assert_eq!(check(&spaced), check(&clean), "check disagrees");
+    assert_eq!(certify(&spaced), certify(&clean), "check disagrees");
     assert_eq!(
         consumer_outputs(spaced.as_bytes()),
         consumer_outputs(clean.as_bytes()),

@@ -7,13 +7,15 @@
 //! blocks so corruption lands in many blocks and in the footer index.
 //! Each case is read through `EventSource` both sequentially (the pipe
 //! path) and through the block index (the `query` path); JSONL cases
-//! damage the text form the same way.
+//! damage the text form the same way. The in-place JSONL event decoder is
+//! pinned against the `Json` tree decoder it replaced, kept here as the
+//! reference.
 
 use std::io::Cursor;
 
 use bulksc_bench::xray;
-use bulksc_check::{parse_trace_line, Access, AccessKind, LifecycleEvent, TraceLine};
 use bulksc_stats::SplitMix64;
+use bulksc_trace::btf::intern;
 use bulksc_trace::source::Position;
 use bulksc_trace::{
     BtfWriter, ConflictAttr, Endpoint, Event, EventSource, IndexedBtf, Json, SourceError,
@@ -255,82 +257,223 @@ fn a_flood_of_distinct_strings_hits_the_intern_cap() {
     assert!(e.to_string().contains("intern table"), "{e}");
 }
 
-/// `parse_trace_line` as it read a line through the `Json` tree: the
-/// reference the in-place scan must match on every input.
-fn parse_trace_line_tree(line: &str, lineno: usize, origin: &str) -> Result<TraceLine, String> {
-    if line.trim().is_empty() {
-        return Ok(TraceLine::Skip);
-    }
-    let ev = Json::parse(line)
-        .ok_or_else(|| format!("{origin}: line {lineno}: not valid JSON: {line}"))?;
-    let t = ev
-        .get("t")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{origin}: line {lineno}: event without cycle stamp"))?;
-    let name = ev.get("ev").and_then(Json::as_str).unwrap_or("");
-    let field = |key: &str| -> Result<u64, String> {
-        ev.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{origin}: line {lineno}: {name} event missing field {key:?}"))
-    };
-    let kind = match name {
-        "val_load" => Some(AccessKind::Load {
-            value: field("value")?,
-        }),
-        "val_store" => Some(AccessKind::Store {
-            value: field("value")?,
-        }),
-        "val_rmw" => Some(AccessKind::Rmw {
-            old: field("old")?,
-            new: field("new")?,
-        }),
-        _ => None,
-    };
-    if let Some(kind) = kind {
-        return Ok(TraceLine::Access(Access {
-            idx: 0,
-            core: field("core")? as u32,
-            seq: field("seq")?,
-            po: field("po")?,
-            addr: field("addr")?,
-            kind,
-            retired_at: field("retired_at")?,
-            emitted_at: t,
-        }));
-    }
-    let what = match name {
-        "chunk_start" => Some("chunk_start"),
-        "commit_grant" => Some("commit_grant"),
-        "commit_deny" => Some("commit_deny"),
-        "chunk_commit" => Some("chunk_commit"),
-        "chunk_abandon" => Some("chunk_abandon"),
-        "squash" => Some(match ev.get("cause").and_then(Json::as_str) {
-            Some("alias") => "squash(alias)",
-            Some("true-sharing") => "squash(true-sharing)",
-            _ => "squash(overflow)",
-        }),
-        _ => None,
-    };
-    Ok(match what {
-        Some(what) => TraceLine::Lifecycle(LifecycleEvent {
-            t,
-            core: field("core")? as u32,
-            seq: field("seq")?,
-            what,
-        }),
-        None => TraceLine::Skip,
-    })
+/// A JSONL event line decoded through the `Json` tree, as `EventSource`
+/// read it before the in-place decoder: the reference `Event::from_jsonl`
+/// must match on every input, as the same event or the same error.
+fn tree_decode(line: &str) -> Result<(u64, Event), String> {
+    let obj = Json::parse(line).ok_or_else(|| "not valid JSON".to_string())?;
+    event_from_json(&obj)
 }
 
-/// One JSONL line of every event kind, with conflict attribution on the
-/// kinds that carry it.
-fn every_event_kind() -> Vec<String> {
-    let attr = |site| {
+fn parse_endpoint_str(s: &str) -> Result<Endpoint, String> {
+    if s == "garb" {
+        return Ok(Endpoint::garbiter());
+    }
+    for (prefix, make) in [
+        ("core", Endpoint::core as fn(u32) -> Endpoint),
+        ("dir", Endpoint::dir as fn(u32) -> Endpoint),
+        ("arb", Endpoint::arbiter as fn(u32) -> Endpoint),
+    ] {
+        if let Some(rest) = s.strip_prefix(prefix) {
+            if let Ok(i) = rest.parse::<u32>() {
+                return Ok(make(i));
+            }
+        }
+    }
+    Err(format!("unrecognized endpoint {s:?}"))
+}
+
+fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
+    obj.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+}
+
+fn field_u32(obj: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(field_u64(obj, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
+}
+
+fn field_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
+    obj.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("missing or non-string field {key:?}"))
+}
+
+fn field_endpoint(obj: &Json, key: &str) -> Result<Endpoint, String> {
+    parse_endpoint_str(field_str(obj, key)?)
+}
+
+fn field_xray(obj: &Json) -> Result<Option<Box<ConflictAttr>>, String> {
+    if obj.get("site").is_none() {
+        return Ok(None);
+    }
+    let site = intern(field_str(obj, "site")?)?;
+    let agg_core = match obj.get("agg_core") {
+        Some(v) => Some(
+            v.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| "agg_core is not a u32".to_string())?,
+        ),
+        None => None,
+    };
+    let agg_seq = match obj.get("agg_seq") {
+        Some(v) => Some(
+            v.as_u64()
+                .ok_or_else(|| "agg_seq is not a u64".to_string())?,
+        ),
+        None => None,
+    };
+    let witnesses = obj
+        .get("witness")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| "xray blob lacks the witness array".to_string())?
+        .iter()
+        .map(|w| w.as_u64().ok_or_else(|| "witness is not a u64".to_string()))
+        .collect::<Result<Vec<u64>, String>>()?;
+    Ok(Some(Box::new(ConflictAttr {
+        agg_core,
+        agg_seq,
+        site,
+        witnesses,
+    })))
+}
+
+fn field_cause(obj: &Json) -> Result<SquashCause, String> {
+    let label = field_str(obj, "cause")?;
+    SquashCause::ALL
+        .iter()
+        .copied()
+        .find(|c| c.label() == label)
+        .ok_or_else(|| format!("unknown squash cause {label:?}"))
+}
+
+/// The tree decoder of one parsed JSONL event object.
+fn event_from_json(obj: &Json) -> Result<(u64, Event), String> {
+    let t = field_u64(obj, "t")?;
+    let name = field_str(obj, "ev")?;
+    let ev = match name {
+        "chunk_start" => Event::ChunkStart {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+        },
+        "commit_request" => Event::CommitRequest {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+            w_lines: field_u32(obj, "w_lines")?,
+            carries_rsig: obj
+                .get("carries_rsig")
+                .and_then(Json::as_bool)
+                .ok_or_else(|| "missing or non-bool field \"carries_rsig\"".to_string())?,
+        },
+        "commit_grant" => Event::CommitGrant {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+        },
+        "commit_deny" => Event::CommitDeny {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+            xray: field_xray(obj)?,
+        },
+        "chunk_commit" => Event::ChunkCommit {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+            read_lines: field_u32(obj, "read_lines")?,
+            write_lines: field_u32(obj, "write_lines")?,
+            priv_lines: field_u32(obj, "priv_lines")?,
+        },
+        "chunk_abandon" => Event::ChunkAbandon {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+        },
+        "squash" => Event::Squash {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+            cause: field_cause(obj)?,
+            squashed_instrs: field_u64(obj, "squashed_instrs")?,
+            xray: field_xray(obj)?,
+        },
+        "sig_expand" => Event::SigExpand {
+            dir: field_u32(obj, "dir")?,
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+            lookups: field_u64(obj, "lookups")?,
+            updates: field_u64(obj, "updates")?,
+            inv_targets: field_u64(obj, "inv_targets")?,
+        },
+        "dir_displacement" => Event::DirDisplacement {
+            dir: field_u32(obj, "dir")?,
+            line: field_u64(obj, "line")?,
+        },
+        "cache_displacement" => Event::CacheDisplacement {
+            core: field_u32(obj, "core")?,
+            line: field_u64(obj, "line")?,
+        },
+        "priv_supply" => Event::PrivSupply {
+            core: field_u32(obj, "core")?,
+            line: field_u64(obj, "line")?,
+        },
+        "val_load" | "val_store" => {
+            let core = field_u32(obj, "core")?;
+            let seq = field_u64(obj, "seq")?;
+            let po = field_u64(obj, "po")?;
+            let addr = field_u64(obj, "addr")?;
+            let value = field_u64(obj, "value")?;
+            let retired_at = field_u64(obj, "retired_at")?;
+            if name == "val_load" {
+                Event::ValLoad {
+                    core,
+                    seq,
+                    po,
+                    addr,
+                    value,
+                    retired_at,
+                }
+            } else {
+                Event::ValStore {
+                    core,
+                    seq,
+                    po,
+                    addr,
+                    value,
+                    retired_at,
+                }
+            }
+        }
+        "val_rmw" => Event::ValRmw {
+            core: field_u32(obj, "core")?,
+            seq: field_u64(obj, "seq")?,
+            po: field_u64(obj, "po")?,
+            addr: field_u64(obj, "addr")?,
+            old: field_u64(obj, "old")?,
+            new: field_u64(obj, "new")?,
+            retired_at: field_u64(obj, "retired_at")?,
+        },
+        "net_send" => Event::NetSend {
+            src: field_endpoint(obj, "src")?,
+            dst: field_endpoint(obj, "dst")?,
+            kind: intern(field_str(obj, "kind")?)?,
+            bytes: field_u64(obj, "bytes")?,
+        },
+        "net_deliver" => Event::NetDeliver {
+            src: field_endpoint(obj, "src")?,
+            dst: field_endpoint(obj, "dst")?,
+            kind: intern(field_str(obj, "kind")?)?,
+        },
+        other => return Err(format!("unknown event kind {other:?}")),
+    };
+    Ok((t, ev))
+}
+
+/// Every event kind, stamped with distinct cycles: the kinds that carry
+/// conflict attribution with and without it (aggressor known and not),
+/// and every endpoint kind.
+fn every_event() -> Vec<(u64, Event)> {
+    let attr = |site, agg: bool| {
         Some(Box::new(ConflictAttr {
-            agg_core: Some(3),
-            agg_seq: Some(41),
+            agg_core: agg.then_some(3),
+            agg_seq: agg.then_some(41),
             site,
-            witnesses: vec![0x100, 0x140],
+            witnesses: if agg { vec![0x100, 0x140] } else { Vec::new() },
         }))
     };
     let events = [
@@ -341,11 +484,27 @@ fn every_event_kind() -> Vec<String> {
             w_lines: 3,
             carries_rsig: true,
         },
+        Event::CommitRequest {
+            core: 1,
+            seq: 2,
+            w_lines: 0,
+            carries_rsig: false,
+        },
         Event::CommitGrant { core: 0, seq: 1 },
         Event::CommitDeny {
             core: 1,
             seq: 9,
-            xray: attr("arb"),
+            xray: None,
+        },
+        Event::CommitDeny {
+            core: 1,
+            seq: 9,
+            xray: attr("arb", true),
+        },
+        Event::CommitDeny {
+            core: 1,
+            seq: 9,
+            xray: attr("garb-vote", false),
         },
         Event::ChunkCommit {
             core: 0,
@@ -360,21 +519,28 @@ fn every_event_kind() -> Vec<String> {
             seq: 9,
             cause: SquashCause::Alias,
             squashed_instrs: 412,
-            xray: attr("wsig"),
+            xray: None,
+        },
+        Event::Squash {
+            core: 1,
+            seq: 9,
+            cause: SquashCause::Alias,
+            squashed_instrs: 412,
+            xray: attr("wsig", true),
         },
         Event::Squash {
             core: 1,
             seq: 9,
             cause: SquashCause::TrueSharing,
             squashed_instrs: 412,
-            xray: attr("displacement"),
+            xray: attr("displacement", true),
         },
         Event::Squash {
             core: 2,
             seq: 5,
             cause: SquashCause::Overflow,
             squashed_instrs: 10,
-            xray: attr("overflow"),
+            xray: attr("overflow", false),
         },
         Event::SigExpand {
             dir: 0,
@@ -405,7 +571,7 @@ fn every_event_kind() -> Vec<String> {
             retired_at: 99,
         },
         Event::ValStore {
-            core: 0,
+            core: u32::MAX,
             seq: 2,
             po: 3,
             addr: 0x1_0000,
@@ -427,17 +593,38 @@ fn every_event_kind() -> Vec<String> {
             kind: "CommitReq",
             bytes: 264,
         },
+        Event::NetSend {
+            src: Endpoint::garbiter(),
+            dst: Endpoint::arbiter(7),
+            kind: "ArbCheck",
+            bytes: 8,
+        },
         Event::NetDeliver {
             src: Endpoint::core(0),
             dst: Endpoint::dir(0),
             kind: "CommitReq",
         },
+        Event::NetDeliver {
+            src: Endpoint::dir(3),
+            dst: Endpoint::garbiter(),
+            kind: "ArbDone",
+        },
     ];
     events
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, ev)| ev.jsonl(100 + i as u64))
+        .map(|(i, ev)| (100 + i as u64, ev))
         .collect()
+}
+
+#[test]
+fn event_from_json_inverts_jsonl_rendering() {
+    for (cycle, ev) in every_event() {
+        let line = ev.jsonl(cycle);
+        let decoded = Event::from_jsonl(&line);
+        assert_eq!(decoded, Ok((cycle, ev)), "through {line}");
+        assert_eq!(decoded, tree_decode(&line), "through {line}");
+    }
 }
 
 #[test]
@@ -451,7 +638,7 @@ fn scanned_trace_lines_match_the_tree_parse() {
             "corpus has no {kind}"
         );
     }
-    lines.extend(every_event_kind());
+    lines.extend(every_event().iter().map(|(t, ev)| ev.jsonl(*t)));
 
     // Each line as is, cut at seeded points, with seeded byte flips to
     // JSON-significant bytes, and with trailing garbage.
@@ -495,6 +682,48 @@ fn scanned_trace_lines_match_the_tree_parse() {
             "{\"t\":18446744073709551615,\"ev\":\"chunk_start\",\"core\":0,\"seq\":-1}",
             "{\"t\":-9223372036854775809,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0}",
             "{\"t\":1,\"ev\":\"chunk_start\",\"core\":4294967296,\"seq\":0}",
+            // Endpoints: every kind, a bare or malformed index, escapes.
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"garb\",\"dst\":\"arb3\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_send\",\"src\":\"dir2\",\"dst\":\"core\\u0033\",\"kind\":\"Data\",\"bytes\":72}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"core\",\"dst\":\"dir0\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"corex\",\"dst\":\"dir0\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"garb0\",\"dst\":\"dir0\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"core+3\",\"dst\":\"arb-1\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"dir4294967296\",\"dst\":\"dir0\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":1,\"dst\":\"dir0\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"core0\",\"kind\":\"Data\"}",
+            "{\"t\":1,\"ev\":\"net_deliver\",\"src\":\"core0\",\"dst\":\"dir0\",\"kind\":5}",
+            "{\"t\":1,\"ev\":\"net_send\",\"src\":\"core0\",\"dst\":\"dir0\",\"kind\":\"Data\",\"bytes\":-2}",
+            // carries_rsig: booleans only, first occurrence.
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":2,\"carries_rsig\":false}",
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":2,\"carries_rsig\":\"true\"}",
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":2,\"carries_rsig\":1}",
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":2,\"carries_rsig\":null}",
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":2}",
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":2,\"carries_rsig\":true,\"carries_rsig\":false}",
+            "{\"t\":1,\"ev\":\"commit_request\",\"core\":0,\"seq\":1,\"w_lines\":4294967296,\"carries_rsig\":true}",
+            // Squash causes and xray blobs: witness arrays, aggressors.
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"cause\":\"gremlins\",\"squashed_instrs\":1}",
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"cause\":5,\"squashed_instrs\":1}",
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"squashed_instrs\":1}",
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"cause\":\"alias\",\"squashed_instrs\":1,\"site\":\"wsig\",\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"squash\",\"core\":0,\"seq\":0,\"cause\":\"alias\",\"squashed_instrs\":1,\"site\":\"wsig\",\"witness\":[ 1 , -0,18446744073709551615]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":[1,\"x\"]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":[1.0]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":[[1]]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":\"x\"}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":null}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\"}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"witness\":[1]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":5,\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":null,\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":[2],\"witness\":[\"x\"]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"agg_core\":4294967296,\"site\":\"arb\",\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"agg_core\":-1,\"site\":\"arb\",\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"agg_core\":\"3\",\"site\":\"arb\",\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"agg_seq\":1.5,\"site\":\"arb\",\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"agg_seq\":null,\"site\":\"arb\",\"witness\":[]}",
+            "{\"t\":1,\"ev\":\"chunk_start\",\"core\":0,\"seq\":0,\"site\":\"arb\",\"witness\":\"x\"}",
             // Nested arrays and objects, and other value kinds.
             "{\"t\":1,\"ev\":\"commit_deny\",\"core\":0,\"seq\":0,\"witness\":[1,[2,{\"a\":null}]],\"x\":{\"y\":[]}}",
             "{\"t\":1,\"ev\":[\"val_load\"],\"core\":0,\"seq\":0}",
@@ -523,12 +752,7 @@ fn scanned_trace_lines_match_the_tree_parse() {
         "[".repeat(64),
         "]".repeat(64)
     ));
-    for (k, input) in inputs.iter().enumerate() {
-        let lineno = k + 2;
-        assert_eq!(
-            parse_trace_line(input, lineno, "pin"),
-            parse_trace_line_tree(input, lineno, "pin"),
-            "{input:?}"
-        );
+    for input in &inputs {
+        assert_eq!(Event::from_jsonl(input), tree_decode(input), "{input:?}");
     }
 }
