@@ -64,10 +64,6 @@ pub struct BulkStats {
     pub squashed_instrs: u64,
     /// Committed chunks whose W signature was empty.
     pub empty_w_commits: u64,
-    /// Commit requests denied by the arbiter.
-    pub commit_denials: u64,
-    /// R signature demanded by the arbiter (RSig fallback).
-    pub rsig_sent: u64,
     /// Average read-set size of committed chunks (lines).
     pub read_set: RunningMean,
     /// Average write-set size of committed chunks (lines).
@@ -78,8 +74,6 @@ pub struct BulkStats {
     pub read_set_displacements: u64,
     /// Old versions supplied from the Private Buffer (Table 3).
     pub priv_buffer_supplies: u64,
-    /// Lines invalidated by incoming W signatures.
-    pub cache_invs: u64,
     /// Invalidations caused purely by signature aliasing (Table 3).
     pub extra_cache_invs: u64,
     /// Pre-arbitration episodes entered.
@@ -808,7 +802,6 @@ impl BulkNode {
         }
         if !ok {
             front.state = ChunkState::Closed;
-            self.stats.commit_denials += 1;
             self.charge_loss(now, "arb_denial");
             self.commit_retry_at = now + self.bulk.commit_retry;
             return;
@@ -1017,7 +1010,6 @@ impl BulkNode {
             Message::DisplaceSig { line, sig } => self.displace(now, line, &sig, env.src, fab),
             Message::CommitResp { chunk, ok } => self.commit_resp(now, chunk, ok, values, fab),
             Message::RSigReq { chunk } => {
-                self.stats.rsig_sent += 1;
                 let Some(front) = self.chunks.front() else {
                     return;
                 };
@@ -1070,7 +1062,6 @@ impl BulkNode {
                 {
                     self.port.l1.invalidate(line);
                     self.note_lost_clean_line(line);
-                    self.stats.cache_invs += 1;
                     if !w.contains_exact(line) {
                         self.stats.extra_cache_invs += 1;
                     }

@@ -1,11 +1,10 @@
 //! BTF: the binary trace format — a schema-stamped, blocked, indexed
 //! encoding of the JSONL event stream.
 //!
-//! ROADMAP item 4 pins the motivation: the streaming SC checker is
-//! parse-bound through the JSONL pipe, so long certifications pay for text
-//! decoding, not checking. BTF keeps the *same* event vocabulary and the
-//! same schema-version window ([`crate::schema_supported`]) but encodes
-//! each event as a tagged varint record, groups records into blocks, and
+//! JSONL is text: a long certification through it pays for parsing, not
+//! checking. BTF keeps the *same* event vocabulary and the same
+//! schema-version window ([`crate::schema_supported`]) but encodes each
+//! event as a tagged varint record, groups records into blocks, and
 //! appends a per-block footer index (byte offset, cycle range, core
 //! bitmap, event-kind bitmap, address range) so readers can *skip* blocks
 //! a query cannot match instead of decoding them.
@@ -28,23 +27,26 @@
 //!
 //! Records: a tag byte that is either an event kind id
 //! ([`Event::kind_id`], 0..16) or `0xFE` (string define: varint length +
-//! UTF-8 bytes, appended to the block-local string table). Event fields
-//! follow the tag in a fixed per-kind order as varints; strings (net
-//! message kinds, xray sites) are table ids; [`SquashCause`] and
-//! [`EndpointKind`] are single bytes.
+//! UTF-8 bytes, appended to the block-local string table, placed in front
+//! of the first record that refers to the string). Event fields follow the
+//! tag in the order the event table in [`crate::event`] lists them:
+//! integers as varints, a bool, a [`SquashCause`] and an [`EndpointKind`]
+//! as single bytes, strings (net message kinds, xray sites) as table ids.
 //!
-//! The codec follows the `sig::compress` wire conventions: magic + header,
-//! a small error taxonomy ([`BtfError`]), strict rejection of truncated or
-//! garbage input, and round-trip tests. Conversion to and from JSONL is
-//! lossless — `jsonl → btf → jsonl` re-emission is byte-identical,
-//! including the artifact's *original* schema version, which rides in the
-//! BTF header so converted v3/v4 traces do not get silently restamped.
+//! The codec has a magic + header, a small error taxonomy ([`BtfError`]),
+//! strict rejection of truncated or garbage input, and round-trip tests.
+//! Conversion to and from JSONL is lossless — `jsonl → btf → jsonl`
+//! re-emission is byte-identical, including the artifact's *original*
+//! schema version, which rides in the BTF header so converted v3/v4
+//! traces do not get silently restamped.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::{Mutex, OnceLock};
 
-use crate::event::{ConflictAttr, Endpoint, EndpointKind, Event, SquashCause};
+use crate::event::{
+    ConflictAttr, Endpoint, EndpointKind, Event, FieldReader, FieldWriter, Key, SquashCause,
+};
 use crate::source::{Cause, EventSource, SourceError, TranscodeError};
 use crate::Json;
 
@@ -388,10 +390,9 @@ pub struct BtfWriter<W: Write> {
     block_events: usize,
     /// Bytes written to `out` so far (the next block's offset).
     pos: u64,
-    payload: Vec<u8>,
+    payload: Payload,
     meta: BlockMeta,
     prev_cycle: u64,
-    strings: HashMap<&'static str, u64>,
     index: Vec<BlockMeta>,
 }
 
@@ -410,10 +411,9 @@ impl<W: Write> BtfWriter<W> {
             out,
             block_events: DEFAULT_BLOCK_EVENTS,
             pos: 8,
-            payload: Vec::new(),
+            payload: Payload::default(),
             meta: BlockMeta::empty(8),
             prev_cycle: 0,
-            strings: HashMap::new(),
             index: Vec::new(),
         })
     }
@@ -430,50 +430,15 @@ impl<W: Write> BtfWriter<W> {
         self.index.iter().map(|m| m.count as u64).sum::<u64>() + self.meta.count as u64
     }
 
-    /// Intern `s` into the current block's string table, emitting a define
-    /// record on first use. Must run *before* the referencing record's tag
-    /// byte is appended.
-    fn string_id(&mut self, s: &'static str) -> u64 {
-        if let Some(&id) = self.strings.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as u64;
-        self.payload.push(TAG_STR);
-        put_varint(&mut self.payload, s.len() as u64);
-        self.payload.extend_from_slice(s.as_bytes());
-        self.strings.insert(s, id);
-        id
-    }
-
-    fn xray_string_id(&mut self, xray: &Option<Box<ConflictAttr>>) -> u64 {
-        match xray {
-            Some(attr) => self.string_id(attr.site),
-            None => 0,
-        }
-    }
-
     /// Append one event.
     pub fn push(&mut self, cycle: u64, ev: &Event) -> io::Result<()> {
-        // String defines must precede the record that references them.
-        let sid = match ev {
-            Event::NetSend { kind, .. } | Event::NetDeliver { kind, .. } => self.string_id(kind),
-            Event::CommitDeny { xray, .. } | Event::Squash { xray, .. } => {
-                self.xray_string_id(xray)
-            }
-            _ => 0,
-        };
-
-        self.payload.push(ev.kind_id());
-        if self.meta.count == 0 {
-            put_varint(&mut self.payload, cycle);
+        let stamp = if self.meta.count == 0 {
+            cycle
         } else {
-            put_varint(
-                &mut self.payload,
-                zigzag(cycle.wrapping_sub(self.prev_cycle) as i64),
-            );
-        }
+            zigzag(cycle.wrapping_sub(self.prev_cycle) as i64)
+        };
         self.prev_cycle = cycle;
-        encode_fields(&mut self.payload, ev, sid);
+        self.payload.record(stamp, ev);
         self.meta.absorb(cycle, ev);
 
         if self.meta.count as usize >= self.block_events {
@@ -486,15 +451,15 @@ impl<W: Write> BtfWriter<W> {
         if self.meta.count == 0 {
             return Ok(());
         }
-        self.meta.len = self.payload.len() as u32;
+        self.meta.len = self.payload.bytes.len() as u32;
         self.out.write_all(&[TAG_BLOCK])?;
         self.out.write_all(&self.meta.len.to_le_bytes())?;
         self.out.write_all(&self.meta.count.to_le_bytes())?;
-        self.out.write_all(&self.payload)?;
+        self.out.write_all(&self.payload.bytes)?;
         self.pos += 9 + self.meta.len as u64;
         self.index.push(self.meta);
-        self.payload.clear();
-        self.strings.clear();
+        self.payload.bytes.clear();
+        self.payload.strings.clear();
         self.meta = BlockMeta::empty(self.pos);
         Ok(())
     }
@@ -541,19 +506,6 @@ fn endpoint_kind_from_u8(b: u8) -> Result<EndpointKind, BtfError> {
     })
 }
 
-fn put_endpoint(out: &mut Vec<u8>, ep: Endpoint) {
-    out.push(endpoint_kind_u8(ep.kind));
-    put_varint(out, ep.index as u64);
-}
-
-fn get_endpoint(b: &[u8], pos: &mut usize) -> Result<Endpoint, BtfError> {
-    let kind_byte = *b.get(*pos).ok_or(BtfError::Truncated("endpoint kind"))?;
-    *pos += 1;
-    let kind = endpoint_kind_from_u8(kind_byte)?;
-    let index = get_u32(b, pos, "endpoint index")?;
-    Ok(Endpoint { kind, index })
-}
-
 fn get_u32(b: &[u8], pos: &mut usize, what: &str) -> Result<u32, BtfError> {
     let v = get_varint(b, pos)?;
     u32::try_from(v).map_err(|_| BtfError::InvalidRecord(format!("{what} {v} exceeds u32")))
@@ -566,380 +518,210 @@ fn cause_u8(c: SquashCause) -> u8 {
         .expect("cause in ALL") as u8
 }
 
-fn cause_from_u8(b: u8) -> Result<SquashCause, BtfError> {
-    SquashCause::ALL
-        .get(b as usize)
-        .copied()
-        .ok_or_else(|| BtfError::InvalidRecord(format!("squash cause byte {b}")))
+/// The block being filled: its payload bytes and its string table.
+#[derive(Default)]
+struct Payload {
+    bytes: Vec<u8>,
+    strings: HashMap<&'static str, u64>,
+    /// Where in `bytes` the record being written starts.
+    record: usize,
 }
 
-/// Xray attribution blob: a flags byte (0 = absent; bit0 present, bit1
-/// agg_core follows, bit2 agg_seq follows), then the optional varints, the
-/// site string id, and the witness list.
-fn put_xray(out: &mut Vec<u8>, xray: &Option<Box<ConflictAttr>>, site_id: u64) {
-    let Some(attr) = xray else {
-        out.push(0);
-        return;
-    };
-    let mut flags = 1u8;
-    if attr.agg_core.is_some() {
-        flags |= 2;
+impl Payload {
+    /// Append `ev`'s record: its tag, its cycle `stamp` (absolute or a
+    /// zigzag delta), and its fields. Not generic over the writer's sink,
+    /// so the field writes inline here, once.
+    fn record(&mut self, stamp: u64, ev: &Event) {
+        self.record = self.bytes.len();
+        self.bytes.push(ev.kind_id());
+        put_varint(&mut self.bytes, stamp);
+        ev.write_fields(self);
     }
-    if attr.agg_seq.is_some() {
-        flags |= 4;
-    }
-    out.push(flags);
-    if let Some(c) = attr.agg_core {
-        put_varint(out, c as u64);
-    }
-    if let Some(s) = attr.agg_seq {
-        put_varint(out, s);
-    }
-    put_varint(out, site_id);
-    put_varint(out, attr.witnesses.len() as u64);
-    for &w in &attr.witnesses {
-        put_varint(out, w);
+
+    /// Intern `s` into the block's string table. On first use a define
+    /// record goes in front of the record being written, so a reader
+    /// meets the define before the id.
+    fn string_id(&mut self, s: &'static str) -> u64 {
+        if let Some(&id) = self.strings.get(s) {
+            return id;
+        }
+        let id = self.strings.len() as u64;
+        let end = self.bytes.len();
+        self.bytes.push(TAG_STR);
+        put_varint(&mut self.bytes, s.len() as u64);
+        self.bytes.extend_from_slice(s.as_bytes());
+        let define = self.bytes.len() - end;
+        self.bytes[self.record..].rotate_right(define);
+        self.record += define;
+        self.strings.insert(s, id);
+        id
     }
 }
 
-fn get_xray(
-    b: &[u8],
-    pos: &mut usize,
-    strings: &[&'static str],
-) -> Result<Option<Box<ConflictAttr>>, BtfError> {
-    let flags = *b.get(*pos).ok_or(BtfError::Truncated("xray flags"))?;
-    *pos += 1;
-    if flags == 0 {
-        return Ok(None);
+// The record writer: the event table's write walk calls these once per
+// field, so they are forced inline.
+impl FieldWriter for Payload {
+    #[inline(always)]
+    fn int(&mut self, _key: &'static str, v: u64) {
+        put_varint(&mut self.bytes, v);
     }
-    if flags & 1 == 0 || flags & !0b111 != 0 {
-        return Err(BtfError::InvalidRecord(format!(
-            "xray flags byte {flags:#x}"
-        )));
-    }
-    let agg_core = if flags & 2 != 0 {
-        Some(get_u32(b, pos, "agg_core")?)
-    } else {
-        None
-    };
-    let agg_seq = if flags & 4 != 0 {
-        Some(get_varint(b, pos)?)
-    } else {
-        None
-    };
-    let site = get_string(b, pos, strings, "xray site")?;
-    let n = get_varint(b, pos)? as usize;
-    // Witness lists are emitter-capped; a huge count is corruption.
-    if n > 4096 {
-        return Err(BtfError::InvalidRecord(format!("witness count {n}")));
-    }
-    let mut witnesses = Vec::with_capacity(n);
-    for _ in 0..n {
-        witnesses.push(get_varint(b, pos)?);
-    }
-    Ok(Some(Box::new(ConflictAttr {
-        agg_core,
-        agg_seq,
-        site,
-        witnesses,
-    })))
-}
 
-fn get_string(
-    b: &[u8],
-    pos: &mut usize,
-    strings: &[&'static str],
-    what: &str,
-) -> Result<&'static str, BtfError> {
-    let id = get_varint(b, pos)? as usize;
-    strings
-        .get(id)
-        .copied()
-        .ok_or_else(|| BtfError::InvalidRecord(format!("{what}: string id {id} undefined")))
-}
+    #[inline(always)]
+    fn bool(&mut self, _key: &'static str, v: bool) {
+        self.bytes.push(v as u8);
+    }
 
-/// Encode the per-kind fields (everything after tag + cycle). `sid` is the
-/// pre-interned string id for kinds that carry one (net message kind, xray
-/// site); 0 otherwise.
-fn encode_fields(out: &mut Vec<u8>, ev: &Event, sid: u64) {
-    match *ev {
-        Event::ChunkStart { core, seq }
-        | Event::CommitGrant { core, seq }
-        | Event::ChunkAbandon { core, seq } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
+    #[inline(always)]
+    fn cause(&mut self, _key: &'static str, v: SquashCause) {
+        self.bytes.push(cause_u8(v));
+    }
+
+    #[inline(always)]
+    fn endpoint(&mut self, _key: &'static str, v: Endpoint) {
+        self.bytes.push(endpoint_kind_u8(v.kind));
+        put_varint(&mut self.bytes, v.index as u64);
+    }
+
+    #[inline(always)]
+    fn net_kind(&mut self, _key: &'static str, v: &'static str) {
+        let id = self.string_id(v);
+        put_varint(&mut self.bytes, id);
+    }
+
+    /// A flags byte (0 = absent; bit0 present, bit1 agg_core follows,
+    /// bit2 agg_seq follows), then the optional varints, the site string
+    /// id, and the witness list.
+    #[inline(always)]
+    fn xray(&mut self, v: Option<&ConflictAttr>) {
+        let Some(attr) = v else {
+            self.bytes.push(0);
+            return;
+        };
+        let flags = 1 | (attr.agg_core.is_some() as u8) << 1 | (attr.agg_seq.is_some() as u8) << 2;
+        self.bytes.push(flags);
+        if let Some(c) = attr.agg_core {
+            put_varint(&mut self.bytes, c as u64);
         }
-        Event::CommitRequest {
-            core,
-            seq,
-            w_lines,
-            carries_rsig,
-        } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            put_varint(out, w_lines as u64);
-            out.push(carries_rsig as u8);
+        if let Some(s) = attr.agg_seq {
+            put_varint(&mut self.bytes, s);
         }
-        Event::CommitDeny {
-            core,
-            seq,
-            ref xray,
-        } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            put_xray(out, xray, sid);
-        }
-        Event::ChunkCommit {
-            core,
-            seq,
-            read_lines,
-            write_lines,
-            priv_lines,
-        } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            put_varint(out, read_lines as u64);
-            put_varint(out, write_lines as u64);
-            put_varint(out, priv_lines as u64);
-        }
-        Event::Squash {
-            core,
-            seq,
-            cause,
-            squashed_instrs,
-            ref xray,
-        } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            out.push(cause_u8(cause));
-            put_varint(out, squashed_instrs);
-            put_xray(out, xray, sid);
-        }
-        Event::SigExpand {
-            dir,
-            core,
-            seq,
-            lookups,
-            updates,
-            inv_targets,
-        } => {
-            put_varint(out, dir as u64);
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            put_varint(out, lookups);
-            put_varint(out, updates);
-            put_varint(out, inv_targets);
-        }
-        Event::DirDisplacement { dir, line } => {
-            put_varint(out, dir as u64);
-            put_varint(out, line);
-        }
-        Event::CacheDisplacement { core, line } | Event::PrivSupply { core, line } => {
-            put_varint(out, core as u64);
-            put_varint(out, line);
-        }
-        Event::ValLoad {
-            core,
-            seq,
-            po,
-            addr,
-            value,
-            retired_at,
-        }
-        | Event::ValStore {
-            core,
-            seq,
-            po,
-            addr,
-            value,
-            retired_at,
-        } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            put_varint(out, po);
-            put_varint(out, addr);
-            put_varint(out, value);
-            put_varint(out, retired_at);
-        }
-        Event::ValRmw {
-            core,
-            seq,
-            po,
-            addr,
-            old,
-            new,
-            retired_at,
-        } => {
-            put_varint(out, core as u64);
-            put_varint(out, seq);
-            put_varint(out, po);
-            put_varint(out, addr);
-            put_varint(out, old);
-            put_varint(out, new);
-            put_varint(out, retired_at);
-        }
-        Event::NetSend {
-            src,
-            dst,
-            kind: _,
-            bytes,
-        } => {
-            put_endpoint(out, src);
-            put_endpoint(out, dst);
-            put_varint(out, sid);
-            put_varint(out, bytes);
-        }
-        Event::NetDeliver { src, dst, kind: _ } => {
-            put_endpoint(out, src);
-            put_endpoint(out, dst);
-            put_varint(out, sid);
+        let site = self.string_id(attr.site);
+        put_varint(&mut self.bytes, site);
+        put_varint(&mut self.bytes, attr.witnesses.len() as u64);
+        for &w in &attr.witnesses {
+            put_varint(&mut self.bytes, w);
         }
     }
 }
 
-/// Decode the per-kind fields for kind id `kind` (tag + cycle already
-/// consumed).
-fn decode_fields(
-    kind: u8,
-    b: &[u8],
-    pos: &mut usize,
-    strings: &[&'static str],
-) -> Result<Event, BtfError> {
-    let ev = match kind {
-        0 => Event::ChunkStart {
-            core: get_u32(b, pos, "core")?,
-            seq: get_varint(b, pos)?,
-        },
-        1 => {
-            let core = get_u32(b, pos, "core")?;
-            let seq = get_varint(b, pos)?;
-            let w_lines = get_u32(b, pos, "w_lines")?;
-            let flag = *b.get(*pos).ok_or(BtfError::Truncated("carries_rsig"))?;
-            *pos += 1;
-            if flag > 1 {
-                return Err(BtfError::InvalidRecord(format!("bool byte {flag}")));
-            }
-            Event::CommitRequest {
-                core,
-                seq,
-                w_lines,
-                carries_rsig: flag == 1,
-            }
+/// A block payload being decoded: the read position and the strings
+/// defined so far.
+struct Record<'b> {
+    b: &'b [u8],
+    pos: usize,
+    strings: Vec<&'static str>,
+}
+
+impl Record<'_> {
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, BtfError> {
+        get_varint(self.b, &mut self.pos)
+    }
+
+    #[inline(always)]
+    fn byte(&mut self, what: &'static str) -> Result<u8, BtfError> {
+        let byte = *self.b.get(self.pos).ok_or(BtfError::Truncated(what))?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    fn string(&mut self, what: &str) -> Result<&'static str, BtfError> {
+        let id = self.varint()? as usize;
+        self.strings
+            .get(id)
+            .copied()
+            .ok_or_else(|| BtfError::InvalidRecord(format!("{what}: string id {id} undefined")))
+    }
+}
+
+// The record reader: the event table's read walk calls these once per
+// field.
+impl FieldReader for Record<'_> {
+    type Error = BtfError;
+
+    #[inline(always)]
+    fn int(&mut self, _key: Key) -> Result<u64, BtfError> {
+        self.varint()
+    }
+
+    #[inline(always)]
+    fn u32(&mut self, key: Key) -> Result<u32, BtfError> {
+        get_u32(self.b, &mut self.pos, key.name)
+    }
+
+    #[inline(always)]
+    fn bool(&mut self, key: Key) -> Result<bool, BtfError> {
+        match self.byte(key.name)? {
+            flag @ (0 | 1) => Ok(flag == 1),
+            flag => Err(BtfError::InvalidRecord(format!("bool byte {flag}"))),
         }
-        2 => Event::CommitGrant {
-            core: get_u32(b, pos, "core")?,
-            seq: get_varint(b, pos)?,
-        },
-        3 => {
-            let core = get_u32(b, pos, "core")?;
-            let seq = get_varint(b, pos)?;
-            let xray = get_xray(b, pos, strings)?;
-            Event::CommitDeny { core, seq, xray }
+    }
+
+    #[inline(always)]
+    fn cause(&mut self, _key: Key) -> Result<SquashCause, BtfError> {
+        let b = self.byte("squash cause")?;
+        SquashCause::ALL
+            .get(b as usize)
+            .copied()
+            .ok_or_else(|| BtfError::InvalidRecord(format!("squash cause byte {b}")))
+    }
+
+    #[inline(always)]
+    fn endpoint(&mut self, _key: Key) -> Result<Endpoint, BtfError> {
+        let kind = endpoint_kind_from_u8(self.byte("endpoint kind")?)?;
+        let index = get_u32(self.b, &mut self.pos, "endpoint index")?;
+        Ok(Endpoint { kind, index })
+    }
+
+    #[inline(always)]
+    fn net_kind(&mut self, _key: Key) -> Result<&'static str, BtfError> {
+        self.string("net kind")
+    }
+
+    fn xray(&mut self) -> Result<Option<Box<ConflictAttr>>, BtfError> {
+        let flags = self.byte("xray flags")?;
+        if flags == 0 {
+            return Ok(None);
         }
-        4 => Event::ChunkCommit {
-            core: get_u32(b, pos, "core")?,
-            seq: get_varint(b, pos)?,
-            read_lines: get_u32(b, pos, "read_lines")?,
-            write_lines: get_u32(b, pos, "write_lines")?,
-            priv_lines: get_u32(b, pos, "priv_lines")?,
-        },
-        5 => Event::ChunkAbandon {
-            core: get_u32(b, pos, "core")?,
-            seq: get_varint(b, pos)?,
-        },
-        6 => {
-            let core = get_u32(b, pos, "core")?;
-            let seq = get_varint(b, pos)?;
-            let cause_byte = *b.get(*pos).ok_or(BtfError::Truncated("squash cause"))?;
-            *pos += 1;
-            let cause = cause_from_u8(cause_byte)?;
-            let squashed_instrs = get_varint(b, pos)?;
-            let xray = get_xray(b, pos, strings)?;
-            Event::Squash {
-                core,
-                seq,
-                cause,
-                squashed_instrs,
-                xray,
-            }
+        if flags & 1 == 0 || flags & !0b111 != 0 {
+            return Err(BtfError::InvalidRecord(format!(
+                "xray flags byte {flags:#x}"
+            )));
         }
-        7 => Event::SigExpand {
-            dir: get_u32(b, pos, "dir")?,
-            core: get_u32(b, pos, "core")?,
-            seq: get_varint(b, pos)?,
-            lookups: get_varint(b, pos)?,
-            updates: get_varint(b, pos)?,
-            inv_targets: get_varint(b, pos)?,
-        },
-        8 => Event::DirDisplacement {
-            dir: get_u32(b, pos, "dir")?,
-            line: get_varint(b, pos)?,
-        },
-        9 => Event::CacheDisplacement {
-            core: get_u32(b, pos, "core")?,
-            line: get_varint(b, pos)?,
-        },
-        10 => Event::PrivSupply {
-            core: get_u32(b, pos, "core")?,
-            line: get_varint(b, pos)?,
-        },
-        11 | 12 => {
-            let core = get_u32(b, pos, "core")?;
-            let seq = get_varint(b, pos)?;
-            let po = get_varint(b, pos)?;
-            let addr = get_varint(b, pos)?;
-            let value = get_varint(b, pos)?;
-            let retired_at = get_varint(b, pos)?;
-            if kind == 11 {
-                Event::ValLoad {
-                    core,
-                    seq,
-                    po,
-                    addr,
-                    value,
-                    retired_at,
-                }
-            } else {
-                Event::ValStore {
-                    core,
-                    seq,
-                    po,
-                    addr,
-                    value,
-                    retired_at,
-                }
-            }
+        let agg_core = if flags & 2 != 0 {
+            Some(get_u32(self.b, &mut self.pos, "agg_core")?)
+        } else {
+            None
+        };
+        let agg_seq = if flags & 4 != 0 {
+            Some(self.varint()?)
+        } else {
+            None
+        };
+        let site = self.string("xray site")?;
+        let n = self.varint()? as usize;
+        // Witness lists are emitter-capped; a huge count is corruption.
+        if n > 4096 {
+            return Err(BtfError::InvalidRecord(format!("witness count {n}")));
         }
-        13 => Event::ValRmw {
-            core: get_u32(b, pos, "core")?,
-            seq: get_varint(b, pos)?,
-            po: get_varint(b, pos)?,
-            addr: get_varint(b, pos)?,
-            old: get_varint(b, pos)?,
-            new: get_varint(b, pos)?,
-            retired_at: get_varint(b, pos)?,
-        },
-        14 => {
-            let src = get_endpoint(b, pos)?;
-            let dst = get_endpoint(b, pos)?;
-            let kind = get_string(b, pos, strings, "net kind")?;
-            let bytes = get_varint(b, pos)?;
-            Event::NetSend {
-                src,
-                dst,
-                kind,
-                bytes,
-            }
-        }
-        15 => {
-            let src = get_endpoint(b, pos)?;
-            let dst = get_endpoint(b, pos)?;
-            let kind = get_string(b, pos, strings, "net kind")?;
-            Event::NetDeliver { src, dst, kind }
-        }
-        other => return Err(BtfError::UnknownTag(other)),
-    };
-    Ok(ev)
+        let witnesses = (0..n).map(|_| self.varint()).collect::<Result<_, _>>()?;
+        Ok(Some(Box::new(ConflictAttr {
+            agg_core,
+            agg_seq,
+            site,
+            witnesses,
+        })))
+    }
 }
 
 /// Decode one complete block payload into `(cycle, event)` pairs.
@@ -947,38 +729,41 @@ fn decode_fields(
 /// Self-contained by construction: the string table starts empty and is
 /// populated only by this payload's define records.
 pub fn decode_block(payload: &[u8], expect_count: u32) -> Result<Vec<(u64, Event)>, BtfError> {
-    let mut strings: Vec<&'static str> = Vec::new();
+    let mut r = Record {
+        b: payload,
+        pos: 0,
+        strings: Vec::new(),
+    };
     // Every record takes at least two bytes, so a corrupt count cannot
     // reserve more than the payload could hold.
     let mut events = Vec::with_capacity((expect_count as usize).min(payload.len() / 2));
-    let mut pos = 0usize;
     let mut prev_cycle = 0u64;
-    while pos < payload.len() {
-        let tag = payload[pos];
-        pos += 1;
+    while r.pos < payload.len() {
+        let tag = payload[r.pos];
+        r.pos += 1;
         if tag == TAG_STR {
-            let len = get_varint(payload, &mut pos)? as usize;
-            let end = pos
+            let len = r.varint()? as usize;
+            let end = r
+                .pos
                 .checked_add(len)
                 .filter(|&e| e <= payload.len())
                 .ok_or(BtfError::Truncated("string define"))?;
-            let s = std::str::from_utf8(&payload[pos..end])
+            let s = std::str::from_utf8(&payload[r.pos..end])
                 .map_err(|_| BtfError::InvalidRecord("string define is not UTF-8".into()))?;
-            strings.push(intern(s).map_err(BtfError::InvalidRecord)?);
-            pos = end;
+            r.strings.push(intern(s).map_err(BtfError::InvalidRecord)?);
+            r.pos = end;
             continue;
         }
         if tag as usize >= Event::KIND_COUNT {
             return Err(BtfError::UnknownTag(tag));
         }
         let cycle = if events.is_empty() {
-            get_varint(payload, &mut pos)?
+            r.varint()?
         } else {
-            prev_cycle.wrapping_add(unzigzag(get_varint(payload, &mut pos)?) as u64)
+            prev_cycle.wrapping_add(unzigzag(r.varint()?) as u64)
         };
         prev_cycle = cycle;
-        let ev = decode_fields(tag, payload, &mut pos, &strings)?;
-        events.push((cycle, ev));
+        events.push((cycle, Event::read_fields(tag, &mut r)?));
     }
     if events.len() != expect_count as usize {
         return Err(BtfError::InvalidRecord(format!(

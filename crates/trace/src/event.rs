@@ -8,11 +8,20 @@
 //! directory) or squashes — plus the memory-system side effects (cache and
 //! directory displacements, Private-Buffer supplies) and raw network
 //! send/deliver hops.
+//!
+//! The vocabulary is declared once, by the table that declares [`Event`]:
+//! each row gives a kind's wire id, its JSONL name and its typed fields in
+//! wire order. Every encoding walks the fields the table generates — the
+//! JSONL writer and reader here, the BTF record writer and reader in
+//! [`crate::btf`], and the `(key, value)` pairs of [`Event::fields`] — and
+//! implements only what to do with each field type (`FieldWriter`,
+//! `FieldReader`).
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use crate::json::{self, RawValue};
+use crate::json::{self, write_escaped, RawValue};
+use crate::Json;
 
 /// Which component an endpoint is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,190 +141,308 @@ pub struct ConflictAttr {
     pub witnesses: Vec<u64>,
 }
 
-impl ConflictAttr {
-    fn append_fields(&self, out: &mut Vec<(&'static str, crate::Json)>) {
-        if let Some(c) = self.agg_core {
-            out.push(("agg_core", c.into()));
+/// Declare [`Event`] and everything derived from its table: the kind
+/// count, names and ids, the JSONL key slots, and the one write walk and
+/// one read walk over each kind's fields.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $id:literal $name:literal $Kind:ident { $($field:ident: $ty:ty),* $(,)? }
+    ),* $(,)?) => {
+        /// One cycle-stamped simulator event.
+        ///
+        /// Declared by the event table in this module's source: each row
+        /// gives a kind's wire id (the BTF record tag and kind-bitmap bit —
+        /// append-only; never reorder), its JSONL name (the `ev` field),
+        /// and its fields in the order both encodings write and read them.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $Kind { $($field: $ty),* },)*
         }
-        if let Some(s) = self.agg_seq {
-            out.push(("agg_seq", s.into()));
+
+        impl Event {
+            /// Number of event kinds (the size of the [`Event::KIND_NAMES`]
+            /// table and the width of a BTF block's kind bitmap).
+            pub const KIND_COUNT: usize = [$($name),*].len();
+
+            /// Every event name, indexed by [`Event::kind_id`].
+            pub const KIND_NAMES: [&'static str; Event::KIND_COUNT] = [$($name),*];
+
+            /// Stable numeric kind (the BTF record tag and kind-bitmap bit).
+            pub fn kind_id(&self) -> u8 {
+                match self {
+                    $(Event::$Kind { .. } => $id,)*
+                }
+            }
+
+            /// The kind id for an event name, if it names one.
+            pub fn kind_id_of(name: &str) -> Option<u8> {
+                match name {
+                    $($name => Some($id),)*
+                    _ => None,
+                }
+            }
+
+            /// Hand each field to `w`, in wire order.
+            pub(crate) fn write_fields(&self, w: &mut impl FieldWriter) {
+                match self {
+                    $(Event::$Kind { $($field),* } => {
+                        $(Wire::write($field, stringify!($field), w);)*
+                    })*
+                }
+            }
+
+            /// The event of kind id `kind` (below [`Event::KIND_COUNT`];
+            /// each decoder refuses other ids first), its fields read from
+            /// `r` in wire order.
+            pub(crate) fn read_fields<R: FieldReader>(
+                kind: u8,
+                r: &mut R,
+            ) -> Result<Event, R::Error> {
+                Ok(match kind {
+                    $($id => Event::$Kind {
+                        $($field: Wire::read(const { Key::new(stringify!($field)) }, r)?,)*
+                    },)*
+                    _ => unreachable!("kind id {kind} is outside the event table"),
+                })
+            }
         }
-        out.push(("site", self.site.into()));
-        out.push((
-            "witness",
-            crate::Json::Arr(self.witnesses.iter().map(|&l| l.into()).collect()),
-        ));
-    }
+
+        // Wire ids are explicit in the table and must count up from 0.
+        const _: () = {
+            let ids = [$($id),*];
+            let mut i = 0;
+            while i < ids.len() {
+                assert!(ids[i] as usize == i, "wire ids must run 0..KIND_COUNT in table order");
+                i += 1;
+            }
+        };
+
+        /// Every key an event line is read by: the stamp and the name, each
+        /// kind's fields (so most keys repeat; an `xray` field's line form
+        /// is its blob's keys, listed last), and the xray blob's keys.
+        const KEYS: &[&str] = &[
+            "t", "ev", $($(stringify!($field),)*)* "agg_core", "agg_seq", "site", "witness",
+        ];
+
+        /// The slot of a key met in a line; `None` outside the vocabulary.
+        #[allow(unreachable_patterns)] // a key shared by several kinds repeats
+        fn slot_of(key: &str) -> Option<usize> {
+            Some(match key {
+                "t" => const { Key::new("t").slot },
+                "ev" => const { Key::new("ev").slot },
+                $($(stringify!($field) => const { Key::new(stringify!($field)).slot },)*)*
+                "agg_core" => const { Key::new("agg_core").slot },
+                "agg_seq" => const { Key::new("agg_seq").slot },
+                "site" => const { Key::new("site").slot },
+                "witness" => const { Key::new("witness").slot },
+                _ => return None,
+            })
+        }
+    };
 }
 
-/// One cycle-stamped simulator event.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
+events! {
     /// A core opened a new chunk (`seq` is per-core, monotonically rising).
-    ChunkStart { core: u32, seq: u64 },
+    0 "chunk_start" ChunkStart { core: u32, seq: u64 },
     /// A core asked the arbiter for permission to commit.
-    CommitRequest {
-        core: u32,
-        seq: u64,
-        w_lines: u32,
-        carries_rsig: bool,
-    },
+    1 "commit_request" CommitRequest { core: u32, seq: u64, w_lines: u32, carries_rsig: bool },
     /// The (G-)arbiter granted commit permission.
-    CommitGrant { core: u32, seq: u64 },
+    2 "commit_grant" CommitGrant { core: u32, seq: u64 },
     /// The (G-)arbiter denied commit permission (the core will retry).
     /// `xray` carries conflict attribution when the emitter runs with
     /// attribution on (schema v5); `None` serializes exactly like v4.
-    CommitDeny {
-        core: u32,
-        seq: u64,
-        xray: Option<Box<ConflictAttr>>,
-    },
+    3 "commit_deny" CommitDeny { core: u32, seq: u64, xray: Option<Box<ConflictAttr>> },
     /// A chunk finished committing and retired its instructions.
-    ChunkCommit {
-        core: u32,
-        seq: u64,
-        read_lines: u32,
-        write_lines: u32,
-        priv_lines: u32,
+    4 "chunk_commit" ChunkCommit {
+        core: u32, seq: u64, read_lines: u32, write_lines: u32, priv_lines: u32,
     },
     /// A core discarded a still-empty trailing chunk at the end of its
     /// program (no instructions were lost; nothing will re-execute).
     /// Terminates the chunk's span like a commit or squash does.
-    ChunkAbandon { core: u32, seq: u64 },
+    5 "chunk_abandon" ChunkAbandon { core: u32, seq: u64 },
     /// A chunk was squashed and will re-execute from its checkpoint.
     /// `xray` as on [`Event::CommitDeny`].
-    Squash {
-        core: u32,
-        seq: u64,
-        cause: SquashCause,
-        squashed_instrs: u64,
+    6 "squash" Squash {
+        core: u32, seq: u64, cause: SquashCause, squashed_instrs: u64,
         xray: Option<Box<ConflictAttr>>,
     },
     /// The directory expanded a committing W signature (Table 1's DirBDM
     /// walk): `lookups`/`updates` count the directory accesses it took,
     /// `inv_targets` the sharer caches it invalidated.
-    SigExpand {
-        dir: u32,
-        core: u32,
-        seq: u64,
-        lookups: u64,
-        updates: u64,
-        inv_targets: u64,
+    7 "sig_expand" SigExpand {
+        dir: u32, core: u32, seq: u64, lookups: u64, updates: u64, inv_targets: u64,
     },
     /// A directory-cache entry was displaced (its owner must flush).
-    DirDisplacement { dir: u32, line: u64 },
+    8 "dir_displacement" DirDisplacement { dir: u32, line: u64 },
     /// An L1 cache line with speculative read-set footprint was displaced.
-    CacheDisplacement { core: u32, line: u64 },
+    9 "cache_displacement" CacheDisplacement { core: u32, line: u64 },
     /// The Private Buffer supplied a dirty line instead of memory (§5.2).
-    PrivSupply { core: u32, line: u64 },
+    10 "priv_supply" PrivSupply { core: u32, line: u64 },
     /// Value trace: a retired load observed `value` at `addr` (emitted at
     /// retire for baseline models; buffered per chunk and emitted at
     /// commit for BulkSC, so squashed work never appears). `seq` is the
     /// owning chunk (0 for baselines); `po` is the per-core program-order
     /// index; `retired_at` is the retire cycle (the stamped `t` is the
     /// emission cycle, which for BulkSC is the commit-grant cycle).
-    ValLoad {
-        core: u32,
-        seq: u64,
-        po: u64,
-        addr: u64,
-        value: u64,
-        retired_at: u64,
-    },
+    11 "val_load" ValLoad { core: u32, seq: u64, po: u64, addr: u64, value: u64, retired_at: u64 },
     /// Value trace: a store of `value` to `addr` became globally visible.
     /// Stream order of `val_store`/`val_rmw` events at one address *is*
     /// the coherence order: every emission site sits next to the
     /// `ValueStore::write` that publishes the value.
-    ValStore {
-        core: u32,
-        seq: u64,
-        po: u64,
-        addr: u64,
-        value: u64,
-        retired_at: u64,
-    },
+    12 "val_store" ValStore { core: u32, seq: u64, po: u64, addr: u64, value: u64, retired_at: u64 },
     /// Value trace: an atomic read-modify-write observed `old` and
     /// published `new` at `addr`, indivisibly.
-    ValRmw {
-        core: u32,
-        seq: u64,
-        po: u64,
-        addr: u64,
-        old: u64,
-        new: u64,
-        retired_at: u64,
+    13 "val_rmw" ValRmw {
+        core: u32, seq: u64, po: u64, addr: u64, old: u64, new: u64, retired_at: u64,
     },
     /// A message entered the interconnect.
-    NetSend {
-        src: Endpoint,
-        dst: Endpoint,
-        kind: &'static str,
-        bytes: u64,
-    },
+    14 "net_send" NetSend { src: Endpoint, dst: Endpoint, kind: &'static str, bytes: u64 },
     /// A message left the interconnect at its destination.
-    NetDeliver {
-        src: Endpoint,
-        dst: Endpoint,
-        kind: &'static str,
-    },
+    15 "net_deliver" NetDeliver { src: Endpoint, dst: Endpoint, kind: &'static str },
+}
+
+/// A field's JSONL key and the slot a scanned line keeps its value in,
+/// both fixed at compile time.
+#[derive(Clone, Copy)]
+pub(crate) struct Key {
+    pub(crate) name: &'static str,
+    slot: usize,
+}
+
+impl Key {
+    /// `name`'s key; a name outside [`KEYS`] fails the build.
+    const fn new(name: &'static str) -> Key {
+        Key {
+            name,
+            slot: distinct_before(position(name)),
+        }
+    }
+}
+
+/// The index of `key`'s first occurrence in [`KEYS`].
+const fn position(key: &str) -> usize {
+    let mut i = 0;
+    while i < KEYS.len() {
+        if same(KEYS[i], key) {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("not a key of the event vocabulary")
+}
+
+/// How many distinct keys [`KEYS`] holds before index `end`: a key's slot
+/// is the count before its first occurrence.
+const fn distinct_before(end: usize) -> usize {
+    let (mut n, mut i) = (0, 0);
+    while i < end {
+        if position(KEYS[i]) == i {
+            n += 1;
+        }
+        i += 1;
+    }
+    n
+}
+
+/// `a == b`, in a const context.
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Number of distinct keys: one slot each.
+const SLOTS: usize = distinct_before(KEYS.len());
+
+/// What one encoding writes for each field type. [`Event::write_fields`]
+/// calls these in wire order; `key` is the field's name.
+pub(crate) trait FieldWriter {
+    fn int(&mut self, key: &'static str, v: u64);
+    fn bool(&mut self, key: &'static str, v: bool);
+    fn cause(&mut self, key: &'static str, v: SquashCause);
+    fn endpoint(&mut self, key: &'static str, v: Endpoint);
+    fn net_kind(&mut self, key: &'static str, v: &'static str);
+    fn xray(&mut self, v: Option<&ConflictAttr>);
+}
+
+/// What one encoding reads for each field type. [`Event::read_fields`]
+/// calls these in wire order, and an error names the first field that
+/// does not read.
+pub(crate) trait FieldReader {
+    type Error;
+    fn int(&mut self, key: Key) -> Result<u64, Self::Error>;
+    fn u32(&mut self, key: Key) -> Result<u32, Self::Error>;
+    fn bool(&mut self, key: Key) -> Result<bool, Self::Error>;
+    fn cause(&mut self, key: Key) -> Result<SquashCause, Self::Error>;
+    fn endpoint(&mut self, key: Key) -> Result<Endpoint, Self::Error>;
+    fn net_kind(&mut self, key: Key) -> Result<&'static str, Self::Error>;
+    fn xray(&mut self) -> Result<Option<Box<ConflictAttr>>, Self::Error>;
+}
+
+/// A field type of the table: which [`FieldWriter`] and [`FieldReader`]
+/// method carries it. Forced inline, like the encodings' methods: the
+/// walks make one call per field.
+trait Wire: Sized {
+    fn write(&self, key: &'static str, w: &mut impl FieldWriter);
+    fn read<R: FieldReader>(key: Key, r: &mut R) -> Result<Self, R::Error>;
+}
+
+macro_rules! wire {
+    ($($ty:ty => $method:ident),* $(,)?) => {$(
+        impl Wire for $ty {
+            #[inline(always)]
+            fn write(&self, key: &'static str, w: &mut impl FieldWriter) {
+                w.$method(key, *self)
+            }
+            #[inline(always)]
+            fn read<R: FieldReader>(key: Key, r: &mut R) -> Result<Self, R::Error> {
+                r.$method(key)
+            }
+        }
+    )*};
+}
+
+wire! {
+    u64 => int,
+    bool => bool,
+    SquashCause => cause,
+    Endpoint => endpoint,
+    &'static str => net_kind,
+}
+
+impl Wire for u32 {
+    #[inline(always)]
+    fn write(&self, key: &'static str, w: &mut impl FieldWriter) {
+        w.int(key, *self as u64)
+    }
+    #[inline(always)]
+    fn read<R: FieldReader>(key: Key, r: &mut R) -> Result<u32, R::Error> {
+        r.u32(key)
+    }
+}
+
+impl Wire for Option<Box<ConflictAttr>> {
+    #[inline(always)]
+    fn write(&self, _key: &'static str, w: &mut impl FieldWriter) {
+        w.xray(self.as_deref())
+    }
+    #[inline(always)]
+    fn read<R: FieldReader>(_key: Key, r: &mut R) -> Result<Self, R::Error> {
+        r.xray()
+    }
 }
 
 impl Event {
-    /// Number of event kinds (the size of the [`Event::KIND_NAMES`] table
-    /// and the width of a BTF block's kind bitmap).
-    pub const KIND_COUNT: usize = 16;
-
-    /// Every event name, indexed by [`Event::kind_id`]. The order is the
-    /// wire order of the BTF codec — append-only; never reorder.
-    pub const KIND_NAMES: [&'static str; Event::KIND_COUNT] = [
-        "chunk_start",
-        "commit_request",
-        "commit_grant",
-        "commit_deny",
-        "chunk_commit",
-        "chunk_abandon",
-        "squash",
-        "sig_expand",
-        "dir_displacement",
-        "cache_displacement",
-        "priv_supply",
-        "val_load",
-        "val_store",
-        "val_rmw",
-        "net_send",
-        "net_deliver",
-    ];
-
-    /// Stable numeric kind (the BTF record tag and kind-bitmap bit).
-    pub fn kind_id(&self) -> u8 {
-        match self {
-            Event::ChunkStart { .. } => 0,
-            Event::CommitRequest { .. } => 1,
-            Event::CommitGrant { .. } => 2,
-            Event::CommitDeny { .. } => 3,
-            Event::ChunkCommit { .. } => 4,
-            Event::ChunkAbandon { .. } => 5,
-            Event::Squash { .. } => 6,
-            Event::SigExpand { .. } => 7,
-            Event::DirDisplacement { .. } => 8,
-            Event::CacheDisplacement { .. } => 9,
-            Event::PrivSupply { .. } => 10,
-            Event::ValLoad { .. } => 11,
-            Event::ValStore { .. } => 12,
-            Event::ValRmw { .. } => 13,
-            Event::NetSend { .. } => 14,
-            Event::NetDeliver { .. } => 15,
-        }
-    }
-
-    /// The kind id for an event name, if it names one.
-    pub fn kind_id_of(name: &str) -> Option<u8> {
-        Event::KIND_NAMES
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| i as u8)
-    }
-
     /// The issuing core, for events that carry a `core` field (drives the
     /// BTF per-block core bitmap and `query --core`).
     pub fn core_id(&self) -> Option<u32> {
@@ -373,24 +500,7 @@ impl Event {
 
     /// Stable snake_case name (the `ev` field of the JSONL encoding).
     pub fn name(&self) -> &'static str {
-        match self {
-            Event::ChunkStart { .. } => "chunk_start",
-            Event::CommitRequest { .. } => "commit_request",
-            Event::CommitGrant { .. } => "commit_grant",
-            Event::CommitDeny { .. } => "commit_deny",
-            Event::ChunkCommit { .. } => "chunk_commit",
-            Event::ChunkAbandon { .. } => "chunk_abandon",
-            Event::Squash { .. } => "squash",
-            Event::SigExpand { .. } => "sig_expand",
-            Event::DirDisplacement { .. } => "dir_displacement",
-            Event::CacheDisplacement { .. } => "cache_displacement",
-            Event::PrivSupply { .. } => "priv_supply",
-            Event::ValLoad { .. } => "val_load",
-            Event::ValStore { .. } => "val_store",
-            Event::ValRmw { .. } => "val_rmw",
-            Event::NetSend { .. } => "net_send",
-            Event::NetDeliver { .. } => "net_deliver",
-        }
+        Event::KIND_NAMES[self.kind_id() as usize]
     }
 
     /// The component this event happened at (used as the Chrome-trace
@@ -415,146 +525,12 @@ impl Event {
         }
     }
 
-    /// The `(key, value)` payload fields, in a stable order.
-    pub fn fields(&self) -> Vec<(&'static str, crate::Json)> {
-        match *self {
-            Event::ChunkStart { core, seq } => {
-                vec![("core", core.into()), ("seq", seq.into())]
-            }
-            Event::CommitRequest {
-                core,
-                seq,
-                w_lines,
-                carries_rsig,
-            } => vec![
-                ("core", core.into()),
-                ("seq", seq.into()),
-                ("w_lines", w_lines.into()),
-                ("carries_rsig", carries_rsig.into()),
-            ],
-            Event::CommitGrant { core, seq } | Event::ChunkAbandon { core, seq } => {
-                vec![("core", core.into()), ("seq", seq.into())]
-            }
-            Event::CommitDeny {
-                core,
-                seq,
-                ref xray,
-            } => {
-                let mut out = vec![("core", core.into()), ("seq", seq.into())];
-                if let Some(attr) = xray {
-                    attr.append_fields(&mut out);
-                }
-                out
-            }
-            Event::ChunkCommit {
-                core,
-                seq,
-                read_lines,
-                write_lines,
-                priv_lines,
-            } => vec![
-                ("core", core.into()),
-                ("seq", seq.into()),
-                ("read_lines", read_lines.into()),
-                ("write_lines", write_lines.into()),
-                ("priv_lines", priv_lines.into()),
-            ],
-            Event::Squash {
-                core,
-                seq,
-                cause,
-                squashed_instrs,
-                ref xray,
-            } => {
-                let mut out = vec![
-                    ("core", core.into()),
-                    ("seq", seq.into()),
-                    ("cause", cause.label().into()),
-                    ("squashed_instrs", squashed_instrs.into()),
-                ];
-                if let Some(attr) = xray {
-                    attr.append_fields(&mut out);
-                }
-                out
-            }
-            Event::SigExpand {
-                dir,
-                core,
-                seq,
-                lookups,
-                updates,
-                inv_targets,
-            } => vec![
-                ("dir", dir.into()),
-                ("core", core.into()),
-                ("seq", seq.into()),
-                ("lookups", lookups.into()),
-                ("updates", updates.into()),
-                ("inv_targets", inv_targets.into()),
-            ],
-            Event::DirDisplacement { dir, line } => {
-                vec![("dir", dir.into()), ("line", line.into())]
-            }
-            Event::CacheDisplacement { core, line } | Event::PrivSupply { core, line } => {
-                vec![("core", core.into()), ("line", line.into())]
-            }
-            Event::ValLoad {
-                core,
-                seq,
-                po,
-                addr,
-                value,
-                retired_at,
-            }
-            | Event::ValStore {
-                core,
-                seq,
-                po,
-                addr,
-                value,
-                retired_at,
-            } => vec![
-                ("core", core.into()),
-                ("seq", seq.into()),
-                ("po", po.into()),
-                ("addr", addr.into()),
-                ("value", value.into()),
-                ("retired_at", retired_at.into()),
-            ],
-            Event::ValRmw {
-                core,
-                seq,
-                po,
-                addr,
-                old,
-                new,
-                retired_at,
-            } => vec![
-                ("core", core.into()),
-                ("seq", seq.into()),
-                ("po", po.into()),
-                ("addr", addr.into()),
-                ("old", old.into()),
-                ("new", new.into()),
-                ("retired_at", retired_at.into()),
-            ],
-            Event::NetSend {
-                src,
-                dst,
-                kind,
-                bytes,
-            } => vec![
-                ("src", src.to_string().into()),
-                ("dst", dst.to_string().into()),
-                ("kind", kind.into()),
-                ("bytes", bytes.into()),
-            ],
-            Event::NetDeliver { src, dst, kind } => vec![
-                ("src", src.to_string().into()),
-                ("dst", dst.to_string().into()),
-                ("kind", kind.into()),
-            ],
-        }
+    /// The `(key, value)` payload fields, in wire order (the Chrome-trace
+    /// args and the [`Display`](fmt::Display) rendering).
+    pub fn fields(&self) -> Vec<(&'static str, Json)> {
+        let mut pairs = Pairs(Vec::new());
+        self.write_fields(&mut pairs);
+        pairs.0
     }
 
     /// One JSONL line (no trailing newline): `{"t":cycle,"ev":name,...}`.
@@ -565,18 +541,10 @@ impl Event {
     }
 
     /// Append the [`Event::jsonl`] line to `out`, writing each field as it
-    /// goes instead of building a [`crate::Json`] object first.
+    /// goes.
     pub fn write_jsonl(&self, cycle: u64, out: &mut String) {
-        out.push_str("{\"t\":");
-        crate::Json::U64(cycle).write(out);
-        out.push_str(",\"ev\":");
-        crate::json::write_escaped(self.name(), out);
-        for (k, v) in self.fields() {
-            out.push(',');
-            crate::json::write_escaped(k, out);
-            out.push(':');
-            v.write(out);
-        }
+        write!(out, "{{\"t\":{cycle},\"ev\":\"{}\"", self.name()).expect("writing to a String");
+        self.write_fields(&mut Line(out));
         out.push('}');
     }
 
@@ -585,197 +553,222 @@ impl Event {
     ///
     /// The line is scanned in place ([`json::scan_object`]) into one slot
     /// per key of the event vocabulary instead of being built into a
-    /// [`crate::Json`] tree, and reads as the tree would: the first
-    /// occurrence of a key wins, integers read as [`crate::Json::as_u64`]
-    /// reads them, and keys outside the vocabulary are skipped. Errors name
-    /// the first missing or malformed field in a fixed per-kind order.
+    /// [`Json`] tree, and reads as the tree would: the first occurrence of
+    /// a key wins, integers read as [`Json::as_u64`] reads them, and keys
+    /// outside the vocabulary are skipped. Errors name the first missing
+    /// or malformed field in wire order.
     pub fn from_jsonl(line: &str) -> Result<(u64, Event), String> {
-        let mut f = Fields::default();
+        let mut slots = Slots([None; SLOTS]);
         // Valid JSON the scan refuses is not an object: it has no fields,
         // and the scan never started.
-        if !json::scan_object(line, |key, value| f.note(&key, value)) && !json::is_valid(line) {
+        if !json::scan_object(line, |key, value| slots.note(&key, value)) && !json::is_valid(line) {
             return Err("not valid JSON".to_string());
         }
-        f.decode()
+        let t = slots.int(const { Key::new("t") })?;
+        let name = slots.string(const { Key::new("ev") })?;
+        let kind =
+            Event::kind_id_of(&name).ok_or_else(|| format!("unknown event kind {name:?}"))?;
+        Ok((t, Event::read_fields(kind, &mut slots)?))
     }
 }
 
-/// Declare [`Fields`], one slot per key of the event vocabulary, and its
-/// key-to-slot match, from one list of keys.
-macro_rules! fields {
-    ($($key:ident),* $(,)?) => {
-        /// The values of one JSONL event line, each the first occurrence
-        /// of its key.
-        #[derive(Default)]
-        struct Fields<'a> {
-            $($key: Option<RawValue<'a>>,)*
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} @{}", self.name(), self.actor())?;
+        for (k, v) in self.fields() {
+            write!(f, " {k}={v}")?;
         }
+        Ok(())
+    }
+}
 
-        impl<'a> Fields<'a> {
-            /// Keep `value` in `key`'s slot unless an earlier occurrence
-            /// holds it; keys outside the vocabulary are skipped.
-            fn note(&mut self, key: &str, value: RawValue<'a>) {
-                let slot = match key {
-                    $(stringify!($key) => &mut self.$key,)*
-                    _ => return,
-                };
-                slot.get_or_insert(value);
+/// The fields as `(key, value)` pairs.
+struct Pairs(Vec<(&'static str, Json)>);
+
+impl FieldWriter for Pairs {
+    fn int(&mut self, key: &'static str, v: u64) {
+        self.0.push((key, v.into()));
+    }
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.0.push((key, v.into()));
+    }
+    fn cause(&mut self, key: &'static str, v: SquashCause) {
+        self.0.push((key, v.label().into()));
+    }
+    fn endpoint(&mut self, key: &'static str, v: Endpoint) {
+        self.0.push((key, v.to_string().into()));
+    }
+    fn net_kind(&mut self, key: &'static str, v: &'static str) {
+        self.0.push((key, v.into()));
+    }
+    /// `agg_core` and `agg_seq` are omitted, never null, when unknown.
+    fn xray(&mut self, v: Option<&ConflictAttr>) {
+        let Some(attr) = v else { return };
+        if let Some(c) = attr.agg_core {
+            self.int("agg_core", c as u64);
+        }
+        if let Some(s) = attr.agg_seq {
+            self.int("agg_seq", s);
+        }
+        self.0.push(("site", attr.site.into()));
+        let witnesses = attr.witnesses.iter().map(|&l| l.into()).collect();
+        self.0.push(("witness", Json::Arr(witnesses)));
+    }
+}
+
+/// The fields of one JSONL line, appended as `,"key":value` to a string
+/// exactly as [`Json::write`] renders the [`Pairs`].
+struct Line<'a>(&'a mut String);
+
+impl Line<'_> {
+    #[inline(always)]
+    fn key(&mut self, key: &str) {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+}
+
+impl FieldWriter for Line<'_> {
+    fn int(&mut self, key: &'static str, v: u64) {
+        self.key(key);
+        write!(self.0, "{v}").expect("writing to a String");
+    }
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.key(key);
+        self.0.push_str(if v { "true" } else { "false" });
+    }
+    fn cause(&mut self, key: &'static str, v: SquashCause) {
+        self.key(key);
+        write_escaped(v.label(), self.0);
+    }
+    fn endpoint(&mut self, key: &'static str, v: Endpoint) {
+        self.key(key);
+        write!(self.0, "\"{v}\"").expect("writing to a String");
+    }
+    fn net_kind(&mut self, key: &'static str, v: &'static str) {
+        self.key(key);
+        write_escaped(v, self.0);
+    }
+    fn xray(&mut self, v: Option<&ConflictAttr>) {
+        let Some(attr) = v else { return };
+        if let Some(c) = attr.agg_core {
+            self.int("agg_core", c as u64);
+        }
+        if let Some(s) = attr.agg_seq {
+            self.int("agg_seq", s);
+        }
+        self.key("site");
+        write_escaped(attr.site, self.0);
+        self.key("witness");
+        self.0.push('[');
+        for (i, w) in attr.witnesses.iter().enumerate() {
+            if i > 0 {
+                self.0.push(',');
             }
+            write!(self.0, "{w}").expect("writing to a String");
         }
-    };
+        self.0.push(']');
+    }
 }
 
-fields! {
-    t, ev, core, seq, po, addr, value, retired_at, old, new, src, dst, kind, bytes, w_lines,
-    carries_rsig, read_lines, write_lines, priv_lines, cause, squashed_instrs, dir, lookups,
-    updates, inv_targets, line, site, agg_core, agg_seq, witness,
+/// The values of one JSONL event line, one slot per key of the
+/// vocabulary, each the first occurrence of its key.
+struct Slots<'a>([Option<RawValue<'a>>; SLOTS]);
+
+impl<'a> Slots<'a> {
+    /// Keep `value` in `key`'s slot unless an earlier occurrence holds
+    /// it; keys outside the vocabulary are skipped.
+    fn note(&mut self, key: &str, value: RawValue<'a>) {
+        if let Some(slot) = slot_of(key) {
+            self.0[slot].get_or_insert(value);
+        }
+    }
+
+    #[inline(always)]
+    fn string(&self, key: Key) -> Result<Cow<'a, str>, String> {
+        self.0[key.slot]
+            .and_then(RawValue::as_str)
+            .ok_or_else(|| format!("missing or non-string field {:?}", key.name))
+    }
 }
 
-impl Fields<'_> {
-    fn decode(&self) -> Result<(u64, Event), String> {
-        let t = int(self.t, "t")?;
-        let name = string(self.ev, "ev")?;
-        let ev = match &*name {
-            "chunk_start" => Event::ChunkStart {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-            },
-            "commit_request" => Event::CommitRequest {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-                w_lines: int32(self.w_lines, "w_lines")?,
-                carries_rsig: self
-                    .carries_rsig
-                    .and_then(RawValue::as_bool)
-                    .ok_or("missing or non-bool field \"carries_rsig\"")?,
-            },
-            "commit_grant" => Event::CommitGrant {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-            },
-            "commit_deny" => Event::CommitDeny {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-                xray: self.xray()?,
-            },
-            "chunk_commit" => Event::ChunkCommit {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-                read_lines: int32(self.read_lines, "read_lines")?,
-                write_lines: int32(self.write_lines, "write_lines")?,
-                priv_lines: int32(self.priv_lines, "priv_lines")?,
-            },
-            "chunk_abandon" => Event::ChunkAbandon {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-            },
-            "squash" => Event::Squash {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-                cause: {
-                    let label = string(self.cause, "cause")?;
-                    SquashCause::ALL
-                        .into_iter()
-                        .find(|c| c.label() == label)
-                        .ok_or_else(|| format!("unknown squash cause {label:?}"))?
-                },
-                squashed_instrs: int(self.squashed_instrs, "squashed_instrs")?,
-                xray: self.xray()?,
-            },
-            "sig_expand" => Event::SigExpand {
-                dir: int32(self.dir, "dir")?,
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-                lookups: int(self.lookups, "lookups")?,
-                updates: int(self.updates, "updates")?,
-                inv_targets: int(self.inv_targets, "inv_targets")?,
-            },
-            "dir_displacement" => Event::DirDisplacement {
-                dir: int32(self.dir, "dir")?,
-                line: int(self.line, "line")?,
-            },
-            "cache_displacement" => Event::CacheDisplacement {
-                core: int32(self.core, "core")?,
-                line: int(self.line, "line")?,
-            },
-            "priv_supply" => Event::PrivSupply {
-                core: int32(self.core, "core")?,
-                line: int(self.line, "line")?,
-            },
-            "val_load" | "val_store" => {
-                let core = int32(self.core, "core")?;
-                let seq = int(self.seq, "seq")?;
-                let po = int(self.po, "po")?;
-                let addr = int(self.addr, "addr")?;
-                let value = int(self.value, "value")?;
-                let retired_at = int(self.retired_at, "retired_at")?;
-                if name == "val_load" {
-                    Event::ValLoad {
-                        core,
-                        seq,
-                        po,
-                        addr,
-                        value,
-                        retired_at,
-                    }
-                } else {
-                    Event::ValStore {
-                        core,
-                        seq,
-                        po,
-                        addr,
-                        value,
-                        retired_at,
-                    }
+// The field reads are forced inline: a value line makes seven of them.
+impl FieldReader for Slots<'_> {
+    type Error = String;
+
+    #[inline(always)]
+    fn int(&mut self, key: Key) -> Result<u64, String> {
+        self.0[key.slot]
+            .and_then(RawValue::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field {:?}", key.name))
+    }
+
+    #[inline(always)]
+    fn u32(&mut self, key: Key) -> Result<u32, String> {
+        u32::try_from(self.int(key)?).map_err(|_| format!("field {:?} exceeds u32", key.name))
+    }
+
+    #[inline(always)]
+    fn bool(&mut self, key: Key) -> Result<bool, String> {
+        self.0[key.slot]
+            .and_then(RawValue::as_bool)
+            .ok_or_else(|| format!("missing or non-bool field {:?}", key.name))
+    }
+
+    fn cause(&mut self, key: Key) -> Result<SquashCause, String> {
+        let label = self.string(key)?;
+        SquashCause::ALL
+            .into_iter()
+            .find(|c| c.label() == label)
+            .ok_or_else(|| format!("unknown squash cause {label:?}"))
+    }
+
+    /// An endpoint as [`Endpoint`]'s `Display` renders it: `core3`,
+    /// `dir0`, `arb1`, `garb`.
+    fn endpoint(&mut self, key: Key) -> Result<Endpoint, String> {
+        let s = self.string(key)?;
+        if s == "garb" {
+            return Ok(Endpoint::garbiter());
+        }
+        for (prefix, make) in [
+            ("core", Endpoint::core as fn(u32) -> Endpoint),
+            ("dir", Endpoint::dir as fn(u32) -> Endpoint),
+            ("arb", Endpoint::arbiter as fn(u32) -> Endpoint),
+        ] {
+            if let Some(rest) = s.strip_prefix(prefix) {
+                if let Ok(i) = rest.parse::<u32>() {
+                    return Ok(make(i));
                 }
             }
-            "val_rmw" => Event::ValRmw {
-                core: int32(self.core, "core")?,
-                seq: int(self.seq, "seq")?,
-                po: int(self.po, "po")?,
-                addr: int(self.addr, "addr")?,
-                old: int(self.old, "old")?,
-                new: int(self.new, "new")?,
-                retired_at: int(self.retired_at, "retired_at")?,
-            },
-            "net_send" => Event::NetSend {
-                src: endpoint(self.src, "src")?,
-                dst: endpoint(self.dst, "dst")?,
-                kind: crate::btf::intern(&string(self.kind, "kind")?)?,
-                bytes: int(self.bytes, "bytes")?,
-            },
-            "net_deliver" => Event::NetDeliver {
-                src: endpoint(self.src, "src")?,
-                dst: endpoint(self.dst, "dst")?,
-                kind: crate::btf::intern(&string(self.kind, "kind")?)?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok((t, ev))
+        }
+        Err(format!("unrecognized endpoint {s:?}"))
     }
 
-    /// The optional xray blob: present iff the line carries a `"site"` key
-    /// (as [`ConflictAttr::append_fields`] writes it, `agg_core` and
-    /// `agg_seq` are omitted, never null, when unknown).
-    fn xray(&self) -> Result<Option<Box<ConflictAttr>>, String> {
-        if self.site.is_none() {
+    fn net_kind(&mut self, key: Key) -> Result<&'static str, String> {
+        crate::btf::intern(&self.string(key)?)
+    }
+
+    /// The optional xray blob: present iff the line carries a `"site"`
+    /// key (`agg_core` and `agg_seq` are omitted, never null, when
+    /// unknown).
+    fn xray(&mut self) -> Result<Option<Box<ConflictAttr>>, String> {
+        let site = const { Key::new("site") };
+        if self.0[site.slot].is_none() {
             return Ok(None);
         }
-        let site = crate::btf::intern(&string(self.site, "site")?)?;
-        let agg_core = match self.agg_core {
-            Some(v) => Some(
+        let site = crate::btf::intern(&self.string(site)?)?;
+        let agg_core = self.0[const { Key::new("agg_core").slot }]
+            .map(|v| {
                 v.as_u64()
                     .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("agg_core is not a u32")?,
-            ),
-            None => None,
-        };
-        let agg_seq = match self.agg_seq {
-            Some(v) => Some(v.as_u64().ok_or("agg_seq is not a u64")?),
-            None => None,
-        };
-        let witnesses = self
-            .witness
+                    .ok_or("agg_core is not a u32")
+            })
+            .transpose()?;
+        let agg_seq = self.0[const { Key::new("agg_seq").slot }]
+            .map(|v| v.as_u64().ok_or("agg_seq is not a u64"))
+            .transpose()?;
+        let witnesses = self.0[const { Key::new("witness").slot }]
             .and_then(RawValue::as_u64_items)
             .ok_or("xray blob lacks the witness array")?
             .into_iter()
@@ -787,57 +780,6 @@ impl Fields<'_> {
             site,
             witnesses,
         })))
-    }
-}
-
-// The field reads are forced inline: a value line makes seven of them.
-#[inline(always)]
-fn int(value: Option<RawValue<'_>>, key: &str) -> Result<u64, String> {
-    value
-        .and_then(RawValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-#[inline(always)]
-fn int32(value: Option<RawValue<'_>>, key: &str) -> Result<u32, String> {
-    u32::try_from(int(value, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
-}
-
-#[inline(always)]
-fn string<'a>(value: Option<RawValue<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
-    value
-        .and_then(RawValue::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-/// An endpoint as [`Endpoint`]'s `Display` renders it: `core3`, `dir0`,
-/// `arb1`, `garb`.
-fn endpoint(value: Option<RawValue<'_>>, key: &str) -> Result<Endpoint, String> {
-    let s = string(value, key)?;
-    if s == "garb" {
-        return Ok(Endpoint::garbiter());
-    }
-    for (prefix, make) in [
-        ("core", Endpoint::core as fn(u32) -> Endpoint),
-        ("dir", Endpoint::dir as fn(u32) -> Endpoint),
-        ("arb", Endpoint::arbiter as fn(u32) -> Endpoint),
-    ] {
-        if let Some(rest) = s.strip_prefix(prefix) {
-            if let Ok(i) = rest.parse::<u32>() {
-                return Ok(make(i));
-            }
-        }
-    }
-    Err(format!("unrecognized endpoint {s:?}"))
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} @{}", self.name(), self.actor())?;
-        for (k, v) in self.fields() {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
     }
 }
 

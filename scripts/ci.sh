@@ -35,10 +35,14 @@ run cargo test --manifest-path benchmark/Cargo.toml --offline -q
 # paths must match the plain models they replaced: the signature bank
 # tables the 26-step wire loop, ExactSet a BTreeSet, the paged set array
 # of the tag and directory stores a Vec<Vec<_>>; and a warm window's
-# issue scan and a warm fabric's delivery must allocate nothing.
+# issue scan and a warm fabric's delivery must allocate nothing. The
+# trace wire format must match its committed bytes: one event of every
+# kind as a JSONL line and a BTF record (event_wire), since a round trip
+# compares a build only with itself.
 run cargo test -q --offline --test golden_figures --test pool_determinism \
   --test determinism_and_shapes --test reference_oracle \
-  --test signature_differential --test set_array_differential --test allocation_free
+  --test signature_differential --test set_array_differential --test allocation_free \
+  --test event_wire
 
 # Committed-table gate: the six result tables must regenerate
 # byte-identical at their default budget (25,000 instructions per core).
@@ -273,7 +277,9 @@ run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   xray results/table3.xray.jsonl --dot results/table3.xray.dot > /dev/null
 run grep -q 'digraph xray' results/table3.xray.dot
 run ./target/release/bulksc-analyze convert results/table3.xray.jsonl results/table3.xray.btf
+run ./target/release/bulksc-analyze convert results/table3.xray.btf results/table3.xray.ci.jsonl
+run cmp results/table3.xray.jsonl results/table3.xray.ci.jsonl
 same_certificates results/table3.xray
-rm -f results/table3.xray.btf
+rm -f results/table3.xray.btf results/table3.xray.ci.jsonl
 
 echo "CI gate passed."
