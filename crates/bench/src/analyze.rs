@@ -1546,15 +1546,5 @@ mod tests {
         let tl = timeline_of(&jsonl, "mem").expect("timeline succeeds");
         assert!(tl.events > 0, "traced run emits events");
         assert_chrome_sane(&tl.chrome_trace);
-
-        // Profiler chrome trace from a real perf scenario.
-        let cell = crate::perf::matrix()
-            .into_iter()
-            .find(|s| s.name == "bsc8")
-            .unwrap();
-        let r = crate::perf::run_scenario(&cell, 800, 0, 1);
-        let doc = crate::perf::perf_json(&[r], &[], "chrome-test", 800, 0, 1).to_string();
-        let chrome = crate::perf::prof_chrome(&doc, "mem").expect("prof chrome renders");
-        assert_chrome_sane(&chrome);
     }
 }

@@ -12,8 +12,6 @@
 //!                          [--limit N] [--stats]
 //! bulksc-analyze convert   <in.jsonl|in.btf> <out>
 //! bulksc-analyze synth-trace <N> [--cores C] [--words W] [--format jsonl|btf]
-//! bulksc-analyze prof      <perf.json> [--chrome <out.json>] [--max-ratio <a>/<b>=<x>]...
-//! bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]
 //! bulksc-analyze metrics   <name.metrics.jsonl>...
 //! bulksc-analyze xray      <name.xray.jsonl|.btf> [--dot <out.dot>] [--top N]
 //! ```
@@ -53,15 +51,6 @@
 //!   value, periodic RMWs) as JSONL on stdout with per-word generator
 //!   state only — pipe it into `check - --stream` to exercise the
 //!   oracle at sizes that never fit in memory.
-//! * `prof` renders a `bulksc-perf` artifact's per-phase host-time
-//!   breakdown; `--chrome` also writes it as a Chrome trace
-//!   (flame-chart of where host time went), and each `--max-ratio a/b=x`
-//!   fails if scenario `a`'s KIPS over scenario `b`'s, as the median of
-//!   the interleaved pairs `bulksc-perf` measured for that ratio, exceeds
-//!   `x`.
-//! * `perf-diff` compares two `bulksc-perf` artifacts scenario-by-
-//!   scenario and fails on any median-KIPS drop beyond the threshold
-//!   (default 10%) — the host-throughput regression gate for CI.
 //! * `metrics` renders a `--metrics` heartbeat stream
 //!   (`results/<name>.metrics.jsonl`): one row per snapshot plus
 //!   per-interval completion rates from the monotonic wall stamps.
@@ -94,7 +83,7 @@
 //! Exit codes: 0 success, 1 validation/regression failure, 2 usage or
 //! unreadable/unsupported input.
 
-use bulksc_bench::{analyze, perf};
+use bulksc_bench::analyze;
 use bulksc_trace::source::{self, Format};
 use bulksc_trace::EventSource;
 use std::process::ExitCode;
@@ -112,9 +101,6 @@ fn usage() -> ExitCode {
          [--count-by kind|core|cause|site] [--limit N] [--stats]\n\
          \x20      bulksc-analyze convert <in.jsonl|in.btf> <out>\n\
          \x20      bulksc-analyze synth-trace <N> [--cores C] [--words W] [--format jsonl|btf]\n\
-         \x20      bulksc-analyze prof <perf.json> [--chrome <out.json>] \
-         [--max-ratio <a>/<b>=<x>]...\n\
-         \x20      bulksc-analyze perf-diff <old.json> <new.json> [--threshold <pct>]\n\
          \x20      bulksc-analyze metrics <name.metrics.jsonl>...\n\
          \x20      bulksc-analyze xray <name.xray.jsonl|.btf> [--dot <out.dot>] [--top N]"
     );
@@ -663,13 +649,14 @@ fn main() -> ExitCode {
                     }
                     w.finish()?.flush()
                 } else {
-                    let emit = |out: &mut dyn Write, line: String| -> Result<(), std::io::Error> {
-                        out.write_all(line.as_bytes())?;
-                        out.write_all(b"\n")
-                    };
-                    emit(&mut out, bulksc_trace::jsonl_header())?;
+                    let mut line = bulksc_trace::jsonl_header();
+                    line.push('\n');
+                    out.write_all(line.as_bytes())?;
                     for i in 0..n {
-                        emit(&mut out, synth_event(i).jsonl(20 + i))?;
+                        line.clear();
+                        synth_event(i).write_jsonl(20 + i, &mut line);
+                        line.push('\n');
+                        out.write_all(line.as_bytes())?;
                     }
                     out.flush()
                 }
@@ -681,73 +668,6 @@ fn main() -> ExitCode {
                     eprintln!("bulksc-analyze: cannot write trace: {e}");
                     ExitCode::from(2)
                 }
-            }
-        }
-        ("prof", rest) if !rest.is_empty() => {
-            let path = &rest[0];
-            let mut chrome_out: Option<String> = None;
-            let mut bounds = Vec::new();
-            let mut it = rest[1..].iter();
-            while let Some(flag) = it.next() {
-                match (flag.as_str(), it.next()) {
-                    ("--chrome", Some(p)) => chrome_out = Some(p.clone()),
-                    ("--max-ratio", Some(v)) => match perf::parse_ratio_bound(v) {
-                        Some(b) => bounds.push(b),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            let text = match read(path) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            match perf::prof_report_text(&text, path) {
-                Ok(out) => print!("{out}"),
-                Err(e) => {
-                    eprintln!("bulksc-analyze: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            if let Some(out) = chrome_out {
-                let chrome = match perf::prof_chrome(&text, path) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                if let Err(e) = std::fs::write(&out, chrome) {
-                    eprintln!("bulksc-analyze: cannot write {out}: {e}");
-                    return ExitCode::from(2);
-                }
-                println!("wrote {out}");
-            }
-            let mut exceeded = false;
-            for (num, den, bound) in bounds {
-                match perf::kips_ratio(&text, path, &num, &den) {
-                    Ok((ratio, pairs)) => {
-                        println!(
-                            "{num}/{den}: {ratio:.2}x (median of {pairs} interleaved pairs, \
-                             bound {bound:.2}x)"
-                        );
-                        if ratio > bound {
-                            eprintln!(
-                                "bulksc-analyze: {num}/{den} {ratio:.2}x exceeds bound {bound:.2}x"
-                            );
-                            exceeded = true;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("bulksc-analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            if exceeded {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
             }
         }
         ("metrics", paths) if !paths.is_empty() => {
@@ -796,34 +716,6 @@ fn main() -> ExitCode {
                         println!("wrote {out}");
                     }
                     ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("bulksc-analyze: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        ("perf-diff", rest) if rest.len() >= 2 => {
-            let threshold = match rest[2..] {
-                [] => 10.0,
-                [ref flag, ref v] if flag == "--threshold" => match v.parse::<f64>() {
-                    Ok(t) if t >= 0.0 => t,
-                    _ => return usage(),
-                },
-                _ => return usage(),
-            };
-            let (a, b) = match (read(&rest[0]), read(&rest[1])) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
-            match perf::perf_diff(&a, &b, &rest[0], &rest[1], threshold) {
-                Ok(d) => {
-                    print!("{}", d.render(threshold));
-                    if d.clean() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::from(1)
-                    }
                 }
                 Err(e) => {
                     eprintln!("bulksc-analyze: {e}");

@@ -222,11 +222,6 @@ impl BulkNode {
         self.stats.finished_at.is_some()
     }
 
-    /// Active (undecided) chunks right now.
-    pub fn active_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// True while the core is recovering from squashes (§3.3 back-off
     /// still in effect); an interval-sampler gauge.
     pub fn squashing(&self) -> bool {

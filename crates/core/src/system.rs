@@ -9,7 +9,7 @@ use bulksc_net::{Cycle, Envelope, Fabric, NodeId};
 use bulksc_trace::{Event, IntervalSeries, TraceHandle};
 use bulksc_workloads::{AddressMap, ThreadProgram};
 
-use bulksc_mem::{DirStats, Directory};
+use bulksc_mem::Directory;
 
 use crate::arbiter::{ArbStats, Arbiter};
 use crate::config::{Model, SystemConfig};
@@ -317,19 +317,9 @@ impl System {
         &self.nodes
     }
 
-    /// The directory modules.
-    pub fn dir_stats(&self) -> Vec<&DirStats> {
-        self.dirs.iter().map(|d| d.stats()).collect()
-    }
-
     /// The arbiter modules (empty for baselines).
     pub fn arbiter_stats(&self) -> Vec<&ArbStats> {
         self.arbiters.iter().map(|a| a.stats()).collect()
-    }
-
-    /// The G-arbiter, if this is a distributed-arbiter machine.
-    pub fn garbiter_stats(&self) -> Option<&crate::garbiter::GArbStats> {
-        self.garbiter.as_ref().map(|g| g.stats())
     }
 
     /// Per-thread observation logs (litmus outcomes).

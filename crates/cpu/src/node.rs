@@ -70,8 +70,6 @@ pub struct CoreStats {
     pub squashed_instrs: u64,
     /// Epoch squashes (SC++).
     pub squashes: u64,
-    /// Speculative loads re-issued after invalidation/displacement (SC).
-    pub load_reissues: u64,
     /// Cycle at which this core finished its program, if it has.
     pub finished_at: Option<Cycle>,
 }
@@ -740,9 +738,7 @@ impl BaselineNode {
                 match self.model {
                     BaselineModel::Rc => self.complete_load(now, slot, snapshot),
                     BaselineModel::Sc | BaselineModel::Scpp | BaselineModel::Tso => {
-                        if self.window.reissue(slot) {
-                            self.stats.load_reissues += 1;
-                        }
+                        self.window.reissue(slot);
                     }
                 }
             }
@@ -814,9 +810,7 @@ impl BaselineNode {
                 // Revalidate speculatively completed loads: re-issue.
                 // TSO needs this too — loads must appear to perform in
                 // program order among themselves (R→R is ppo).
-                if self.window.reissue_loads(line) {
-                    self.stats.load_reissues += 1;
-                }
+                self.window.reissue_loads(line);
             }
             BaselineModel::Scpp => {
                 let victim = self

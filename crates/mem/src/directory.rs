@@ -76,10 +76,6 @@ pub struct DirStats {
     pub reads: u64,
     /// Demand exclusive reads served (baselines).
     pub read_excls: u64,
-    /// Upgrades served (baselines).
-    pub upgrades: u64,
-    /// Writebacks received.
-    pub writebacks: u64,
     /// Requests bounced (busy line or committing line, §4.3.2).
     pub nacks: u64,
     /// W signatures received for commit expansion.
@@ -98,8 +94,6 @@ pub struct DirStats {
     pub priv_sigs: u64,
     /// Directory-cache entry displacements (§4.3.3).
     pub dir_displacements: u64,
-    /// L2 presence-filter hits.
-    pub l2_hits: u64,
     /// L2 presence-filter misses (paid the memory latency).
     pub l2_misses: u64,
 }
@@ -219,7 +213,6 @@ impl Directory {
     /// memory otherwise (and the line is installed in the L2).
     fn data_latency(&mut self, line: LineAddr) -> Cycle {
         if self.l2.touch(line) {
-            self.stats.l2_hits += 1;
             self.cfg.l2_extra
         } else {
             self.stats.l2_misses += 1;
@@ -440,7 +433,6 @@ impl Directory {
             self.nack(now, src, line, fab);
             return;
         }
-        self.stats.upgrades += 1;
         let others: Vec<u32> = entry
             .sharer_list()
             .into_iter()
@@ -468,7 +460,6 @@ impl Directory {
 
     fn writeback(&mut self, src: NodeId, line: LineAddr, keep_shared: bool) {
         let p = Self::core_index(src);
-        self.stats.writebacks += 1;
         self.l2.insert(line, LineState::Shared, |_| false);
         if let Some(e) = self.store.get_mut(line) {
             if e.dirty && e.has_sharer(p) {

@@ -7,8 +7,8 @@
 //! fabric, trace emission, the SC oracle, ...). When a run finishes, the
 //! collected [`ProfReport`] attributes wall-clock host nanoseconds per
 //! subsystem — total (inclusive) and self (exclusive of nested scopes) —
-//! so `bulksc-perf` can report simulated-throughput (KIPS) together with
-//! a per-phase breakdown of where the host cycles went.
+//! so the `benchmark/` package can report a per-phase breakdown of where
+//! the host cycles went, and `bulksc-perf` can time its tracing-tax runs.
 //!
 //! # Design constraints
 //!
@@ -78,7 +78,8 @@ pub mod clock {
 /// The static registry of profiled simulator subsystems.
 ///
 /// Fixed IDs so scope entry is an array index, not a hash lookup; the
-/// names below are the stable strings `results/perf.json` carries.
+/// names below are stable, since the benchmark's `prof.*_pct` metric
+/// names are built from them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {

@@ -893,15 +893,6 @@ pub struct IndexedBtf<R: Read + Seek> {
     index: Vec<BlockMeta>,
 }
 
-impl IndexedBtf<std::fs::File> {
-    /// Open a `.btf` file and load its index.
-    pub fn open_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<IndexedBtf<std::fs::File>, BtfError> {
-        IndexedBtf::new(std::fs::File::open(path)?)
-    }
-}
-
 impl<R: Read + Seek> IndexedBtf<R> {
     /// Validate header + trailer and load the block index.
     pub fn new(mut inner: R) -> Result<IndexedBtf<R>, BtfError> {

@@ -336,14 +336,22 @@ impl<'a> EventSource<'a> {
             inner: out,
             bytes: 0,
         };
-        let header = Json::obj([
+        // One line buffer for the whole stream, so no event allocates.
+        let mut line = Json::obj([
             ("schema", "bulksc-trace".into()),
             ("version", self.version.into()),
-        ]);
-        writeln!(out, "{header}").map_err(TranscodeError::Output)?;
+        ])
+        .to_string();
+        line.push('\n');
+        out.write_all(line.as_bytes())
+            .map_err(TranscodeError::Output)?;
         for item in self {
             let (cycle, ev) = item.map_err(TranscodeError::Input)?;
-            writeln!(out, "{}", ev.jsonl(cycle)).map_err(TranscodeError::Output)?;
+            line.clear();
+            ev.write_jsonl(cycle, &mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes())
+                .map_err(TranscodeError::Output)?;
         }
         out.flush().map_err(TranscodeError::Output)?;
         Ok(out.bytes)

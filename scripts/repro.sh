@@ -32,24 +32,16 @@ done
 # the interval-sample series.
 run cargo run -q --release --offline --example trace_demo > /dev/null
 
-# Host-performance suite: results/perf.json (absolute numbers are
-# host-specific; the per-phase shares and scenario ratios are the
-# comparable part).
-run cargo run -q --release --offline -p bulksc-bench --bin bulksc-perf -- \
-  --label seed > /dev/null
-
 # Validate everything we just wrote.
 for artifact in results/*.json; do
   case "$artifact" in
-    *.trace.json | *.samples.json | *perf*.json) continue ;; # not RunLogs
+    *.trace.json | *.samples.json) continue ;; # not RunLogs
   esac
   run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
     report "$artifact" > /dev/null
 done
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   timeline results/trace_demo.jsonl
-run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
-  prof results/perf.json > /dev/null
 
 # The demo run was recorded with value tracing on, so its event stream
 # must also pass the SC conformance oracle — once through the batch

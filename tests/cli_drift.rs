@@ -54,14 +54,23 @@ fn readme_analyze_section(readme: &str) -> &str {
 fn every_subcommand_is_documented_in_usage_and_readme() {
     let source = repo_file("crates/bench/src/bin/analyze.rs");
     let names = subcommands(&source);
-    // Sanity: the scraper found the real arm list, not an empty set.
-    for expected in ["report", "check", "query", "convert", "xray"] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "scraper lost the {expected:?} arm; found {names:?}"
-        );
-    }
-    assert!(names.len() >= 10, "suspiciously few subcommands: {names:?}");
+    // The scraper found exactly the real arm list: a lost arm, a new one,
+    // or a scraper that reads too little or too much fails here.
+    assert_eq!(
+        names,
+        [
+            "report",
+            "timeline",
+            "diff",
+            "check",
+            "query",
+            "convert",
+            "synth-trace",
+            "metrics",
+            "xray"
+        ],
+        "bulksc-analyze's subcommand set changed"
+    );
 
     let usage = usage_text(&source);
     let readme = repo_file("README.md");
