@@ -69,6 +69,25 @@ pub const BUDGET: u64 = 2_000;
 /// Interleaved pairs measured for each gated ratio.
 pub const RATIO_PAIRS: u32 = 9;
 
+/// The system of cell `s` at `budget` instructions per core, ready to run.
+fn system(s: &Scenario, budget: u64) -> System {
+    let app = bulksc_workloads::by_name("ocean").expect("catalog app");
+    let bulk = BulkConfig::bsc_dypvt();
+    let bulk = if s.xray { bulk.with_xray() } else { bulk };
+    let mut cfg = SystemConfig::cmp8(Model::Bulk(bulk));
+    cfg.budget = budget;
+    let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.cores)
+        .map(|t| Box::new(SyntheticApp::new(app, t, cfg.cores, SEED)) as Box<dyn ThreadProgram>)
+        .collect();
+    let mut sys = System::new(cfg, programs);
+    if s.tracing {
+        let mut handle = TraceHandle::off();
+        handle.attach(JsonlTracer::shared());
+        sys.set_tracer(handle);
+    }
+    sys
+}
+
 /// One run of `s` at `budget` instructions per core, timed by the
 /// profiler from set-up through [`SimReport::collect`].
 ///
@@ -80,21 +99,7 @@ fn measure(s: &Scenario, budget: u64) -> (SimReport, ProfReport) {
     prof::enable();
     let mut sys = {
         let _setup = prof::scope(Phase::Setup);
-        let app = bulksc_workloads::by_name("ocean").expect("catalog app");
-        let bulk = BulkConfig::bsc_dypvt();
-        let bulk = if s.xray { bulk.with_xray() } else { bulk };
-        let mut cfg = SystemConfig::cmp8(Model::Bulk(bulk));
-        cfg.budget = budget;
-        let programs: Vec<Box<dyn ThreadProgram>> = (0..cfg.cores)
-            .map(|t| Box::new(SyntheticApp::new(app, t, cfg.cores, SEED)) as Box<dyn ThreadProgram>)
-            .collect();
-        let mut sys = System::new(cfg, programs);
-        if s.tracing {
-            let mut handle = TraceHandle::off();
-            handle.attach(JsonlTracer::shared());
-            sys.set_tracer(handle);
-        }
-        sys
+        system(s, budget)
     };
     assert!(
         sys.run(u64::MAX / 4),
@@ -194,6 +199,8 @@ pub fn run_gate() -> Vec<RatioResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bulksc_check::{check_events, StreamConfig};
+    use bulksc_trace::EventSource;
 
     fn ratio((num, den, bound): (Scenario, Scenario, f64), pairs: &[f64]) -> RatioResult {
         RatioResult {
@@ -238,6 +245,33 @@ mod tests {
             pr.phase(Phase::TraceEmit).is_some(),
             "tracing cell must attribute trace-emission time"
         );
+    }
+
+    /// Oracle self time charged by the profiler while `check_events`
+    /// certifies a JSONL capture of the untraced cell's run in mode `cfg`.
+    fn oracle_self_ns(cfg: StreamConfig) -> u64 {
+        let mut sys = system(&CELLS[0], 1_000);
+        let jsonl = JsonlTracer::shared();
+        let mut handle = TraceHandle::off();
+        handle.attach(jsonl.clone());
+        sys.set_tracer(handle);
+        assert!(sys.run(u64::MAX / 4), "run finishes");
+        let trace = jsonl.borrow().contents().to_string();
+        prof::enable();
+        let events = EventSource::new(trace.as_bytes(), "mem").expect("trace has a header");
+        check_events(events, cfg).expect("the run is SC");
+        let pr = prof::disable();
+        pr.phase(Phase::Oracle).expect("oracle profiled").self_ns
+    }
+
+    #[test]
+    fn oracle_scenario_profiles_the_oracle() {
+        assert!(oracle_self_ns(StreamConfig::batch()) > 0);
+    }
+
+    #[test]
+    fn streaming_oracle_scenario_certifies_and_profiles() {
+        assert!(oracle_self_ns(StreamConfig::windowed(4096)) > 0);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! simulated machine, so nothing it does may leak into simulated state.
 
 use bulksc::{BulkConfig, Model, SimReport, System, SystemConfig};
-use bulksc_check::{check_events, StreamConfig};
 use bulksc_prof as prof;
-use bulksc_trace::{EventSource, JsonlTracer, TraceHandle};
+use bulksc_trace::{JsonlTracer, TraceHandle};
 use bulksc_workloads::{by_name, SyntheticApp, ThreadProgram};
 
 fn build(budget: u64, seed: u64) -> System {
@@ -87,19 +86,4 @@ fn profiled_rerun_is_deterministic_too() {
     let (t2, r2, _) = traced_run(true, 2_000, 11);
     assert_eq!(t1, t2);
     assert_eq!(r1, r2);
-}
-
-#[test]
-fn the_oracle_is_profiled_in_batch_and_windowed_mode() {
-    // The oracle scopes its own work: certifying a captured trace under
-    // the profiler charges self time to the oracle phase in both modes.
-    let (trace, _, _) = traced_run(false, 1_000, 5);
-    for cfg in [StreamConfig::batch(), StreamConfig::windowed(4096)] {
-        prof::enable();
-        let events = EventSource::new(trace.as_bytes(), "mem").expect("trace has a header");
-        check_events(events, cfg).expect("the run is SC");
-        let pr = prof::disable();
-        let oracle = pr.phase(prof::Phase::Oracle).expect("oracle profiled");
-        assert!(oracle.self_ns > 0);
-    }
 }
