@@ -5,8 +5,7 @@
 //! bulksc-analyze timeline  <trace.jsonl|.btf> [--out <chrome.json>]
 //! bulksc-analyze diff      <a.json> <b.json> [--threshold <pct>]
 //! bulksc-analyze check     <trace.jsonl|.btf|->... [--model[=sc|tso]] [--jobs N]
-//!                          [--metrics[=MS]] [--stream[=WINDOW]] [--window N]
-//!                          [--max-rss-mb MB]
+//!                          [--metrics[=MS]] [--stream [--window N]] [--max-rss-mb MB]
 //! bulksc-analyze query     <trace.btf|.jsonl> [--core N] [--kind NAME]...
 //!                          [--cycles A..B] [--line ADDR] [--count-by kind|core|cause|site]
 //!                          [--limit N] [--stats]
@@ -35,17 +34,15 @@
 //!   and `--stream` modes. `-` reads the trace from stdin. Input is
 //!   consumed event by event in both modes, through the one reader both
 //!   encodings share; decode errors name the file and the 1-based line
-//!   (or the BTF block). With `--stream[=WINDOW]` (window also settable
-//!   via `--window N`, default 2^20 accesses) the trace is certified
-//!   through the windowed streaming checker in bounded memory — traces
-//!   of any length — and the pool accelerates each window seal instead
-//!   of fanning out over traces. `--max-rss-mb MB` fails the run with
-//!   exit 1 if the process's peak RSS exceeded the bound, which is how
-//!   CI proves the streaming oracle's memory stays flat. In batch mode,
-//!   multiple traces are verified concurrently on the
-//!   `bulksc_bench::pool` worker pool (`--jobs N`, default
-//!   `BULKSC_JOBS`/available parallelism); results print in argument
-//!   order, so output is identical at any width.
+//!   (or the BTF block). With `--stream` (and `--window N`, default 2^20
+//!   accesses) each trace is certified through the windowed streaming
+//!   checker in bounded memory — traces of any length. `--max-rss-mb MB`
+//!   fails the run with exit 1 if the process's peak RSS exceeded the
+//!   bound, which is how CI proves the streaming oracle's memory stays
+//!   flat. In both modes, multiple traces are verified concurrently on
+//!   the `bulksc_bench::pool` worker pool (`--jobs N`, default
+//!   `BULKSC_JOBS`/available parallelism), one trace per job; results
+//!   print in argument order, so output is identical at any width.
 //! * `synth-trace` writes a synthetic N-access legal trace (the
 //!   million-soak pattern: unique-value stores, loads of the current
 //!   value, periodic RMWs) as JSONL on stdout with per-word generator
@@ -94,8 +91,7 @@ fn usage() -> ExitCode {
          \x20      bulksc-analyze timeline <trace.jsonl|.btf> [--out <chrome.json>]\n\
          \x20      bulksc-analyze diff <a.json> <b.json> [--threshold <pct>]\n\
          \x20      bulksc-analyze check <trace.jsonl|.btf|->... [--model[=sc|tso]] [--jobs N]\n\
-         \x20                           [--metrics[=MS]] [--stream[=WINDOW]] [--window N]\n\
-         \x20                           [--max-rss-mb MB]\n\
+         \x20                           [--metrics[=MS]] [--stream [--window N]] [--max-rss-mb MB]\n\
          \x20      bulksc-analyze query <trace.btf|.jsonl> [--core N] [--kind NAME]...\n\
          \x20                           [--cycles A..B] [--line ADDR] \
          [--count-by kind|core|cause|site] [--limit N] [--stats]\n\
@@ -279,9 +275,6 @@ fn main() -> ExitCode {
                 let (flag, value) = if arg == "--stream" {
                     stream = true;
                     continue;
-                } else if let Some(v) = arg.strip_prefix("--stream=") {
-                    stream = true;
-                    ("--stream", v.to_string())
                 } else if *arg == "--model" || arg.starts_with("--model=") {
                     let v = match arg.strip_prefix("--model=") {
                         Some(v) => v,
@@ -311,9 +304,7 @@ fn main() -> ExitCode {
                 };
                 match (flag, value.parse::<u64>()) {
                     ("--jobs", Ok(n)) if n >= 1 => jobs = Some(n as usize),
-                    ("--stream", Ok(n)) | ("--window", Ok(n)) if n >= 1 => {
-                        window = Some(n as usize)
-                    }
+                    ("--window", Ok(n)) if n >= 1 => window = Some(n as usize),
                     ("--max-rss-mb", Ok(n)) if n >= 1 => max_rss_mb = Some(n),
                     _ => return usage(),
                 }
@@ -335,7 +326,7 @@ fn main() -> ExitCode {
             /// Certify one trace (file or stdin, either encoding) event by
             /// event. A batch `cfg` keeps the whole witness and prints the
             /// batch certificate; a windowed one holds only the frontier in
-            /// memory, and its pool width parallelizes each window seal.
+            /// memory and prints the streaming certificate.
             fn check_one(path: &str, cfg: StreamConfig) -> CheckOut {
                 let origin = source::origin_of(path);
                 let events = match source::open(path).map(|input| EventSource::new(input, origin)) {
@@ -353,9 +344,6 @@ fn main() -> ExitCode {
                         "bulksc-analyze: {origin}: no value events — was the run \
                          recorded with value tracing on?"
                     )),
-                    Ok(cert) if cert.witness.is_some() => {
-                        CheckOut::Certified(format!("{origin}: {}", cert.into_sc().summary()))
-                    }
                     Ok(cert) => CheckOut::Certified(format!("{origin}: {}", cert.summary())),
                     Err(StreamError::Input(m)) => CheckOut::Fatal(format!("bulksc-analyze: {m}")),
                     Err(StreamError::Check(CheckError::Violation(v))) => CheckOut::Violation(
@@ -368,30 +356,22 @@ fn main() -> ExitCode {
             }
 
             let heartbeat = bulksc_bench::heartbeat::Heartbeat::maybe_start("check");
-            let width = jobs.unwrap_or_else(pool::default_width);
-            let results: Vec<CheckOut> = if stream {
-                // Streaming mode: traces run one after another in bounded
-                // memory; the pool accelerates each window seal instead.
-                let cfg = StreamConfig::windowed(window.unwrap_or(1 << 20))
-                    .with_jobs(width)
-                    .with_model(model);
+            let cfg = if stream {
+                StreamConfig::windowed(window.unwrap_or(1 << 20))
+            } else {
+                StreamConfig::batch()
+            }
+            .with_model(model);
+            let results: Vec<CheckOut> = pool::run_all(
+                jobs.unwrap_or_else(pool::default_width),
                 paths
                     .iter()
-                    .map(|path| check_one(path, cfg.clone()))
-                    .collect()
-            } else {
-                let cfg = StreamConfig::batch().with_model(model);
-                pool::run_all(
-                    width,
-                    paths
-                        .iter()
-                        .map(|path| {
-                            let (path, cfg) = (path.as_str(), cfg.clone());
-                            Job::new(format!("check {path}"), move || check_one(path, cfg))
-                        })
-                        .collect(),
-                )
-            };
+                    .map(|path| {
+                        let path = path.as_str();
+                        Job::new(format!("check {path}"), move || check_one(path, cfg))
+                    })
+                    .collect(),
+            );
             if let Some(hb) = heartbeat {
                 hb.finish();
             }

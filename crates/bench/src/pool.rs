@@ -1,10 +1,7 @@
 //! Deterministic host-side worker pool — re-exported from
-//! [`bulksc_pool`].
-//!
-//! The pool started life in this crate (PR 5) but now also backs the
-//! streaming SC checker in `bulksc-check`, which `bulksc-bench` depends
-//! on; the implementation therefore lives in its own leaf crate and this
-//! module re-exports it so every existing `crate::pool::...` /
-//! `bulksc_bench::pool::...` call site keeps working unchanged.
+//! [`bulksc_pool`], its own crate because the streaming SC checker in
+//! `bulksc-check` once used it too. The checker no longer calls it; its
+//! dependency edge goes with the next change to `benchmark/`, whose lock
+//! file lists it, and the pool can then fold back into this module.
 
 pub use bulksc_pool::*;

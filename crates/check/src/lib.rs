@@ -46,13 +46,12 @@
 //! well under a second. Memory is `O(n)` in batch mode; for traces that
 //! outgrow it, the [`stream`] module certifies the same witness order
 //! window by window in memory bounded by the window size ([`check`] is
-//! itself the single-window special case). [`check_events`] is the one
-//! trace reader: it feeds either encoding, event by event from an
-//! [`EventSource`], into the checker, so the trace never has to be
-//! materialized at all.
+//! itself the single-window special case, and both return one
+//! [`ScCertificate`]). [`check_events`] is the one trace reader: it
+//! feeds either encoding, event by event from an [`EventSource`], into
+//! the checker, so the trace never has to be materialized at all.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bulksc_trace::{Event, EventSource, Tracer};
@@ -64,10 +63,7 @@ pub use order::{
     check, check_model, CheckError, EdgeKind, MemoryModel, ScCertificate, ScViolation,
     ViolationKind,
 };
-pub use stream::{
-    check_events, check_stream, Checkpoint, StreamCertificate, StreamChecker, StreamConfig,
-    StreamError,
-};
+pub use stream::{check_events, check_stream, StreamChecker, StreamConfig, StreamError};
 
 /// What one traced access did at its address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,19 +280,6 @@ impl ValueTrace {
         Ok(trace)
     }
 
-    /// The final value per traced address (the last write in co), as the
-    /// witness replay would leave memory. Addresses only ever read map to
-    /// nothing here (they stayed at their initial 0).
-    pub fn final_writes(&self) -> BTreeMap<u64, u64> {
-        let mut mem = BTreeMap::new();
-        for a in &self.accesses {
-            if let Some(v) = a.published() {
-                mem.insert(a.addr, v);
-            }
-        }
-        mem
-    }
-
     /// Run the oracle on this trace.
     pub fn verify(&self) -> Result<ScCertificate, CheckError> {
         self.verify_model(MemoryModel::Sc)
@@ -324,19 +307,9 @@ impl CollectingTracer {
         Rc::new(RefCell::new(CollectingTracer::default()))
     }
 
-    /// Number of accesses collected so far.
-    pub fn accesses(&self) -> usize {
-        self.trace.accesses.len()
-    }
-
     /// Take the collected trace, leaving the sink empty.
     pub fn take(&mut self) -> ValueTrace {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Borrow the collected trace without consuming it.
-    pub fn trace(&self) -> &ValueTrace {
-        &self.trace
     }
 }
 
@@ -405,8 +378,11 @@ mod tests {
         assert_eq!(vt.accesses[1].observed(), Some(7));
         assert_eq!(vt.accesses[2].kind, AccessKind::Rmw { old: 0, new: 1 });
         assert_eq!(vt.accesses[2].idx, 2);
-        assert_eq!(vt.final_writes(), BTreeMap::from([(0x100, 7), (0x108, 1)]));
-        assert_eq!(sink.borrow().accesses(), 0, "take drained the sink");
+        let drained = sink.borrow_mut().take();
+        assert!(
+            drained.accesses.is_empty() && drained.lifecycle.is_empty(),
+            "take drained the sink"
+        );
     }
 
     #[test]

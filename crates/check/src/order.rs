@@ -146,38 +146,67 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Proof that an execution is SC: the witness interleaving and the final
-/// memory it reaches.
+/// Proof that an execution is SC: counters, the final memory the
+/// witness reaches, and, for a batch check, the witness itself.
 #[derive(Clone, Debug)]
 pub struct ScCertificate {
     /// The model the execution was certified against.
     pub model: MemoryModel,
     /// Accesses verified.
     pub accesses: usize,
-    /// Witness edges constructed (po + rf + co + fr).
+    /// Witness edges constructed (po + rf + co + fr, including edges
+    /// whose source was already placed when the sink arrived).
     pub edges: usize,
-    /// Reads whose rf source was ambiguous (several writes published the
-    /// same value at that address): their rf/fr edges were skipped.
+    /// Reads whose rf source was ambiguous (several live writes published
+    /// the same value at that address): their rf/fr edges were skipped.
     pub ambiguous_reads: usize,
+    /// Windows sealed (including the final partial one).
+    pub windows: u64,
+    /// Peak live (unplaced) access count across all seals — the memory
+    /// bound actually achieved, ≤ 2 windows by construction.
+    pub peak_live: usize,
+    /// Peak live write-record count across all seals.
+    pub peak_write_records: usize,
+    /// FNV-1a hash over the full placed witness order.
+    pub witness_hash: u64,
     /// A witness total order: indices into the access array, in an order
-    /// under which every read sees the most recent write.
-    pub witness: Vec<usize>,
+    /// under which every read sees the most recent write. Present exactly
+    /// for a batch check.
+    pub witness: Option<Vec<usize>>,
     /// Memory after replaying the witness (traced addresses only;
     /// addresses never written stay at their initial 0 and are absent).
     pub final_memory: BTreeMap<u64, u64>,
 }
 
 impl ScCertificate {
-    /// One-line human summary.
+    /// One-line human summary: the batch line when the witness was
+    /// recorded, the streaming line (windows, peaks, witness hash)
+    /// otherwise.
     pub fn summary(&self) -> String {
+        if self.witness.is_some() {
+            return format!(
+                "{}-certified: {} accesses, {} witness edges, {} ambiguous reads, \
+                 {} locations written",
+                self.model.name(),
+                self.accesses,
+                self.edges,
+                self.ambiguous_reads,
+                self.final_memory.len()
+            );
+        }
         format!(
-            "{}-certified: {} accesses, {} witness edges, {} ambiguous reads, \
-             {} locations written",
+            "{}-certified (streaming): {} accesses in {} windows, {} witness \
+             edges, {} ambiguous reads, peak {} live accesses / {} write \
+             records, {} locations written, witness hash {:016x}",
             self.model.name(),
             self.accesses,
+            self.windows,
             self.edges,
             self.ambiguous_reads,
-            self.final_memory.len()
+            self.peak_live,
+            self.peak_write_records,
+            self.final_memory.len(),
+            self.witness_hash
         )
     }
 }
@@ -188,9 +217,8 @@ impl ScCertificate {
 ///
 /// This is the batch entry point: a single-window run of the streaming
 /// checker in [`crate::stream`], which resolves every read against the
-/// complete write set and records the full witness. Certificates and
-/// violation reports are identical to the historical all-in-memory
-/// implementation; use [`crate::stream::check_stream`] with a bounded
+/// complete write set and records the full witness. Use
+/// [`crate::stream::check_stream`] with a windowed
 /// [`crate::stream::StreamConfig`] when the trace does not fit.
 pub fn check(
     accesses: &[Access],
@@ -208,7 +236,7 @@ pub fn check_model(
     model: MemoryModel,
 ) -> Result<ScCertificate, CheckError> {
     let cfg = crate::stream::StreamConfig::batch().with_model(model);
-    Ok(crate::stream::check_stream(accesses, lifecycle, cfg)?.into_sc())
+    crate::stream::check_stream(accesses, lifecycle, cfg)
 }
 
 /// Extract a simple cycle from the leftover subgraph (`indeg[i] > 0`
@@ -378,7 +406,7 @@ mod tests {
         let cert = check(&[], &[]).expect("empty trace is SC");
         assert_eq!(cert.accesses, 0);
         let cert = check(&[st(0, 0, 0, 8, 1)], &[]).expect("one store is SC");
-        assert_eq!(cert.witness, vec![0]);
+        assert_eq!(cert.witness, Some(vec![0]));
         assert_eq!(cert.final_memory, BTreeMap::from([(8, 1)]));
     }
 
@@ -398,7 +426,8 @@ mod tests {
         // 2 po + 2 rf edges; no co (one write per address), no fr (reads
         // saw the last write).
         assert_eq!(cert.edges, 4);
-        let pos = |i: usize| cert.witness.iter().position(|&w| w == i).unwrap();
+        let witness = cert.witness.as_deref().unwrap();
+        let pos = |i: usize| witness.iter().position(|&w| w == i).unwrap();
         assert!(pos(0) < pos(2) && pos(1) < pos(3), "po respected");
         assert_eq!(cert.final_memory, BTreeMap::from([(0xa, 1), (0xb, 2)]));
     }
@@ -587,7 +616,8 @@ mod tests {
         let cert = check(&t, &[]).expect("consistent history");
         assert_eq!(cert.ambiguous_reads, 0);
         assert_eq!(cert.final_memory, BTreeMap::from([(0x10, 2), (0x18, 3)]));
-        let pos = |i: usize| cert.witness.iter().position(|&w| w == i).unwrap();
+        let witness = cert.witness.as_deref().unwrap();
+        let pos = |i: usize| witness.iter().position(|&w| w == i).unwrap();
         assert!(pos(1) < pos(0), "init read precedes the first write");
         assert!(pos(4) < pos(3), "fr orders the read before the next write");
     }

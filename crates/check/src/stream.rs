@@ -25,16 +25,13 @@
 //!   that address should see). Everything older is expired, so live
 //!   state is O(window + address working set), independent of trace
 //!   length.
-//! * Each seal emits a [`Checkpoint`] — witness-prefix length, a rolling
-//!   FNV-1a hash of the placed order, live-set size — so a verdict on an
-//!   arbitrarily long trace is auditable without storing the witness.
+//! * A rolling FNV-1a hash of the placed order makes a verdict on an
+//!   arbitrarily long trace auditable without storing the witness.
 //!
 //! **Batch is one window**: with `window = usize::MAX` every access is
-//! resolved in a single seal against the complete write set, and the
-//! construction (edge insertion order, Kahn queue order, replay) is
-//! line-for-line the batch algorithm's — [`crate::check`] is now a
-//! wrapper over this module, and certificates and violation reports are
-//! byte-identical to the historical batch ones.
+//! resolved in a single seal against the complete write set, the full
+//! witness is recorded and every lifecycle event is kept. [`crate::check`]
+//! is that configuration.
 //!
 //! **Windowed divergences** (multi-window mode only, all documented in
 //! DESIGN.md §13): the stream must be *causal* (a read arrives after
@@ -42,17 +39,11 @@
 //! read more than a window staler than its address's write history is
 //! reported as a violation rather than tolerated; ambiguity counts are
 //! frontier-local.
-//!
-//! Window seals can be parallelized over the deterministic worker pool
-//! ([`StreamConfig::jobs`]): read resolution — the dominant cost — is
-//! pure lookup against the frozen write records, so shards are merged
-//! back in stream order and the verdict is byte-identical at any width.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use bulksc_pool::{run_all, Job};
 use bulksc_trace::EventSource;
 
 use crate::order::{
@@ -60,67 +51,40 @@ use crate::order::{
 };
 use crate::{Access, AccessKind, LifecycleEvent, TraceLine};
 
-/// Tuning for one streaming certification.
-#[derive(Clone, Debug)]
+/// The two settings of one certification: the window and the model.
+#[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Accesses per window. `usize::MAX` makes the whole trace one
-    /// window (exact batch semantics, unbounded memory).
+    /// window: exact batch semantics, unbounded memory, the full witness
+    /// recorded and every lifecycle event kept for violation reports. A
+    /// windowed check keeps the last 65,536 lifecycle events and no
+    /// witness.
     pub window: usize,
-    /// Worker-pool width for per-window read resolution. Verdicts are
-    /// byte-identical at any width; only wall-clock changes.
-    pub jobs: usize,
-    /// How many recent chunk-lifecycle events to keep for violation
-    /// reports (a ring buffer; the batch wrapper keeps all of them).
-    pub lifecycle_cap: usize,
-    /// Record the full witness order (only sensible for small traces —
-    /// the whole point of windowing is not storing O(n) state).
-    pub record_witness: bool,
-    /// Keep at most this many per-seal checkpoints.
-    pub checkpoint_cap: usize,
-    /// The memory model to certify against (default SC). See
-    /// [`MemoryModel`] for what TSO relaxes.
+    /// The memory model to certify against. See [`MemoryModel`] for what
+    /// TSO relaxes.
     pub model: MemoryModel,
 }
 
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            window: 1 << 20,
-            jobs: 1,
-            lifecycle_cap: 1 << 16,
-            record_witness: false,
-            checkpoint_cap: 256,
-            model: MemoryModel::Sc,
-        }
-    }
-}
+/// How many recent chunk-lifecycle events a windowed check keeps for
+/// violation reports.
+const LIFECYCLE_KEPT: usize = 1 << 16;
 
 impl StreamConfig {
-    /// The configuration [`crate::check`] wraps: one window covering the
-    /// whole trace, full witness, every lifecycle event retained.
+    /// The configuration [`crate::check`] runs: one window covering the
+    /// whole trace, SC.
     pub fn batch() -> Self {
         StreamConfig {
             window: usize::MAX,
-            jobs: 1,
-            lifecycle_cap: usize::MAX,
-            record_witness: true,
-            checkpoint_cap: 0,
             model: MemoryModel::Sc,
         }
     }
 
-    /// A bounded-memory configuration with the given window size.
+    /// A bounded-memory SC configuration with the given window size.
     pub fn windowed(window: usize) -> Self {
         StreamConfig {
             window: window.max(1),
-            ..StreamConfig::default()
+            model: MemoryModel::Sc,
         }
-    }
-
-    /// Set the worker-pool width for window seals.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Set the memory model to certify against.
@@ -128,89 +92,10 @@ impl StreamConfig {
         self.model = model;
         self
     }
-}
 
-/// One audited point of a streaming certification: the state of the
-/// certified prefix right after a window seal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Which window this seal closed (0-based).
-    pub window: u64,
-    /// Accesses placed in the certified witness prefix so far.
-    pub placed: usize,
-    /// Accesses still live (unplaced) after this seal.
-    pub live: usize,
-    /// Write records still resolvable after expiry.
-    pub write_records: usize,
-    /// Rolling FNV-1a hash over the placed witness order.
-    pub witness_hash: u64,
-}
-
-/// Proof that a streamed execution is SC, in bounded space: counters,
-/// the final memory image from the incremental witness replay, and the
-/// per-seal checkpoints. The full witness order is only present when
-/// [`StreamConfig::record_witness`] was set.
-#[derive(Clone, Debug)]
-pub struct StreamCertificate {
-    /// The model the execution was certified against.
-    pub model: MemoryModel,
-    /// Accesses certified.
-    pub accesses: usize,
-    /// Witness edges discharged (po + rf + co + fr, including edges
-    /// whose source was already placed when the sink arrived).
-    pub edges: usize,
-    /// Reads whose rf source was ambiguous among the live write records.
-    pub ambiguous_reads: usize,
-    /// Windows sealed (including the final partial one).
-    pub windows: u64,
-    /// Peak live (unplaced) access count across all seals — the memory
-    /// bound actually achieved, ≤ 2 windows by construction.
-    pub peak_live: usize,
-    /// Peak live write-record count across all seals.
-    pub peak_write_records: usize,
-    /// FNV-1a hash over the full placed witness order.
-    pub witness_hash: u64,
-    /// Memory after replaying the witness (addresses written only).
-    pub final_memory: BTreeMap<u64, u64>,
-    /// Per-seal audit trail (capped at `checkpoint_cap`).
-    pub checkpoints: Vec<Checkpoint>,
-    /// The witness order, if recording was on.
-    pub witness: Option<Vec<usize>>,
-}
-
-impl StreamCertificate {
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}-certified (streaming): {} accesses in {} windows, {} witness \
-             edges, {} ambiguous reads, peak {} live accesses / {} write \
-             records, {} locations written, witness hash {:016x}",
-            self.model.name(),
-            self.accesses,
-            self.windows,
-            self.edges,
-            self.ambiguous_reads,
-            self.peak_live,
-            self.peak_write_records,
-            self.final_memory.len(),
-            self.witness_hash
-        )
-    }
-
-    /// Convert to the batch certificate type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if witness recording was off.
-    pub fn into_sc(self) -> ScCertificate {
-        ScCertificate {
-            model: self.model,
-            accesses: self.accesses,
-            edges: self.edges,
-            ambiguous_reads: self.ambiguous_reads,
-            witness: self.witness.expect("witness recording was off"),
-            final_memory: self.final_memory,
-        }
+    /// Whether this is a batch (single-window) check.
+    fn is_batch(self) -> bool {
+        self.window == usize::MAX
     }
 }
 
@@ -262,9 +147,7 @@ struct LiveAccess {
 /// A live write record: resolvable as an rf source until expired.
 struct WriteRec {
     a: Access,
-    rank: u64,
     window: u64,
-    placed: bool,
     /// Reads that resolved rf to this write while it was the last write
     /// at its address: their fr edge is deferred until the coherence
     /// successor arrives.
@@ -274,25 +157,35 @@ struct WriteRec {
 /// Per-address frontier state.
 #[derive(Default)]
 struct AddrState {
-    /// Live records in coherence (= arrival) order. Expiry pops from the
-    /// front; the back (the current last write) is never expired.
+    /// Live records in coherence (= arrival) order: the records of ranks
+    /// `expired..writes`. Expiry pops from the front; the back (the
+    /// current last write) is never expired.
     recs: VecDeque<WriteRec>,
     /// Total writes ever seen at this address (the next co rank).
     writes: u64,
     /// Records dropped by the retention rule.
     expired: u64,
+    /// Writes in the certified prefix: ranks below this. Co edges chain
+    /// an address's writes, so they are placed in rank order, and every
+    /// expired write is placed.
+    placed: u64,
     /// Copy of the first write ever (for torn-RMW / stale-init reports).
     first_write: Option<Access>,
-    /// Whether that first write is already in the certified prefix.
-    first_placed: bool,
     /// Reads of the initial 0 that arrived before any write: their fr
     /// edge is deferred until the first write (if any) arrives.
     init_readers: Vec<usize>,
 }
 
-/// Outcome of resolving one read against the frozen write records. Pure
-/// data so window shards can compute these in parallel; they are applied
-/// serially in stream order.
+impl AddrState {
+    /// The live record of coherence rank `rank` (`expired <= rank <
+    /// writes`).
+    fn rec(&self, rank: u64) -> &WriteRec {
+        &self.recs[(rank - self.expired) as usize]
+    }
+}
+
+/// Outcome of resolving one read against the write records, applied
+/// right after it is computed.
 enum ReadOutcome {
     Ambiguous,
     /// Init read, no write at the address yet: register for a deferred
@@ -309,7 +202,7 @@ enum ReadOutcome {
         w: usize,
         w_placed: bool,
         /// The source write's core (TSO drops same-core rf edges) and
-        /// coherence rank (TSO's per-location scan).
+        /// coherence rank (its reader list; TSO's per-location scan).
         w_core: u32,
         w_rank: u64,
         fr: FrApply,
@@ -342,12 +235,12 @@ enum FrApply {
     Register,
 }
 
-/// Resolve one read against the live write records. Pure: no `&mut`
-/// anywhere, so window shards run it concurrently and the merged result
-/// is independent of pool width.
+/// Resolve one read against the live write records. Pure lookup:
+/// `writers` names each candidate source by its coherence rank, which
+/// indexes the address's records directly.
 fn resolve_read(
     addrs: &IntMap<u64, AddrState>,
-    writers: &IntMap<(u64, u64), Vec<usize>>,
+    writers: &IntMap<(u64, u64), Vec<u64>>,
     a: &Access,
 ) -> ReadOutcome {
     let v = a.observed().expect("resolve_read takes reads");
@@ -357,10 +250,10 @@ fn resolve_read(
     // keep the last one seen. An RMW whose new value equals its old one
     // would otherwise count itself.
     let (mut candidates, mut w) = (0, 0);
-    for &g in writers.get(&(a.addr, v)).into_iter().flatten() {
-        if g != a.idx {
+    for &r in writers.get(&(a.addr, v)).into_iter().flatten() {
+        if !is_rmw || st.is_some_and(|s| s.rec(r).a.idx != a.idx) {
             candidates += 1;
-            w = g;
+            w = r;
             if candidates == 2 {
                 break;
             }
@@ -380,7 +273,7 @@ fn resolve_read(
                     ReadOutcome::TornRmwInit { first }
                 }
             } else if let Some(f) = first {
-                if st.expect("first write implies state").first_placed {
+                if st.expect("first write implies state").placed > 0 {
                     ReadOutcome::StaleInit { first: f }
                 } else {
                     ReadOutcome::InitEdge { first: f.idx }
@@ -391,25 +284,17 @@ fn resolve_read(
         }
         (1, false) => {
             let s = st.expect("a live candidate implies address state");
-            let i = s
-                .recs
-                .binary_search_by_key(&w, |r| r.a.idx)
-                .expect("live writer has a live record");
-            let rec = &s.recs[i];
-            if is_rmw {
-                let own = s
-                    .recs
-                    .binary_search_by_key(&a.idx, |r| r.a.idx)
-                    .map(|j| s.recs[j].rank)
-                    .expect("an RMW's own write has a live record");
-                if own != rec.rank + 1 {
-                    return ReadOutcome::TornRmw { w: rec.a };
-                }
+            let rec = s.rec(w);
+            let succ = s.recs.get((w + 1 - s.expired) as usize);
+            // An RMW is torn unless its own write directly follows its
+            // source in coherence order.
+            if is_rmw && succ.is_none_or(|n| n.a.idx != a.idx) {
+                return ReadOutcome::TornRmw { w: rec.a };
             }
-            let fr = match s.recs.get(i + 1) {
+            let fr = match succ {
                 None => FrApply::Register,
                 Some(succ) if succ.a.idx == a.idx => FrApply::None,
-                Some(succ) if succ.placed => {
+                Some(succ) if w + 1 < s.placed => {
                     return ReadOutcome::Stale {
                         value: v,
                         succ: succ.a,
@@ -418,10 +303,10 @@ fn resolve_read(
                 Some(succ) => FrApply::Edge(succ.a.idx),
             };
             ReadOutcome::RfEdge {
-                w,
-                w_placed: rec.placed,
+                w: rec.a.idx,
+                w_placed: w < s.placed,
                 w_core: rec.a.core,
-                w_rank: rec.rank,
+                w_rank: w,
                 fr,
             }
         }
@@ -607,18 +492,18 @@ pub struct StreamChecker {
     /// TSO model only: the per-location coherence scan.
     coh: CohScan,
     addrs: IntMap<u64, AddrState>,
-    /// (addr, value) → live writers of that value, ascending.
-    writers: IntMap<(u64, u64), Vec<usize>>,
+    /// (addr, value) → coherence ranks of the live writers of that
+    /// value, ascending.
+    writers: IntMap<(u64, u64), Vec<u64>>,
     /// The incremental witness-replay memory image (ordered once, for the
     /// certificate, in `finish`).
     mem: IntMap<u64, u64>,
     lifecycle: VecDeque<LifecycleEvent>,
     edges: usize,
     ambiguous: usize,
-    placed: usize,
     witness_hash: u64,
+    /// The placed order, recorded by a batch check only.
     witness: Option<Vec<usize>>,
-    checkpoints: Vec<Checkpoint>,
     windows_sealed: u64,
     peak_live: usize,
     peak_recs: usize,
@@ -799,10 +684,8 @@ impl StreamChecker {
             lifecycle: VecDeque::new(),
             edges: 0,
             ambiguous: 0,
-            placed: 0,
             witness_hash: FNV_OFFSET,
-            witness: None,
-            checkpoints: Vec::new(),
+            witness: cfg.is_batch().then(Vec::new),
             windows_sealed: 0,
             peak_live: 0,
             peak_recs: 0,
@@ -849,13 +732,10 @@ impl StreamChecker {
     }
 
     /// Feed one chunk-lifecycle event (context for violation reports).
-    /// Kept in a ring of the most recent [`StreamConfig::lifecycle_cap`]
-    /// events.
+    /// A batch check keeps every event; a windowed one keeps a ring of
+    /// the most recent 65,536.
     pub fn push_lifecycle(&mut self, e: LifecycleEvent) {
-        if self.cfg.lifecycle_cap == 0 {
-            return;
-        }
-        if self.lifecycle.len() >= self.cfg.lifecycle_cap {
+        if !self.cfg.is_batch() && self.lifecycle.len() >= LIFECYCLE_KEPT {
             self.lifecycle.pop_front();
         }
         self.lifecycle.push_back(e);
@@ -863,15 +743,12 @@ impl StreamChecker {
 
     /// Seal the final (partial) window, place everything still live, and
     /// return the certificate.
-    pub fn finish(mut self) -> Result<StreamCertificate, CheckError> {
+    pub fn finish(mut self) -> Result<ScCertificate, CheckError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        if self.cfg.record_witness && self.witness.is_none() {
-            self.witness = Some(Vec::new());
-        }
         self.seal(true)?;
-        Ok(StreamCertificate {
+        Ok(ScCertificate {
             model: self.cfg.model,
             accesses: self.total,
             edges: self.edges,
@@ -880,9 +757,8 @@ impl StreamChecker {
             peak_live: self.peak_live,
             peak_write_records: self.peak_recs,
             witness_hash: self.witness_hash,
-            final_memory: self.mem.into_iter().collect(),
-            checkpoints: self.checkpoints,
             witness: self.witness,
+            final_memory: self.mem.into_iter().collect(),
         })
     }
 
@@ -1023,8 +899,7 @@ impl StreamChecker {
 
     /// Certify one window: admit the buffered accesses into the live
     /// graph, sort, place the ancestor closure of the previous window
-    /// (everything, when `finalize`), expire stale write records, and
-    /// checkpoint.
+    /// (everything, when `finalize`), and expire stale write records.
     fn seal(&mut self, finalize: bool) -> Result<(), CheckError> {
         let w = self.cur_window;
         // 1. The window's accesses were admitted into the live arena on
@@ -1104,6 +979,8 @@ impl StreamChecker {
             let st = self.addrs.entry(a.addr).or_default();
             let rank = st.writes;
             st.writes += 1;
+            // Whether the previous write, of rank `rank - 1`, is placed.
+            let prev_placed = rank <= st.placed;
             if rank == 0 {
                 st.first_write = Some(a);
                 for r in std::mem::take(&mut st.init_readers) {
@@ -1124,7 +1001,7 @@ impl StreamChecker {
                         None => self.edges += 1, // reader already placed
                     }
                 }
-                if prev.placed {
+                if prev_placed {
                     self.edges += 1; // co edge satisfied by the prefix
                 } else {
                     let from = self.slot_of.live(prev.a.idx);
@@ -1139,12 +1016,10 @@ impl StreamChecker {
             }
             st.recs.push_back(WriteRec {
                 a,
-                rank,
                 window: w,
-                placed: false,
                 readers: Vec::new(),
             });
-            self.writers.entry((a.addr, v)).or_default().push(a.idx);
+            self.writers.entry((a.addr, v)).or_default().push(rank);
             if self.cfg.model == MemoryModel::Tso {
                 self.coh.claim(CohRank::Write(rank + 1), &a);
                 // Discharge reads that parked on this (addr, value): a
@@ -1184,42 +1059,14 @@ impl StreamChecker {
         }
 
         // 4. rf / fr: resolve the window's reads against the live write
-        // records. Resolution is pure lookup, so with a pool it shards
-        // across the workers up front; serially, each read is resolved
-        // just before its outcome is applied, since applying an outcome
-        // never changes what a later resolution reads. Outcomes are
-        // applied in stream order either way, so edges, ambiguity counts,
-        // and the first violation are identical at any pool width.
-        let reads: Vec<usize> = (first_new_slot..self.arena.len())
-            .filter(|&s| self.arena[s].a.observed().is_some())
-            .collect();
-        let resolved: Vec<ReadOutcome> = if self.cfg.jobs > 1 && reads.len() > 1 {
-            let (addrs, writers, arena) = (&self.addrs, &self.writers, &self.arena);
-            let shard = reads.len().div_ceil(self.cfg.jobs);
-            let jobs: Vec<Job<Vec<ReadOutcome>>> = reads
-                .chunks(shard)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    Job::new(format!("stream window {w} shard {i}"), move || {
-                        chunk
-                            .iter()
-                            .map(|&s| resolve_read(addrs, writers, &arena[s].a))
-                            .collect()
-                    })
-                })
-                .collect();
-            run_all(self.cfg.jobs, jobs).into_iter().flatten().collect()
-        } else {
-            Vec::new()
-        };
-        let mut resolved = resolved.into_iter();
+        // records, in stream order. Each read is resolved just before its
+        // outcome is applied: applying an outcome never changes what a
+        // later resolution reads.
         let tso = self.cfg.model == MemoryModel::Tso;
-        for slot in reads {
+        for slot in first_new_slot..self.arena.len() {
             let a = self.arena[slot].a;
-            let outcome = resolved
-                .next()
-                .unwrap_or_else(|| resolve_read(&self.addrs, &self.writers, &a));
-            let v = a.observed().expect("reads observe");
+            let Some(v) = a.observed() else { continue };
+            let outcome = resolve_read(&self.addrs, &self.writers, &a);
             let is_rmw = matches!(a.kind, AccessKind::Rmw { .. });
             match outcome {
                 ReadOutcome::Ambiguous => {
@@ -1294,10 +1141,7 @@ impl StreamChecker {
                         }
                         FrApply::Register => {
                             let st = self.addrs.get_mut(&a.addr).expect("writer implies state");
-                            let i = st
-                                .recs
-                                .binary_search_by_key(&w, |r| r.a.idx)
-                                .expect("resolved writer is live");
+                            let i = (w_rank - st.expired) as usize;
                             st.recs[i].readers.push(a.idx);
                         }
                     }
@@ -1476,21 +1320,18 @@ impl StreamChecker {
             if let Some(v) = a.published() {
                 self.mem.insert(a.addr, v);
                 let st = self.addrs.get_mut(&a.addr).expect("write implies state");
-                let i = st
-                    .recs
-                    .binary_search_by_key(&a.idx, |r| r.a.idx)
-                    .expect("placed write has a live record");
-                st.recs[i].placed = true;
-                if st.first_write.map(|f| f.idx) == Some(a.idx) {
-                    st.first_placed = true;
-                }
+                debug_assert_eq!(
+                    st.rec(st.placed).a.idx,
+                    a.idx,
+                    "an address's writes are placed in coherence order"
+                );
+                st.placed += 1;
             }
             if let Some((tail, tail_placed)) = self.tails.get_mut(&a.core) {
                 if tail.idx == a.idx {
                     *tail_placed = true;
                 }
             }
-            self.placed += 1;
             self.witness_hash = (self.witness_hash ^ a.idx as u64).wrapping_mul(FNV_PRIME);
             if let Some(witness) = &mut self.witness {
                 witness.push(a.idx);
@@ -1529,10 +1370,11 @@ impl StreamChecker {
             for (&addr, st) in self.addrs.iter_mut() {
                 while st.recs.len() > 1 && st.recs[1].window < w {
                     let dead = st.recs.pop_front().expect("len checked");
+                    let rank = st.expired;
                     st.expired += 1;
                     let v = dead.a.published().expect("records are writes");
                     if let Some(list) = self.writers.get_mut(&(addr, v)) {
-                        list.retain(|&g| g != dead.a.idx);
+                        list.retain(|&r| r != rank);
                         if list.is_empty() {
                             self.writers.remove(&(addr, v));
                         }
@@ -1541,17 +1383,7 @@ impl StreamChecker {
             }
         }
 
-        // 8. Checkpoint the certified prefix.
         self.windows_sealed += 1;
-        if self.checkpoints.len() < self.cfg.checkpoint_cap {
-            self.checkpoints.push(Checkpoint {
-                window: w,
-                placed: self.placed,
-                live: self.arena.len(),
-                write_records: self.addrs.values().map(|s| s.recs.len()).sum(),
-                witness_hash: self.witness_hash,
-            });
-        }
         self.cur_window += 1;
         Ok(())
     }
@@ -1563,7 +1395,7 @@ pub fn check_stream(
     accesses: &[Access],
     lifecycle: &[LifecycleEvent],
     cfg: StreamConfig,
-) -> Result<StreamCertificate, CheckError> {
+) -> Result<ScCertificate, CheckError> {
     let mut checker = StreamChecker::new(cfg);
     for e in lifecycle {
         checker.push_lifecycle(*e);
@@ -1582,7 +1414,7 @@ pub fn check_stream(
 pub fn check_events(
     events: EventSource<'_>,
     cfg: StreamConfig,
-) -> Result<StreamCertificate, StreamError> {
+) -> Result<ScCertificate, StreamError> {
     let _prof = bulksc_prof::scope(bulksc_prof::Phase::Oracle);
     let mut checker = StreamChecker::new(cfg);
     let mut count = 0usize;
@@ -1688,28 +1520,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_width_does_not_change_the_verdict() {
-        let t = synth(6_000, 4, 32);
-        let one = check_stream(&t, &[], StreamConfig::windowed(512)).expect("jobs=1");
-        let four = check_stream(&t, &[], StreamConfig::windowed(512).with_jobs(4)).expect("jobs=4");
-        assert_eq!(one.witness_hash, four.witness_hash);
-        assert_eq!(one.edges, four.edges);
-        assert_eq!(one.ambiguous_reads, four.ambiguous_reads);
-        assert_eq!(one.checkpoints, four.checkpoints);
-        assert_eq!(one.final_memory, four.final_memory);
-    }
-
-    #[test]
-    fn single_window_equals_batch_including_the_witness() {
-        let t = synth(2_000, 4, 16);
-        let batch = check(&t, &[]).expect("legal");
-        let one = check_stream(&t, &[], StreamConfig::batch()).expect("single window");
-        assert_eq!(one.witness.as_deref(), Some(batch.witness.as_slice()));
-        assert_eq!(one.edges, batch.edges);
-        assert_eq!(one.windows, 1);
-    }
-
-    #[test]
     fn stale_init_read_is_rejected_in_windowed_mode() {
         // A read of the initial 0 arriving two windows after the first
         // write was placed: batch would certify (order the read first),
@@ -1755,20 +1565,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_capped_and_monotone() {
-        let t = synth(4_000, 4, 32);
-        let mut cfg = StreamConfig::windowed(256);
-        cfg.checkpoint_cap = 4;
-        let cert = check_stream(&t, &[], cfg).expect("certifies");
-        assert_eq!(cert.checkpoints.len(), 4);
-        for pair in cert.checkpoints.windows(2) {
-            assert!(pair[0].window < pair[1].window);
-            assert!(pair[0].placed <= pair[1].placed);
-        }
-        assert_eq!(cert.checkpoints[0].window, 0);
-    }
-
-    #[test]
     fn violations_inside_a_window_match_batch_reports() {
         // The forbidden SB outcome, streamed one access per push.
         let mk = |idx, core, po, addr, value, store| Access {
@@ -1805,7 +1601,7 @@ mod tests {
         bytes: &[u8],
         origin: &str,
         cfg: StreamConfig,
-    ) -> Result<StreamCertificate, StreamError> {
+    ) -> Result<ScCertificate, StreamError> {
         let events =
             EventSource::new(bytes, origin).map_err(|e| StreamError::Input(e.to_string()))?;
         check_events(events, cfg)
@@ -1856,12 +1652,12 @@ mod tests {
         let (good, btf) = both_encodings(&events);
         for cfg in [StreamConfig::batch(), StreamConfig::windowed(1)] {
             for (bytes, origin) in [(good.as_bytes(), "in.jsonl"), (&btf[..], "in.btf")] {
-                let cert = check_bytes(bytes, origin, cfg.clone()).expect("two-access trace");
+                let cert = check_bytes(bytes, origin, cfg).expect("two-access trace");
                 assert_eq!(cert.accesses, 2);
                 assert_eq!(cert.final_memory, BTreeMap::from([(8, 1)]));
             }
             let bad = format!("{good}not json\n");
-            let err = check_bytes(bad.as_bytes(), "in.jsonl", cfg.clone()).expect_err("line 4");
+            let err = check_bytes(bad.as_bytes(), "in.jsonl", cfg).expect_err("line 4");
             let StreamError::Input(m) = err else {
                 panic!("expected input error, got {err:?}");
             };
@@ -1912,11 +1708,8 @@ mod tests {
             })
             .collect();
         let (jsonl, btf) = both_encodings(&events);
-        for cfg in [
-            StreamConfig::batch(),
-            StreamConfig::windowed(512).with_jobs(2),
-        ] {
-            let from_text = check_bytes(jsonl.as_bytes(), "t.jsonl", cfg.clone()).unwrap();
+        for cfg in [StreamConfig::batch(), StreamConfig::windowed(512)] {
+            let from_text = check_bytes(jsonl.as_bytes(), "t.jsonl", cfg).unwrap();
             let from_btf = check_bytes(&btf, "t.btf", cfg).unwrap();
             assert_eq!(from_text.accesses, from_btf.accesses);
             assert_eq!(from_text.witness_hash, from_btf.witness_hash);

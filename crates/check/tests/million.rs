@@ -84,7 +84,7 @@ fn a_million_access_trace_certifies_in_under_ten_seconds() {
 
     assert_eq!(cert.accesses, N);
     assert_eq!(cert.ambiguous_reads, 0, "unique store values pin every rf");
-    assert_eq!(cert.witness.len(), N);
+    assert_eq!(cert.witness.as_ref().map(Vec::len), Some(N));
     let budget = budget_secs();
     assert!(
         elapsed.as_secs_f64() < budget,

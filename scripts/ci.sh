@@ -111,7 +111,7 @@ rm -f results/tso_sb.sc.txt
 # halves of the pipe run without contending on cargo's build lock.
 echo "==> synth-trace 4000000 | check - --stream (RSS-bounded)"
 ./target/release/bulksc-analyze synth-trace 4000000 |
-  ./target/release/bulksc-analyze check - --stream --window 65536 --jobs 2 --max-rss-mb 192
+  ./target/release/bulksc-analyze check - --stream --window 65536 --max-rss-mb 192
 
 # BTF gate: the binary trace format must be lossless and invisible to
 # every consumer. The demo trace (regenerated above) converts to BTF;
@@ -150,6 +150,18 @@ same_certificates() {
   rm -f results/cert.ci.jsonl results/cert.ci.btf
 }
 same_certificates results/trace_demo
+
+# `check` spreads its input files over the pool in streaming mode as in
+# batch mode: two traces at --jobs 2 must print exactly their
+# single-file certificates, in argument order.
+echo "==> check --stream --jobs 2 on trace_demo.{jsonl,btf} == each alone"
+for fmt in jsonl btf; do
+  ./target/release/bulksc-analyze check --stream "results/trace_demo.$fmt"
+done > results/cert.ci.one
+./target/release/bulksc-analyze check --stream --jobs 2 \
+  results/trace_demo.jsonl results/trace_demo.btf > results/cert.ci.two
+run cmp results/cert.ci.one results/cert.ci.two
+rm -f results/cert.ci.one results/cert.ci.two
 
 # The streaming consumers must not notice the encoding either: `xray`
 # (report and --dot graph) and `timeline` (summary and --out Chrome
@@ -198,10 +210,10 @@ fi
 echo "==> synth-trace 2000000 [--format btf] | check - --stream (timed, btf <= jsonl)"
 t0=$(date +%s%N)
 ./target/release/bulksc-analyze synth-trace 2000000 |
-  ./target/release/bulksc-analyze check - --stream --window 65536 --jobs 2 > /dev/null
+  ./target/release/bulksc-analyze check - --stream --window 65536 > /dev/null
 t1=$(date +%s%N)
 ./target/release/bulksc-analyze synth-trace 2000000 --format btf |
-  ./target/release/bulksc-analyze check - --stream --window 65536 --jobs 2 > /dev/null
+  ./target/release/bulksc-analyze check - --stream --window 65536 > /dev/null
 t2=$(date +%s%N)
 jsonl_ms=$(((t1 - t0) / 1000000))
 btf_ms=$(((t2 - t1) / 1000000))
@@ -212,8 +224,8 @@ if [ "$btf_ms" -gt "$jsonl_ms" ]; then
 fi
 
 # Differential fuzz smoke: every generated trace is certified twice —
-# batch and windowed streaming at two pool widths — and the verdicts,
-# witnesses, and hashes must agree case by case.
+# batch and windowed streaming — and the verdicts, access counts and
+# final memories must agree case by case.
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-fuzz -- \
   --seeds 2 --time-box 30 --jobs 2 --stream-check > /dev/null
 

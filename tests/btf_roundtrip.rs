@@ -18,7 +18,7 @@ use std::io::Cursor;
 use bulksc::{BulkConfig, Model, System, SystemConfig};
 use bulksc_bench::analyze::{self, CountBy, QueryFilter};
 use bulksc_bench::{fuzz, xray};
-use bulksc_check::{check_events, StreamCertificate, StreamConfig, StreamError};
+use bulksc_check::{check_events, ScCertificate, StreamConfig, StreamError};
 use bulksc_trace::btf::{btf_to_jsonl, jsonl_to_btf};
 use bulksc_trace::{BtfWriter, EventSource, IndexedBtf, JsonlTracer, TraceHandle};
 use bulksc_workloads::{by_name, fuzz_programs, FuzzSpec, SyntheticApp, ThreadProgram};
@@ -104,36 +104,26 @@ fn jsonl_btf_jsonl_is_byte_identical_on_every_corpus_trace() {
 }
 
 #[test]
-fn checker_verdicts_agree_across_formats_and_pool_widths() {
+fn checker_verdicts_agree_across_formats() {
     for (name, text) in corpus() {
         if !text.contains("\"ev\":\"val_") {
             continue; // no value events — nothing for the oracle
         }
         let btf = jsonl_to_btf(&text).unwrap_or_else(|e| panic!("{name}: encode: {e}"));
-        let mut hashes = Vec::new();
-        for jobs in [1usize, 4] {
-            let cfg = StreamConfig::windowed(512).with_jobs(jobs);
-            let j = check(text.as_bytes(), cfg.clone())
-                .unwrap_or_else(|e| panic!("{name}: jsonl (jobs {jobs}): {e}"));
-            let b = check(&btf, cfg).unwrap_or_else(|e| panic!("{name}: btf (jobs {jobs}): {e}"));
-            assert_eq!(j.accesses, b.accesses, "{name}: access counts diverge");
-            assert_eq!(
-                j.witness_hash, b.witness_hash,
-                "{name}: witness hash diverges across formats (jobs {jobs})"
-            );
-            assert_eq!(
-                j.final_memory, b.final_memory,
-                "{name}: replayed memory diverges across formats"
-            );
-            assert_eq!(j.summary(), b.summary(), "{name}: certificates diverge");
-            hashes.push(b.witness_hash);
-        }
+        let cfg = StreamConfig::windowed(512);
+        let j = check(text.as_bytes(), cfg).unwrap_or_else(|e| panic!("{name}: jsonl: {e}"));
+        let b = check(&btf, cfg).unwrap_or_else(|e| panic!("{name}: btf: {e}"));
+        assert_eq!(j.accesses, b.accesses, "{name}: access counts diverge");
         assert_eq!(
-            hashes[0], hashes[1],
-            "{name}: pool width changed the BTF witness hash"
+            j.witness_hash, b.witness_hash,
+            "{name}: witness hash diverges across formats"
         );
-        let batch = [text.as_bytes(), &btf]
-            .map(|bytes| check(bytes, StreamConfig::batch()).map(|c| c.into_sc()));
+        assert_eq!(
+            j.final_memory, b.final_memory,
+            "{name}: replayed memory diverges across formats"
+        );
+        assert_eq!(j.summary(), b.summary(), "{name}: certificates diverge");
+        let batch = [text.as_bytes(), &btf].map(|bytes| check(bytes, StreamConfig::batch()));
         let [j, b] = batch.map(|r| r.unwrap_or_else(|e| panic!("{name}: batch: {e}")));
         assert_eq!(j.witness, b.witness, "{name}: batch witnesses diverge");
         assert_eq!(
@@ -145,7 +135,7 @@ fn checker_verdicts_agree_across_formats_and_pool_widths() {
 }
 
 /// Certify one encoding of a trace through the one trace reader.
-fn check(bytes: &[u8], cfg: StreamConfig) -> Result<StreamCertificate, StreamError> {
+fn check(bytes: &[u8], cfg: StreamConfig) -> Result<ScCertificate, StreamError> {
     check_events(events(bytes), cfg)
 }
 
@@ -219,7 +209,7 @@ fn blank_lines_are_skipped_by_every_consumer() {
             .unwrap_or_else(|e| panic!("streaming check: {e}"));
         let batch = check(text.as_bytes(), StreamConfig::batch())
             .unwrap_or_else(|e| panic!("batch check: {e}"));
-        [stream.summary(), batch.into_sc().summary()]
+        [stream.summary(), batch.summary()]
     };
     assert_eq!(certify(&spaced), certify(&clean), "check disagrees");
     assert_eq!(
